@@ -11,8 +11,10 @@ unsigned, a codec tag byte, optional per-class gains as 64-bit floats, then
 row-major parameters. The tag byte is 0 for float32, 1 for int32, and
 128 + bitwidth for scaled integers, so a frame is self-describing. Bits
 within the payload are little-endian: least-significant bit of the first
-byte first. Channel corruption touches payload bits only; headers and gains
-ride the reliable side of the link.
+byte first, values packed back to back at the codec width. The bit channels
+corrupt the payload bytes of the very frame counted on the uplink and parse
+what arrives; headers, gains and sample counts ride the reliable side of the
+link and are never corrupted.
 """
 
 from __future__ import annotations
@@ -113,74 +115,91 @@ def awgn_perturb(model: ClassPrototypes, snr_db: float, rng: np.random.Generator
     noise budget P / 10^(snr_db/10) is split evenly across parameters. An
     all-zero model is returned unchanged (its SNR is undefined).
     """
-    power = float(np.sum(model.vectors**2))
+    return ClassPrototypes(_add_awgn(model.vectors, snr_db, rng), model.counts.copy())
+
+
+def _add_awgn(values: np.ndarray, snr_db: float, rng: np.random.Generator) -> np.ndarray:
+    power = float(np.sum(values**2))
     if power == 0.0:
-        return model.copy()
-    noise_power = power / (10.0 ** (snr_db / 10.0))
-    per_param = noise_power / model.vectors.size
-    noise = rng.standard_normal(model.vectors.shape) * math.sqrt(per_param)
-    return ClassPrototypes(model.vectors + noise, model.counts.copy())
+        return values.copy()
+    per_param = power / (10.0 ** (snr_db / 10.0)) / values.size
+    return values + rng.standard_normal(values.shape) * math.sqrt(per_param)
 
 
 # ---------------------------------------------------------------------------
-# Bit codec
+# Packed bit codec
 
 
-def serialize_bits(values: np.ndarray, codec: CodecConfig) -> np.ndarray:
-    """Encode an array of parameters as a 0/1 bit vector, row-major.
-
-    Output length is exactly values.size * width bits. Integer codecs raise
-    on non-integral or out-of-range values.
-    """
+def value_words(values: np.ndarray, codec: CodecConfig) -> np.ndarray:
+    """Codec bit patterns of a flat value array as unsigned words: float32
+    bits, or the low two's-complement bits of an integer. Integer codecs
+    raise on non-integral, non-finite or out-of-range values."""
     flat = np.asarray(values, dtype=np.float64).reshape(-1)
     if codec.representation == "float32":
-        raw = flat.astype("<f4").tobytes()
-        return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+        return flat.astype("<f4").view("<u4")
     if not np.all(np.isfinite(flat)) or np.any(flat != np.trunc(flat)):
         raise CodecError("integer codecs require integral finite values")
-    if codec.representation == "int32":
-        if np.any(flat < -(2**31)) or np.any(flat > 2**31 - 1):
-            raise CodecError("value overflow for int32")
-        raw = flat.astype("<i4").tobytes()
-        return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    width = codec.bitwidth
-    lo, hi = -(2 ** (width - 1)), 2 ** (width - 1) - 1
-    if np.any(flat < lo) or np.any(flat > hi):
-        raise CodecError(f"value overflow for {width}-bit integers")
-    unsigned = flat.astype(np.int64) & ((1 << width) - 1)
-    bits = (unsigned[:, None] >> np.arange(width, dtype=np.int64)) & 1
-    return bits.reshape(-1).astype(np.uint8)
-
-
-def deserialize_bits(bits: np.ndarray, codec: CodecConfig, shape: tuple[int, ...]) -> np.ndarray:
-    """Decode a bit vector back into parameters of the given shape.
-
-    For float32, values that decode to NaN or infinity are replaced by zero;
-    corrupted streams must never poison server-side arithmetic.
-    """
-    bits = np.asarray(bits, dtype=np.uint8)
-    count = int(np.prod(shape))
     width = codec.value_bits
-    if bits.size != count * width:
-        raise DimensionError(
-            f"expected {count * width} bits for shape {shape}, got {bits.size}"
-        )
+    if flat.size and (flat.min() < -(2 ** (width - 1)) or flat.max() >= 2 ** (width - 1)):
+        raise CodecError(f"value overflow for {width}-bit integers")
+    return flat.astype(np.int64).astype(np.uint64) & np.uint64((1 << width) - 1)
+
+
+def words_to_values(words: np.ndarray, codec: CodecConfig) -> np.ndarray:
+    """Invert value_words. Float32 patterns that decode to NaN or infinity
+    become zero; corrupted streams must never poison server-side arithmetic."""
     if codec.representation == "float32":
-        raw = np.packbits(bits, bitorder="little").tobytes()
         # Corrupted patterns may form signaling NaNs; the widening cast then
         # raises FE_INVALID, which is exactly the case nan_to_num cleans up.
         with np.errstate(invalid="ignore"):
-            values = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-        values = np.nan_to_num(values, nan=0.0, posinf=0.0, neginf=0.0)
-        return values.reshape(shape)
-    if codec.representation == "int32":
-        raw = np.packbits(bits, bitorder="little").tobytes()
-        values = np.frombuffer(raw, dtype="<i4").astype(np.float64)
-        return values.reshape(shape)
-    matrix = bits.reshape(count, width).astype(np.int64)
-    unsigned = (matrix << np.arange(width, dtype=np.int64)).sum(axis=1)
-    signed = np.where(unsigned >= 1 << (width - 1), unsigned - (1 << width), unsigned)
-    return signed.astype(np.float64).reshape(shape)
+            values = words.astype("<u4").view("<f4").astype(np.float64)
+        return np.nan_to_num(values, nan=0.0, posinf=0.0, neginf=0.0)
+    shift = 64 - codec.value_bits  # sign-extend from the top of an int64
+    return ((words.astype(np.int64) << shift) >> shift).astype(np.float64)
+
+
+def pack_words(words: np.ndarray, width: int) -> np.ndarray:
+    """Pack a 1-D array of `width`-bit words (1..64) back to back,
+    least-significant bit first, into bytes."""
+    if width in (8, 16, 32, 64):
+        return words.astype(f"<u{width // 8}").view(np.uint8)
+    bits = np.unpackbits(words.astype("<u8").view(np.uint8), bitorder="little")
+    return np.packbits(bits.reshape(-1, 64)[:, :width], bitorder="little")
+
+
+def unpack_words(payload: np.ndarray, count: int, width: int) -> np.ndarray:
+    """The first `count` words of `width` bits in a 1-D uint8 payload, as uint64."""
+    if width in (8, 16, 32, 64):
+        return payload[: count * width // 8].view(f"<u{width // 8}").astype(np.uint64)
+    bits = np.zeros((count, 64), dtype=np.uint8)
+    packed = np.unpackbits(payload, count=count * width, bitorder="little")
+    bits[:, :width] = packed.reshape(-1, width)
+    return np.packbits(bits, bitorder="little").view("<u8").astype(np.uint64)
+
+
+def encode_values(values: np.ndarray, codec: CodecConfig) -> np.ndarray:
+    """Packed codec payload of a value array, row-major."""
+    return pack_words(value_words(values, codec), codec.value_bits)
+
+
+def decode_values(payload: np.ndarray, codec: CodecConfig, count: int) -> np.ndarray:
+    """The first `count` values of a packed codec payload."""
+    return words_to_values(unpack_words(payload, count, codec.value_bits), codec)
+
+
+def serialize_bits(values: np.ndarray, codec: CodecConfig) -> np.ndarray:
+    """Unpacked view of encode_values: exactly values.size * width 0/1 bytes."""
+    n_bits = np.size(values) * codec.value_bits
+    return np.unpackbits(encode_values(values, codec), count=n_bits, bitorder="little")
+
+
+def deserialize_bits(bits: np.ndarray, codec: CodecConfig, shape: tuple[int, ...]) -> np.ndarray:
+    """Decode a 0/1 bit vector back into parameters of the given shape."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    count = int(np.prod(shape))
+    if bits.size != count * codec.value_bits:
+        raise DimensionError(f"{bits.size} bits do not hold {shape} at {codec.value_bits} bits")
+    return decode_values(np.packbits(bits, bitorder="little"), codec, count).reshape(shape)
 
 
 def bsc_flip(bits: np.ndarray, p_e: float, rng: np.random.Generator) -> np.ndarray:
@@ -301,19 +320,21 @@ def dequantize_model(quantized: QuantizedModel, counts: np.ndarray) -> ClassProt
 # Corruption pipelines
 
 
-def _corrupt_bitstream(bits: np.ndarray, cfg: ChannelConfig, rng: np.random.Generator) -> np.ndarray:
+def _corrupt_payload(
+    payload: np.ndarray, n_bits: int, cfg: ChannelConfig, rng: np.random.Generator
+) -> None:
+    """Corrupt the first n_bits of a packed payload in place, with the draws
+    bsc_flip and packetize_and_drop make for an n_bits stream."""
     if cfg.kind == "bsc":
-        return bsc_flip(bits, cfg.bit_error_rate, rng)
-    if cfg.kind == "packet_loss":
-        received, _ = packetize_and_drop(
-            bits,
-            cfg.packet_bits,
-            0.0 if cfg.bit_error_rate is None else cfg.bit_error_rate,
-            rng,
-            packet_loss_prob=cfg.packet_loss_prob,
-        )
-        return received
-    raise ChannelConfigError(f"{cfg.kind} is not a bitstream channel")
+        payload ^= np.packbits(rng.random(n_bits) < cfg.bit_error_rate, bitorder="little")
+    elif cfg.kind == "packet_loss":
+        p_drop = cfg.packet_loss_prob
+        if p_drop is None:
+            p_drop = packet_error_probability(cfg.bit_error_rate or 0.0, cfg.packet_bits)
+        drops = rng.random(-(-n_bits // cfg.packet_bits)) < p_drop
+        payload &= ~np.packbits(np.repeat(drops, cfg.packet_bits)[:n_bits], bitorder="little")
+    else:
+        raise ChannelConfigError(f"{cfg.kind} is not a bitstream channel")
 
 
 def corrupt_values(values: np.ndarray, cfg: ChannelConfig, rng: np.random.Generator) -> np.ndarray:
@@ -327,17 +348,14 @@ def corrupt_values(values: np.ndarray, cfg: ChannelConfig, rng: np.random.Genera
     if cfg.kind == "ideal" or values.size == 0:
         return values.copy()
     if cfg.kind == "awgn":
-        power = float(np.sum(values**2))
-        if power == 0.0:
-            return values.copy()
-        per_param = power / (10.0 ** (cfg.snr_db / 10.0)) / values.size
-        return values + rng.standard_normal(values.size) * math.sqrt(per_param)
+        return _add_awgn(values, cfg.snr_db, rng)
+    gain = None
     if cfg.codec.representation == "quantized_int":
-        ints, gain = quantize_block(values, cfg.codec.bitwidth)
-        bits = _corrupt_bitstream(serialize_bits(ints, cfg.codec), cfg, rng)
-        return scale_down(deserialize_bits(bits, cfg.codec, values.shape), gain)
-    bits = _corrupt_bitstream(serialize_bits(values, cfg.codec), cfg, rng)
-    return deserialize_bits(bits, cfg.codec, values.shape)
+        values, gain = quantize_block(values, cfg.codec.bitwidth)
+    payload = encode_values(values, cfg.codec)
+    _corrupt_payload(payload, values.size * cfg.codec.value_bits, cfg, rng)
+    received = decode_values(payload, cfg.codec, values.size).reshape(values.shape)
+    return received if gain is None else scale_down(received, gain)
 
 
 def corrupt_signs(signs: np.ndarray, cfg: ChannelConfig, rng: np.random.Generator) -> np.ndarray:
@@ -353,8 +371,9 @@ def corrupt_signs(signs: np.ndarray, cfg: ChannelConfig, rng: np.random.Generato
         # Signal power of a +/-1 matrix is one per entry.
         per_param = 1.0 / (10.0 ** (cfg.snr_db / 10.0))
         return signs + rng.standard_normal(signs.shape) * math.sqrt(per_param)
-    bits = (signs.reshape(-1) > 0).astype(np.uint8)
-    bits = _corrupt_bitstream(bits, cfg, rng)
+    payload = np.packbits(signs.reshape(-1) > 0, bitorder="little")
+    _corrupt_payload(payload, signs.size, cfg, rng)
+    bits = np.unpackbits(payload, count=signs.size, bitorder="little")
     return np.where(bits == 1, 1.0, -1.0).reshape(signs.shape)
 
 
@@ -362,23 +381,20 @@ def apply_channel(model: ClassPrototypes, cfg: ChannelConfig, rng: np.random.Gen
     """Dispatch a full model through the configured corruption.
 
     ideal is the exact identity; awgn perturbs raw values; bsc and
-    packet_loss serialize with the codec, corrupt the payload bits, and
-    decode (wrapped in scale-up/down when the codec is quantized_int).
-    Shape (K, d) is always preserved.
+    packet_loss corrupt the payload of the model's HDFM frame, the frame
+    write_model_bytes sends, and parse what arrives. Shape and counts are kept.
     """
     if cfg.kind == "ideal":
         return model.copy()
     if cfg.kind == "awgn":
         return awgn_perturb(model, cfg.snr_db, rng)
-    if cfg.codec.representation == "quantized_int":
-        quantized = quantize_model(model, cfg.codec.bitwidth)
-        bits = _corrupt_bitstream(serialize_bits(quantized.integers, cfg.codec), cfg, rng)
-        integers = deserialize_bits(bits, cfg.codec, model.vectors.shape)
-        quantized = QuantizedModel(integers.astype(np.int64), quantized.gains, cfg.codec.bitwidth)
-        return dequantize_model(quantized, model.counts)
-    bits = _corrupt_bitstream(serialize_bits(model.vectors, cfg.codec), cfg, rng)
-    values = deserialize_bits(bits, cfg.codec, model.vectors.shape)
-    return ClassPrototypes(values, model.counts.copy())
+    frame = bytearray(write_model_bytes(model, cfg.codec))
+    n_bits = model.vectors.size * cfg.codec.value_bits
+    # The payload is the frame's tail; the header and gains before it stay intact.
+    payload = np.frombuffer(frame, dtype=np.uint8)[len(frame) - -(-n_bits // 8) :]
+    _corrupt_payload(payload, n_bits, cfg, rng)
+    received, _ = read_model_bytes(frame)
+    return ClassPrototypes(received.vectors, model.counts.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -425,51 +441,54 @@ def _codec_from_tag(tag: int) -> CodecConfig:
     raise CodecError(f"unknown codec tag {tag}")
 
 
+def frame_header(k: int, d: int, tag: int) -> bytes:
+    """The HDFM header shared by model frames and strategy payload frames."""
+    return HDFM_MAGIC + struct.pack("<BIIB", HDFM_VERSION, k, d, tag)
+
+
+def parse_frame_header(
+    blob: bytes, error: type[ValueError] = CodecError, tag: int | None = None
+) -> tuple[int, int, int]:
+    """(K, d, tag) of a frame; raises `error` on a malformed header or a tag
+    other than the expected one."""
+    if len(blob) < HEADER_BYTES or blob[:4] != HDFM_MAGIC:
+        raise error("not an HDFM frame")
+    version, k, d, got = struct.unpack("<BIIB", blob[4:HEADER_BYTES])
+    if version != HDFM_VERSION:
+        raise error(f"unsupported HDFM version {version}")
+    if tag is not None and got != tag:
+        raise error(f"unexpected frame tag {got}")
+    return k, d, got
+
+
 def write_model_bytes(model: ClassPrototypes, codec: CodecConfig | None = None) -> bytes:
     """Serialize a model to a self-describing HDFM frame."""
     codec = codec or CodecConfig()
     k, d = model.vectors.shape
-    out = bytearray()
-    out += HDFM_MAGIC
-    out += struct.pack("<BIIB", HDFM_VERSION, k, d, _codec_tag(codec))
+    head = frame_header(k, d, _codec_tag(codec))
     if codec.representation == "quantized_int":
         quantized = quantize_model(model, codec.bitwidth)
-        out += quantized.gains.astype("<f8").tobytes()
-        bits = serialize_bits(quantized.integers, codec)
-    else:
-        bits = serialize_bits(model.vectors, codec)
-    pad = (-bits.size) % 8
-    if pad:
-        bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
-    out += np.packbits(bits, bitorder="little").tobytes()
-    return bytes(out)
+        gains = quantized.gains.astype("<f8").tobytes()
+        return head + gains + encode_values(quantized.integers, codec).tobytes()
+    return head + encode_values(model.vectors, codec).tobytes()
 
 
 def read_model_bytes(blob: bytes) -> tuple[ClassPrototypes, CodecConfig]:
     """Parse an HDFM frame. Sample counts are not part of the wire format,
-    so the returned model carries zero counts."""
-    if len(blob) < HEADER_BYTES or blob[:4] != HDFM_MAGIC:
-        raise CodecError("not an HDFM frame")
-    version, k, d, tag = struct.unpack("<BIIB", blob[4:HEADER_BYTES])
-    if version != HDFM_VERSION:
-        raise CodecError(f"unsupported HDFM version {version}")
+    so the returned model carries zero counts. Declared sizes are checked
+    against the blob before anything is allocated."""
+    k, d, tag = parse_frame_header(blob)
     codec = _codec_from_tag(tag)
-    offset = HEADER_BYTES
-    gains = None
+    offset = HEADER_BYTES + (8 * k if codec.representation == "quantized_int" else 0)
+    size = offset + -(-k * d * codec.value_bits // 8)
+    if k < 2 or len(blob) < size:
+        raise CodecError(f"HDFM frame declares K={k} and {size} bytes, got {len(blob)} bytes")
+    payload = np.frombuffer(blob, dtype=np.uint8, offset=offset)
+    values = decode_values(payload, codec, k * d).reshape(k, d)
     if codec.representation == "quantized_int":
-        gains = np.frombuffer(blob, dtype="<f8", count=k, offset=offset)
-        offset += 8 * k
-    n_bits = k * d * codec.value_bits
-    n_bytes = -(-n_bits // 8)
-    payload = blob[offset : offset + n_bytes]
-    if len(payload) != n_bytes:
-        raise CodecError("truncated HDFM payload")
-    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), bitorder="little")[:n_bits]
-    values = deserialize_bits(bits, codec, (k, d))
-    if gains is not None:
+        gains = np.frombuffer(blob, dtype="<f8", count=k, offset=HEADER_BYTES)
         values = values / gains[:, None]
-    counts = np.zeros(k, dtype=np.int64)
-    return ClassPrototypes(values, counts), codec
+    return ClassPrototypes(values, np.zeros(k, dtype=np.int64)), codec
 
 
 def write_model(model: ClassPrototypes, path: str, codec: CodecConfig | None = None) -> None:

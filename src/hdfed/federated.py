@@ -288,6 +288,9 @@ def run_training(
         raise ValueError(
             f"partition has {partition.num_clients} clients, config says {cfg.num_clients}"
         )
+    if strategy.kind == "subsample" and cfg.rounds > 0:
+        # The last round and client give the largest stream key.
+        strat.subsample_stream_key(cfg.rounds - 1, cfg.num_clients - 1)
     clients = _client_states(train_hvs, train_labels, partition)
     hd_dim = train_hvs.shape[1]
     global_model = ClassPrototypes.zeros(num_classes, hd_dim)
@@ -314,7 +317,7 @@ def run_training(
                 sub_rng = derived_rng(cfg.seed, STREAM_STRATEGY, t, cid)
                 indices, values = strat.subsample(local, strategy.rate, sub_rng)
                 payload = strat.SubsamplePayload(
-                    stream_key=(t << 20) | int(cid),
+                    stream_key=strat.subsample_stream_key(t, int(cid)),
                     indices=indices,
                     values=values,
                     shape=local.vectors.shape,

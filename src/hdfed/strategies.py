@@ -23,13 +23,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (
-    HDFM_MAGIC,
-    HDFM_VERSION,
+    HEADER_BYTES,
     CodecConfig,
-    deserialize_bits,
+    frame_header,
+    pack_words,
+    parse_frame_header,
     quantize_block,
     scale_down,
-    serialize_bits,
+    unpack_words,
+    value_words,
+    words_to_values,
     write_model_bytes,
 )
 from .hdc import ClassPrototypes, DimensionError
@@ -92,9 +95,6 @@ class SparseClassModel:
     shape: tuple[int, int]
     counts: np.ndarray  # prototype sample counts, carried through
 
-    def n_stored(self) -> int:
-        return int(sum(idx.size for idx in self.indices))
-
 
 # ---------------------------------------------------------------------------
 # Binarized differential transmission
@@ -148,6 +148,14 @@ def subsample(
     keep = int(round(rate * total))
     indices = np.sort(rng.choice(total, size=keep, replace=False))
     return indices, model.vectors.reshape(-1)[indices].copy()
+
+
+def subsample_stream_key(round_index: int, client_id: int) -> int:
+    """64-bit subsample index-stream key: the round in the high 44 bits and
+    the client in the low 20, so no two valid pairs share a key."""
+    if not (0 <= client_id < 2**20 and 0 <= round_index < 2**44):
+        raise StrategyConfigError(f"round {round_index} or client {client_id} overflows its field")
+    return (round_index << 20) | client_id
 
 
 def subsample_aggregate(
@@ -216,45 +224,28 @@ def csc_decompress(sparse: SparseClassModel) -> ClassPrototypes:
 # Wire formats and exact size accounting
 
 
-def _header(k: int, d: int, tag: int) -> bytes:
-    return HDFM_MAGIC + struct.pack("<BIIB", HDFM_VERSION, k, d, tag)
-
-
-def _pack_bits(bits: np.ndarray) -> bytes:
-    pad = (-bits.size) % 8
-    if pad:
-        bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
-    return np.packbits(bits, bitorder="little").tobytes()
-
-
-def _u32_bits(values: np.ndarray) -> np.ndarray:
-    matrix = (values.astype(np.int64)[:, None] >> np.arange(32, dtype=np.int64)) & 1
-    return matrix.astype(np.uint8)
-
-
 def serialize_sign_matrix(signs: np.ndarray) -> bytes:
     """One bit per parameter (1 encodes +1), row-major, after the frame header."""
     k, d = signs.shape
-    bits = (signs.reshape(-1) > 0).astype(np.uint8)
-    return _header(k, d, TAG_BINARY_DIFF) + _pack_bits(bits)
+    bits = np.packbits(signs.reshape(-1) > 0, bitorder="little")
+    return frame_header(k, d, TAG_BINARY_DIFF) + bits.tobytes()
 
 
 def deserialize_sign_matrix(blob: bytes) -> np.ndarray:
-    if blob[:4] != HDFM_MAGIC:
-        raise SparseFormatError("not a payload frame")
-    _, k, d, tag = struct.unpack("<BIIB", blob[4:14])
-    if tag != TAG_BINARY_DIFF:
-        raise SparseFormatError(f"unexpected payload tag {tag}")
-    bits = np.unpackbits(np.frombuffer(blob[14:], dtype=np.uint8), bitorder="little")
-    return np.where(bits[: k * d] == 1, 1.0, -1.0).reshape(k, d)
+    k, d, _ = parse_frame_header(blob, SparseFormatError, TAG_BINARY_DIFF)
+    if len(blob) < HEADER_BYTES + -(-k * d // 8):
+        raise SparseFormatError(f"sign frame of {len(blob)} bytes cannot hold {k} x {d} bits")
+    payload = np.frombuffer(blob, dtype=np.uint8, offset=HEADER_BYTES)
+    bits = np.unpackbits(payload, count=k * d, bitorder="little")
+    return np.where(bits == 1, 1.0, -1.0).reshape(k, d)
 
 
 def _value_block(values: np.ndarray, codec: CodecConfig) -> tuple[bytes, np.ndarray]:
-    """Codec-width value bits plus, for scaled integers, an 8-byte gain prefix."""
+    """Codec words of the values plus, for scaled integers, an 8-byte gain prefix."""
     if codec.representation == "quantized_int":
         ints, gain = quantize_block(values, codec.bitwidth)
-        return struct.pack("<d", gain), serialize_bits(ints, codec)
-    return b"", serialize_bits(values, codec)
+        return struct.pack("<d", gain), value_words(ints, codec)
+    return b"", value_words(values, codec)
 
 
 def serialize_subsample(payload: SubsamplePayload, codec: CodecConfig) -> bytes:
@@ -264,11 +255,10 @@ def serialize_subsample(payload: SubsamplePayload, codec: CodecConfig) -> bytes:
     is constant regardless of the keep rate.
     """
     k, d = payload.shape
-    head = _header(k, d, TAG_SUBSAMPLE) + struct.pack(
-        "<QI", payload.stream_key, payload.values.size
-    )
-    gain_prefix, bits = _value_block(payload.values, codec)
-    return head + gain_prefix + _pack_bits(bits)
+    head = frame_header(k, d, TAG_SUBSAMPLE)
+    head += struct.pack("<QI", payload.stream_key, payload.values.size)
+    gain_prefix, words = _value_block(payload.values, codec)
+    return head + gain_prefix + pack_words(words, codec.value_bits).tobytes()
 
 
 def serialize_sparse(sparse: SparseClassModel, codec: CodecConfig) -> bytes:
@@ -280,73 +270,63 @@ def serialize_sparse(sparse: SparseClassModel, codec: CodecConfig) -> bytes:
     codecs prefix each class block with its 8-byte gain.
     """
     k, d = sparse.shape
-    out = bytearray(_header(k, d, TAG_SPARSE))
-    vb = codec.value_bits
+    out = bytearray(frame_header(k, d, TAG_SPARSE))
     for idx, val in zip(sparse.indices, sparse.values):
         out += struct.pack("<I", idx.size)
         if idx.size:
-            gain_prefix, value_bits = _value_block(val, codec)
-            out += gain_prefix
-            gaps = np.empty(idx.size, dtype=np.int64)
-            gaps[0] = idx[0]
-            gaps[1:] = np.diff(idx) - 1
-            pair_bits = np.hstack([_u32_bits(gaps), value_bits.reshape(idx.size, vb)])
-            out += _pack_bits(pair_bits.reshape(-1))
+            gain_prefix, words = _value_block(val, codec)
+            gaps = np.diff(idx, prepend=-1) - 1
+            pairs = gaps.astype(np.uint64) | (words.astype(np.uint64) << np.uint64(32))
+            out += gain_prefix + pack_words(pairs, 32 + codec.value_bits).tobytes()
     return bytes(out)
 
 
 def deserialize_sparse(blob: bytes, codec: CodecConfig) -> SparseClassModel:
-    """Parse a sparse frame back into indices and values (counts are zero)."""
-    if blob[:4] != HDFM_MAGIC:
-        raise SparseFormatError("not a payload frame")
-    _, k, d, tag = struct.unpack("<BIIB", blob[4:14])
-    if tag != TAG_SPARSE:
-        raise SparseFormatError(f"unexpected payload tag {tag}")
-    vb = codec.value_bits
-    offset = 14
-    indices: list[np.ndarray] = []
-    values: list[np.ndarray] = []
-    for _ in range(k):
-        (count,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        if count == 0:
-            indices.append(np.empty(0, dtype=np.int64))
-            values.append(np.empty(0))
-            continue
-        gain = None
-        if codec.representation == "quantized_int":
-            (gain,) = struct.unpack_from("<d", blob, offset)
-            offset += 8
-        n_bytes = -(-count * (32 + vb) // 8)
-        raw = np.frombuffer(blob, dtype=np.uint8, count=n_bytes, offset=offset)
-        offset += n_bytes
-        pair_bits = np.unpackbits(raw, bitorder="little")[: count * (32 + vb)]
-        pair_bits = pair_bits.reshape(count, 32 + vb)
-        gap_bits = pair_bits[:, :32].astype(np.int64)
-        gaps = (gap_bits << np.arange(32, dtype=np.int64)).sum(axis=1)
-        idx = np.cumsum(gaps + 1) - 1
-        val = deserialize_bits(pair_bits[:, 32:].reshape(-1), codec, (count,))
-        if gain is not None:
-            val = scale_down(val, gain)
-        indices.append(idx)
-        values.append(val)
-    return SparseClassModel(indices, values, (k, d), np.zeros(k, dtype=np.int64))
+    """Parse a sparse frame back into indices and values (counts are zero).
+
+    Raises SparseFormatError on a truncated frame, a count above d, a
+    non-positive gain, or an index outside [0, d).
+    """
+    k, d, _ = parse_frame_header(blob, SparseFormatError, TAG_SPARSE)
+    width = 32 + codec.value_bits
+    offset = HEADER_BYTES
+    sparse = SparseClassModel([], [], (k, d), np.zeros(k, dtype=np.int64))
+    try:
+        for row in range(k):
+            (count,), gain = struct.unpack_from("<I", blob, offset), 1.0
+            offset += 4
+            if count and codec.representation == "quantized_int":
+                (gain,) = struct.unpack_from("<d", blob, offset)
+                offset += 8
+            n_bytes = -(-count * width // 8)
+            if count > d or not gain > 0.0 or len(blob) < offset + n_bytes:
+                raise SparseFormatError(f"class {row}: bad count {count} or gain {gain}")
+            pairs = unpack_words(np.frombuffer(blob, np.uint8, n_bytes, offset), count, width)
+            offset += n_bytes
+            idx = np.cumsum((pairs & np.uint64(0xFFFFFFFF)).astype(np.int64) + 1) - 1
+            if count and idx[-1] >= d:
+                raise SparseFormatError(f"class {row}: stored index {idx[-1]} outside d={d}")
+            sparse.indices.append(idx)
+            sparse.values.append(scale_down(words_to_values(pairs >> np.uint64(32), codec), gain))
+    except struct.error:
+        raise SparseFormatError(f"sparse frame truncated at byte {offset}") from None
+    return sparse
+
+
+_PAYLOAD_TYPES = dict(none=ClassPrototypes, subsample=SubsamplePayload, sparsify=SparseClassModel)
 
 
 def wire_bytes(payload, strategy: StrategyConfig, codec: CodecConfig) -> int:
     """Exact serialized uplink size in bytes, headers and metadata included."""
+    expected = _PAYLOAD_TYPES.get(strategy.kind)
+    if expected is not None and not isinstance(payload, expected):
+        raise TypeError(f"{strategy.kind} strategy expects a {expected.__name__}")
     if strategy.kind == "none":
-        if not isinstance(payload, ClassPrototypes):
-            raise TypeError("none strategy expects a full model")
         return len(write_model_bytes(payload, codec))
     if strategy.kind == "binary_diff":
         return len(serialize_sign_matrix(np.asarray(payload)))
     if strategy.kind == "subsample":
-        if not isinstance(payload, SubsamplePayload):
-            raise TypeError("subsample strategy expects a SubsamplePayload")
         return len(serialize_subsample(payload, codec))
     if strategy.kind == "sparsify":
-        if not isinstance(payload, SparseClassModel):
-            raise TypeError("sparsify strategy expects a SparseClassModel")
         return len(serialize_sparse(payload, codec))
     raise StrategyConfigError(f"unknown strategy kind {strategy.kind!r}")

@@ -1,0 +1,374 @@
+"""Wire-level invariants of the uplink.
+
+* The packed codec and every bit channel agree, bit for bit, with the
+  unpacked reference: serialize_bits -> bsc_flip / packetize_and_drop ->
+  deserialize_bits, drawn from the same seeded generator.
+* The bytes counted on the uplink are the bytes the channel corrupts.
+* Frame parsers fail closed with their module's own error type.
+"""
+
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hdfed import channel
+from hdfed.channel import (
+    HEADER_BYTES,
+    ChannelConfig,
+    CodecConfig,
+    CodecError,
+    apply_channel,
+    bsc_flip,
+    corrupt_signs,
+    corrupt_values,
+    deserialize_bits,
+    frame_header,
+    packetize_and_drop,
+    quantize_block,
+    quantize_model,
+    read_model_bytes,
+    scale_down,
+    serialize_bits,
+    write_model_bytes,
+)
+from hdfed.hdc import ClassPrototypes
+from hdfed.strategies import (
+    TAG_SPARSE,
+    SparseClassModel,
+    SparseFormatError,
+    StrategyConfig,
+    StrategyConfigError,
+    deserialize_sign_matrix,
+    deserialize_sparse,
+    serialize_sign_matrix,
+    serialize_sparse,
+    sparsify,
+    subsample_stream_key,
+    wire_bytes,
+)
+
+CODECS = st.one_of(
+    st.just(CodecConfig("float32")),
+    st.just(CodecConfig("int32")),
+    st.integers(2, 32).map(lambda w: CodecConfig("quantized_int", bitwidth=w)),
+)
+# bsc at the rates the paper sweeps plus both extremes; packet sizes that do
+# and do not align with bytes.
+CHANNELS = st.sampled_from(
+    [dict(kind="bsc", bit_error_rate=p) for p in (0.0, 1e-3, 0.5, 1.0)]
+    + [dict(kind="packet_loss", packet_bits=b, packet_loss_prob=0.3) for b in (1, 8, 13, 100)]
+    + [dict(kind="packet_loss", packet_bits=13, bit_error_rate=0.02)]
+)
+
+
+def reference_bits(values, codec):
+    """Unpacked codec bits built independently: one 0/1 byte per bit."""
+    flat = np.asarray(values, dtype=np.float64).reshape(-1)
+    if codec.representation == "float32":
+        raw = np.frombuffer(flat.astype("<f4").tobytes(), dtype=np.uint8)
+        return np.unpackbits(raw, bitorder="little")
+    width = codec.value_bits
+    unsigned = flat.astype(np.int64) & ((1 << width) - 1)
+    return ((unsigned[:, None] >> np.arange(width)) & 1).reshape(-1).astype(np.uint8)
+
+
+def reference_channel(bits, cfg, rng):
+    if cfg.kind == "bsc":
+        return bsc_flip(bits, cfg.bit_error_rate, rng)
+    received, _ = packetize_and_drop(
+        bits, cfg.packet_bits, cfg.bit_error_rate or 0.0, rng, cfg.packet_loss_prob
+    )
+    return received
+
+
+def codec_values(rng, codec, shape):
+    """Values the codec can carry: any floats, or in-range integers."""
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4)
+    if codec.representation == "int32":
+        values = np.round(values * 1000.0)
+    return values
+
+
+def model_for(rng, codec, k, d):
+    values = codec_values(rng, codec, (k, d))
+    values[rng.random(k) < 0.25] = 0.0  # untrained classes
+    return ClassPrototypes(values, rng.integers(0, 50, size=k))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestPackedCodec:
+    @given(codec=CODECS, seed=st.integers(0, 2**32 - 1), n=st.integers(0, 70))
+    @settings(max_examples=150, deadline=None)
+    def test_serialize_matches_unpacked_reference(self, codec, seed, n):
+        rng = np.random.default_rng(seed)
+        values = codec_values(rng, codec, n)
+        if codec.representation == "quantized_int":
+            top = 2 ** (codec.bitwidth - 1)
+            values = rng.integers(-top, top, size=n).astype(np.float64)
+        bits = serialize_bits(values, codec)
+        assert np.array_equal(bits, reference_bits(values, codec))
+        back = deserialize_bits(bits, codec, (n,))
+        # Integer codecs carry no negative zero.
+        expected = values.astype(np.float32) if codec.representation == "float32" else values + 0.0
+        assert same_bits(back, expected)
+
+    @given(codec=CODECS, seed=st.integers(0, 2**32 - 1), n=st.integers(0, 70))
+    @settings(max_examples=100, deadline=None)
+    def test_any_bit_pattern_decodes_like_the_reference(self, codec, seed, n):
+        bits = np.random.default_rng(seed).integers(0, 2, size=n * codec.value_bits)
+        got = deserialize_bits(bits.astype(np.uint8), codec, (n,))
+        width = codec.value_bits
+        words = (bits.reshape(n, width).astype(np.int64) << np.arange(width)).sum(axis=1)
+        if codec.representation == "float32":
+            floats = words.astype("<u4").view("<f4").astype(np.float64)
+            expected = np.nan_to_num(floats, nan=0.0, posinf=0.0, neginf=0.0)
+        else:
+            half = 1 << (width - 1)
+            expected = np.where(words >= half, words - 2 * half, words).astype(np.float64)
+        assert same_bits(got, expected)
+
+    @given(codec=CODECS, seed=st.integers(0, 2**32 - 1), k=st.integers(2, 4), d=st.integers(1, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_frame_is_header_gains_and_packed_reference_bits(self, codec, seed, k, d):
+        model = model_for(np.random.default_rng(seed), codec, k, d)
+        tag = {"float32": 0, "int32": 1}.get(codec.representation, 128 + codec.bitwidth)
+        expected = frame_header(k, d, tag)
+        values = model.vectors
+        if codec.representation == "quantized_int":
+            quantized = quantize_model(model, codec.bitwidth)
+            expected += quantized.gains.astype("<f8").tobytes()
+            values = quantized.integers
+        expected += np.packbits(serialize_bits(values, codec), bitorder="little").tobytes()
+        assert write_model_bytes(model, codec) == expected
+
+
+class TestChannelEquivalence:
+    @given(
+        codec=CODECS,
+        chan=CHANNELS,
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(2, 4),
+        d=st.integers(1, 40),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_apply_channel_matches_unpacked_reference(self, codec, chan, seed, k, d):
+        cfg = ChannelConfig(codec=codec, **chan)
+        model = model_for(np.random.default_rng(seed), codec, k, d)
+        got = apply_channel(model, cfg, np.random.default_rng(seed + 1))
+        values, gains = model.vectors, np.ones(k)
+        if codec.representation == "quantized_int":
+            quantized = quantize_model(model, codec.bitwidth)
+            values, gains = quantized.integers, quantized.gains
+        bits = reference_channel(serialize_bits(values, codec), cfg, np.random.default_rng(seed + 1))
+        expected = deserialize_bits(bits, codec, (k, d))
+        if codec.representation == "quantized_int":
+            expected = expected / gains[:, None]
+        assert same_bits(got.vectors, expected)
+        assert np.array_equal(got.counts, model.counts)
+
+    @given(codec=CODECS, chan=CHANNELS, seed=st.integers(0, 2**32 - 1), n=st.integers(0, 90))
+    @settings(max_examples=150, deadline=None)
+    def test_corrupt_values_matches_unpacked_reference(self, codec, chan, seed, n):
+        cfg = ChannelConfig(codec=codec, **chan)
+        values = codec_values(np.random.default_rng(seed), codec, n)
+        got = corrupt_values(values, cfg, np.random.default_rng(seed + 1))
+        if n == 0:
+            assert got.size == 0
+            return
+        gain = 1.0
+        if codec.representation == "quantized_int":
+            values, gain = quantize_block(values, codec.bitwidth)
+        bits = reference_channel(serialize_bits(values, codec), cfg, np.random.default_rng(seed + 1))
+        expected = deserialize_bits(bits, codec, (n,))
+        if codec.representation == "quantized_int":
+            expected = scale_down(expected, gain)
+        assert same_bits(got, expected)
+
+    @given(chan=CHANNELS, seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4), d=st.integers(1, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_corrupt_signs_matches_unpacked_reference(self, chan, seed, k, d):
+        cfg = ChannelConfig(**chan)
+        signs = np.where(np.random.default_rng(seed).random((k, d)) < 0.5, 1.0, -1.0)
+        got = corrupt_signs(signs, cfg, np.random.default_rng(seed + 1))
+        bits = (signs.reshape(-1) > 0).astype(np.uint8)
+        bits = reference_channel(bits, cfg, np.random.default_rng(seed + 1))
+        assert same_bits(got, np.where(bits == 1, 1.0, -1.0).reshape(k, d))
+
+
+def received_frame(model, cfg, monkeypatch):
+    """The frame apply_channel hands to the parser after the channel."""
+    seen = []
+
+    def spy(blob):
+        seen.append(bytes(blob))
+        return read_model_bytes(blob)
+
+    monkeypatch.setattr(channel, "read_model_bytes", spy)
+    apply_channel(model, cfg, np.random.default_rng(1))
+    assert len(seen) == 1
+    return seen[0]
+
+
+class TestCountedBytesAreCorrupted:
+    CODEC_CASES = [
+        CodecConfig("float32"),
+        CodecConfig("int32"),
+        CodecConfig("quantized_int", bitwidth=16),
+        CodecConfig("quantized_int", bitwidth=7),
+    ]
+
+    @pytest.mark.parametrize("codec", CODEC_CASES, ids=lambda c: f"{c.representation}{c.bitwidth}")
+    def test_wire_bytes_is_the_length_of_the_corrupted_frame(self, codec, monkeypatch):
+        model = model_for(np.random.default_rng(0), codec, 3, 11)
+        cfg = ChannelConfig(kind="bsc", bit_error_rate=1e-3, codec=codec)
+        received = received_frame(model, cfg, monkeypatch)
+        assert len(received) == wire_bytes(model, StrategyConfig(), codec)
+
+    @pytest.mark.parametrize("codec", CODEC_CASES, ids=lambda c: f"{c.representation}{c.bitwidth}")
+    def test_rate_one_flips_every_payload_bit_and_nothing_else(self, codec, monkeypatch):
+        k, d = 3, 11
+        model = model_for(np.random.default_rng(2), codec, k, d)
+        sent = write_model_bytes(model, codec)
+        cfg = ChannelConfig(kind="bsc", bit_error_rate=1.0, codec=codec)
+        received = received_frame(model, cfg, monkeypatch)
+        assert len(received) == len(sent)
+        protected = HEADER_BYTES + (8 * k if codec.representation == "quantized_int" else 0)
+        assert received[:protected] == sent[:protected]  # header and gains
+        n_bits = k * d * codec.value_bits
+        before = np.unpackbits(np.frombuffer(sent[protected:], dtype=np.uint8), bitorder="little")
+        after = np.unpackbits(np.frombuffer(received[protected:], dtype=np.uint8), bitorder="little")
+        assert np.array_equal(after[:n_bits], 1 - before[:n_bits])
+        assert np.array_equal(after[n_bits:], before[n_bits:])  # padding untouched
+
+    def test_all_packets_dropped_zero_only_the_payload(self, monkeypatch):
+        codec = CodecConfig("quantized_int", bitwidth=12)
+        model = model_for(np.random.default_rng(4), codec, 2, 9)
+        cfg = ChannelConfig(kind="packet_loss", packet_bits=13, packet_loss_prob=1.0, codec=codec)
+        received = received_frame(model, cfg, monkeypatch)
+        protected = HEADER_BYTES + 8 * 2
+        assert received[:protected] == write_model_bytes(model, codec)[:protected]
+        assert not any(received[protected:])
+
+
+class TestParsersFailClosed:
+    def sign_frame(self):
+        signs = np.where(np.random.default_rng(0).random((3, 20)) < 0.5, 1.0, -1.0)
+        return serialize_sign_matrix(signs)
+
+    def sparse_frame(self, codec):
+        values = np.random.default_rng(1).standard_normal((3, 30))
+        return serialize_sparse(sparsify(ClassPrototypes(values, np.zeros(3)), 0.5), codec)
+
+    def test_truncated_sign_frame_header(self):
+        with pytest.raises(SparseFormatError):
+            deserialize_sign_matrix(self.sign_frame()[:10])
+
+    def test_truncated_sign_frame_payload(self):
+        with pytest.raises(SparseFormatError):
+            deserialize_sign_matrix(self.sign_frame()[:-1])
+
+    @pytest.mark.parametrize(
+        "codec",
+        [CodecConfig("float32"), CodecConfig("quantized_int", bitwidth=5)],
+        ids=["float32", "quantized5"],
+    )
+    def test_every_truncation_of_a_sparse_frame(self, codec):
+        blob = self.sparse_frame(codec)
+        deserialize_sparse(blob, codec)
+        for cut in range(len(blob)):
+            with pytest.raises(SparseFormatError):
+                deserialize_sparse(blob[:cut], codec)
+
+    @pytest.mark.parametrize("index", [10, 1000])
+    def test_sparse_index_beyond_d_rejected(self, index):
+        codec = CodecConfig("float32")
+        sparse = SparseClassModel(
+            [np.array([index]), np.array([2])], [np.ones(1), np.ones(1)], (2, 2000), np.zeros(2)
+        )
+        blob = serialize_sparse(sparse, codec)
+        shrunk = frame_header(2, 10, TAG_SPARSE) + blob[HEADER_BYTES:]
+        with pytest.raises(SparseFormatError):
+            deserialize_sparse(shrunk, codec)
+
+    def test_sparse_count_above_d_rejected(self):
+        codec = CodecConfig("float32")
+        sparse = SparseClassModel(
+            [np.arange(5), np.arange(1)], [np.ones(5), np.ones(1)], (2, 10), np.zeros(2)
+        )
+        blob = serialize_sparse(sparse, codec)
+        with pytest.raises(SparseFormatError):
+            deserialize_sparse(frame_header(2, 3, TAG_SPARSE) + blob[HEADER_BYTES:], codec)
+
+    def test_sparse_non_positive_gain_rejected(self):
+        codec = CodecConfig("quantized_int", bitwidth=8)
+        blob = bytearray(self.sparse_frame(codec))
+        struct.pack_into("<d", blob, HEADER_BYTES + 4, 0.0)  # first class gain
+        with pytest.raises(SparseFormatError):
+            deserialize_sparse(bytes(blob), codec)
+
+    def test_huge_declared_model_rejected_before_allocation(self):
+        blob = frame_header(4_000_000_000, 10, 128 + 16) + bytes(100)
+        with pytest.raises(CodecError):
+            read_model_bytes(blob)
+
+    def test_every_truncation_of_a_model_frame(self):
+        codec = CodecConfig("quantized_int", bitwidth=12)
+        blob = write_model_bytes(model_for(np.random.default_rng(2), codec, 3, 7), codec)
+        for cut in range(len(blob)):
+            with pytest.raises(CodecError):
+                read_model_bytes(blob[:cut])
+
+    @given(
+        which=st.sampled_from(["model", "sparse", "sign"]),
+        edits=st.lists(st.tuples(st.integers(0, 10_000), st.integers(0, 255)), max_size=6),
+        cut=st.integers(0, 10_000),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_frames_parse_or_raise_their_own_error(self, which, edits, cut):
+        codec = CodecConfig("quantized_int", bitwidth=11)
+        if which == "model":
+            blob = write_model_bytes(model_for(np.random.default_rng(3), codec, 3, 9), codec)
+            parse, error = read_model_bytes, CodecError
+        elif which == "sparse":
+            blob = self.sparse_frame(codec)
+            parse, error = (lambda b: deserialize_sparse(b, codec)), SparseFormatError
+        else:
+            blob = self.sign_frame()
+            parse, error = deserialize_sign_matrix, SparseFormatError
+        mutated = bytearray(blob)
+        for pos, value in edits:
+            mutated[pos % len(mutated)] = value
+        try:
+            with np.errstate(all="ignore"):  # hostile gains may divide by zero
+                parse(bytes(mutated[: len(mutated) - cut % 4]))
+        except error:
+            pass
+
+
+class TestSubsampleStreamKey:
+    def test_key_layout_unchanged(self):
+        assert subsample_stream_key(3, 5) == (3 << 20) | 5
+        assert subsample_stream_key(2**44 - 1, 2**20 - 1) == 2**64 - 1
+
+    def test_client_id_bound(self):
+        with pytest.raises(StrategyConfigError):
+            subsample_stream_key(0, 2**20)
+        with pytest.raises(StrategyConfigError):
+            subsample_stream_key(0, -1)
+
+    def test_round_bound(self):
+        with pytest.raises(StrategyConfigError):
+            subsample_stream_key(2**44, 0)
+        with pytest.raises(StrategyConfigError):
+            subsample_stream_key(-1, 0)
+
+    def test_keys_distinct_across_the_valid_range(self):
+        keys = {subsample_stream_key(t, c) for t in (0, 1, 2**43) for c in (0, 1, 2**19, 2**20 - 1)}
+        assert len(keys) == 12
