@@ -14,7 +14,10 @@ within the payload are little-endian: least-significant bit of the first
 byte first, values packed back to back at the codec width. The bit channels
 corrupt the payload bytes of the very frame counted on the uplink and parse
 what arrives; headers, gains and sample counts ride the reliable side of the
-link and are never corrupted.
+link and are never corrupted. The same holds for the sparse frame of the
+sparsify strategy: corrupt_packed_values exposes only the value bits of its
+(gap, value) pairs inside the counted frame, and the server parses that
+frame; counts, gains, gaps and padding stay intact.
 """
 
 from __future__ import annotations
@@ -158,23 +161,55 @@ def words_to_values(words: np.ndarray, codec: CodecConfig) -> np.ndarray:
     return ((words.astype(np.int64) << shift) >> shift).astype(np.float64)
 
 
-def pack_words(words: np.ndarray, width: int) -> np.ndarray:
+def pack_words(words: np.ndarray, width: int, lengths: np.ndarray | None = None) -> np.ndarray:
     """Pack a 1-D array of `width`-bit words (1..64) back to back,
-    least-significant bit first, into bytes."""
+    least-significant bit first, into bytes. With `lengths`, the words form
+    consecutive segments of those sizes and each segment ends on a byte
+    boundary, zero-padded."""
     if width in (8, 16, 32, 64):
         return words.astype(f"<u{width // 8}").view(np.uint8)
+    if width % 8 == 0:
+        return words.astype("<u8").view(np.uint8).reshape(-1, 8)[:, : width // 8].reshape(-1)
     bits = np.unpackbits(words.astype("<u8").view(np.uint8), bitorder="little")
-    return np.packbits(bits.reshape(-1, 64)[:, :width], bitorder="little")
+    bits = bits.reshape(-1, 64)[:, :width].reshape(-1)
+    data = None if lengths is None else _data_bits(lengths, width)
+    if data is not None:
+        padded = np.zeros(data.size, dtype=np.uint8)
+        padded[data] = bits
+        bits = padded
+    return np.packbits(bits, bitorder="little")
 
 
-def unpack_words(payload: np.ndarray, count: int, width: int) -> np.ndarray:
-    """The first `count` words of `width` bits in a 1-D uint8 payload, as uint64."""
+def unpack_words(
+    payload: np.ndarray, count: int, width: int, lengths: np.ndarray | None = None
+) -> np.ndarray:
+    """The first `count` words of `width` bits in a 1-D uint8 payload, as
+    uint64; with `lengths`, read across the padding pack_words puts after
+    each segment."""
     if width in (8, 16, 32, 64):
         return payload[: count * width // 8].view(f"<u{width // 8}").astype(np.uint64)
-    bits = np.zeros((count, 64), dtype=np.uint8)
-    packed = np.unpackbits(payload, count=count * width, bitorder="little")
-    bits[:, :width] = packed.reshape(-1, width)
-    return np.packbits(bits, bitorder="little").view("<u8").astype(np.uint64)
+    if width % 8 == 0:
+        words = np.zeros((count, 8), dtype=np.uint8)
+        words[:, : width // 8] = payload[: count * width // 8].reshape(count, width // 8)
+        return words.view("<u8").reshape(count).astype(np.uint64, copy=False)
+    data = None if lengths is None else _data_bits(lengths, width)
+    if data is None:
+        bits = np.unpackbits(payload, count=count * width, bitorder="little")
+    else:
+        bits = np.unpackbits(payload, count=data.size, bitorder="little")[data]
+    words = np.zeros((count, 64), dtype=np.uint8)
+    words[:, :width] = bits.reshape(-1, width)
+    return np.packbits(words, bitorder="little").view("<u8").astype(np.uint64)
+
+
+def _data_bits(lengths: np.ndarray, width: int) -> np.ndarray | None:
+    """Mask of the word bits in a stream of byte-padded segments of `lengths`
+    words, or None when no segment needs padding."""
+    bits = np.asarray(lengths, dtype=np.int64) * width
+    pads = -bits % 8
+    if not pads.any():
+        return None
+    return np.repeat(np.tile([True, False], bits.size), np.column_stack([bits, pads]).ravel())
 
 
 def encode_values(values: np.ndarray, codec: CodecConfig) -> np.ndarray:
@@ -258,26 +293,51 @@ def packetize_and_drop(
 # Scale-up / round / scale-down quantizer
 
 
-def quantize_up(values: np.ndarray, bitwidth: int) -> tuple[np.ndarray, float]:
-    """Scale so the largest magnitude hits the integer ceiling, then truncate.
+def quantize_segments(
+    values: np.ndarray, lengths: np.ndarray, bitwidth: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Quantize consecutive segments of a flat array, each with its own gain.
 
-    Gain is (2^(B-1) - 1) / max|values|; elements are truncated toward zero
-    after scaling. An all-zero vector has no defined gain and raises.
+    Per segment, the gain is (2^(B-1) - 1) / max|values| and elements are
+    truncated toward zero after scaling. An all-zero segment has no defined
+    gain; it transmits as zeros at gain 1, so live traffic never aborts.
+    Returns the int64 integers and the per-segment gains.
     """
     if bitwidth < 2:
         raise ChannelConfigError(f"bitwidth must be >= 2, got {bitwidth}")
-    values = np.asarray(values, dtype=np.float64)
-    max_abs = float(np.max(np.abs(values))) if values.size else 0.0
-    if max_abs == 0.0:
-        raise CodecError("cannot quantize an all-zero vector: gain undefined")
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    magnitudes = np.abs(values)
+    max_abs = np.zeros(lengths.size)
+    filled = lengths > 0
+    if filled.any():
+        max_abs[filled] = np.maximum.reduceat(magnitudes, (np.cumsum(lengths) - lengths)[filled])
+    live = max_abs != 0.0
     top = 2 ** (bitwidth - 1) - 1
-    gain = top / max_abs
-    ints = np.trunc(values * gain).astype(np.int64)
+    gains = np.ones(lengths.size)
+    gains[live] = top / max_abs[live]
+    ints = np.trunc(values * np.repeat(gains, lengths)).astype(np.int64)
     # Float rounding in values * gain must not push the extreme element off
     # the exact ceiling.
-    extremes = np.abs(values) == max_abs
+    extremes = magnitudes == np.repeat(np.where(live, max_abs, np.nan), lengths)
     ints[extremes] = np.where(values[extremes] >= 0, top, -top)
     np.clip(ints, -top, top, out=ints)
+    return ints, gains
+
+
+def quantize_block(values: np.ndarray, bitwidth: int) -> tuple[np.ndarray, float]:
+    """quantize_segments on one block: integers in the block's shape, one gain."""
+    values = np.asarray(values, dtype=np.float64)
+    ints, gains = quantize_segments(values, [values.size], bitwidth)
+    return ints.reshape(values.shape), float(gains[0])
+
+
+def quantize_up(values: np.ndarray, bitwidth: int) -> tuple[np.ndarray, float]:
+    """quantize_block for a block that must carry signal: an all-zero vector
+    has no defined gain and raises."""
+    ints, gain = quantize_block(values, bitwidth)
+    if not np.any(np.asarray(values) != 0.0):
+        raise CodecError("cannot quantize an all-zero vector: gain undefined")
     return ints, gain
 
 
@@ -288,27 +348,12 @@ def scale_down(integers: np.ndarray, gain: float) -> np.ndarray:
     return np.asarray(integers, dtype=np.float64) / gain
 
 
-def quantize_block(values: np.ndarray, bitwidth: int) -> tuple[np.ndarray, float]:
-    """quantize_up with the pipeline convention for all-zero blocks
-    (zeros at gain 1 instead of an error), so live traffic never aborts."""
-    values = np.asarray(values, dtype=np.float64)
-    if not np.any(values != 0.0):
-        return np.zeros(values.shape, dtype=np.int64), 1.0
-    return quantize_up(values, bitwidth)
-
-
 def quantize_model(model: ClassPrototypes, bitwidth: int) -> QuantizedModel:
-    """Quantize every class row with its own gain.
-
-    All-zero rows (untrained classes) transmit as zeros with gain 1 rather
-    than raising, so a live training run never aborts on an empty class.
-    """
+    """Quantize every class row with its own gain; an all-zero row
+    (untrained class) transmits as zeros at gain 1."""
     k, d = model.vectors.shape
-    integers = np.zeros((k, d), dtype=np.int64)
-    gains = np.ones(k, dtype=np.float64)
-    for i in range(k):
-        integers[i], gains[i] = quantize_block(model.vectors[i], bitwidth)
-    return QuantizedModel(integers, gains, bitwidth)
+    integers, gains = quantize_segments(model.vectors, np.full(k, d), bitwidth)
+    return QuantizedModel(integers.reshape(k, d), gains, bitwidth)
 
 
 def dequantize_model(quantized: QuantizedModel, counts: np.ndarray) -> ClassPrototypes:
@@ -320,29 +365,70 @@ def dequantize_model(quantized: QuantizedModel, counts: np.ndarray) -> ClassProt
 # Corruption pipelines
 
 
-def _corrupt_payload(
-    payload: np.ndarray, n_bits: int, cfg: ChannelConfig, rng: np.random.Generator
-) -> None:
-    """Corrupt the first n_bits of a packed payload in place, with the draws
-    bsc_flip and packetize_and_drop make for an n_bits stream."""
+def _channel_hits(
+    segment_bits: np.ndarray, cfg: ChannelConfig, rng: np.random.Generator
+) -> np.ndarray:
+    """The one draw site of the bit channels: a packed mask, least-significant
+    bit first, of the bits the channel hits in a stream of segments of these
+    bit lengths. bsc hits the bits it flips; packet_loss hits the bits of
+    the packets it drops, and its packets restart at every segment. The
+    draws are those bsc_flip and packetize_and_drop make for each segment
+    in turn."""
+    segment_bits = np.asarray(segment_bits, dtype=np.int64)
     if cfg.kind == "bsc":
-        payload ^= np.packbits(rng.random(n_bits) < cfg.bit_error_rate, bitorder="little")
-    elif cfg.kind == "packet_loss":
-        p_drop = cfg.packet_loss_prob
-        if p_drop is None:
-            p_drop = packet_error_probability(cfg.bit_error_rate or 0.0, cfg.packet_bits)
-        drops = rng.random(-(-n_bits // cfg.packet_bits)) < p_drop
-        payload &= ~np.packbits(np.repeat(drops, cfg.packet_bits)[:n_bits], bitorder="little")
-    else:
+        flips = rng.random(int(segment_bits.sum())) < cfg.bit_error_rate
+        return np.packbits(flips, bitorder="little")
+    if cfg.kind != "packet_loss":
         raise ChannelConfigError(f"{cfg.kind} is not a bitstream channel")
+    p_drop = cfg.packet_loss_prob
+    if p_drop is None:
+        p_drop = packet_error_probability(cfg.bit_error_rate or 0.0, cfg.packet_bits)
+    packets = -(-segment_bits // cfg.packet_bits)
+    drops = rng.random(int(packets.sum())) < p_drop
+    sizes = np.full(drops.size, cfg.packet_bits)
+    sent = packets > 0
+    sizes[np.cumsum(packets)[sent] - 1] = (segment_bits - (packets - 1) * cfg.packet_bits)[sent]
+    return np.packbits(np.repeat(drops, sizes), bitorder="little")
+
+
+def _corrupt_payload(payload: np.ndarray, hits: np.ndarray, cfg: ChannelConfig) -> None:
+    """Apply a _channel_hits mask to packed bytes in place: bsc flips the
+    hit bits, packet_loss zero-fills them."""
+    if cfg.kind == "bsc":
+        payload ^= hits
+    else:
+        payload &= ~hits
+
+
+def corrupt_packed_values(
+    payload: np.ndarray,
+    lengths: np.ndarray,
+    width: int,
+    cfg: ChannelConfig,
+    rng: np.random.Generator,
+) -> None:
+    """Corrupt, in place, the codec values inside packed `width`-bit words.
+
+    The payload is what pack_words(words, width, lengths) writes, and each
+    word carries a codec value in its top value_bits. Only those value bits
+    are exposed, with the draws corrupt_values makes for each segment's
+    values in turn; the low bits of every word and the padding arrive
+    intact.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    value_bits = cfg.codec.value_bits
+    hits = _channel_hits(lengths * value_bits, cfg, rng)
+    words = unpack_words(hits, int(lengths.sum()), value_bits) << np.uint64(width - value_bits)
+    _corrupt_payload(payload, pack_words(words, width, lengths), cfg)
 
 
 def corrupt_values(values: np.ndarray, cfg: ChannelConfig, rng: np.random.Generator) -> np.ndarray:
     """Run a flat value vector through the configured corruption.
 
-    Used for strategy payloads (subsampled or sparse values). The scaled
-    integer codec quantizes the vector as a single block whose gain travels
-    with the reliable metadata.
+    Used for subsampled values, and for sparse values over the ideal and
+    awgn channels (over bit channels they travel in the sparse frame, see
+    corrupt_packed_values). The scaled integer codec quantizes the vector
+    as a single block whose gain travels with the reliable metadata.
     """
     values = np.asarray(values, dtype=np.float64)
     if cfg.kind == "ideal" or values.size == 0:
@@ -353,7 +439,8 @@ def corrupt_values(values: np.ndarray, cfg: ChannelConfig, rng: np.random.Genera
     if cfg.codec.representation == "quantized_int":
         values, gain = quantize_block(values, cfg.codec.bitwidth)
     payload = encode_values(values, cfg.codec)
-    _corrupt_payload(payload, values.size * cfg.codec.value_bits, cfg, rng)
+    n_bits = values.size * cfg.codec.value_bits
+    _corrupt_payload(payload, _channel_hits([n_bits], cfg, rng), cfg)
     received = decode_values(payload, cfg.codec, values.size).reshape(values.shape)
     return received if gain is None else scale_down(received, gain)
 
@@ -372,7 +459,7 @@ def corrupt_signs(signs: np.ndarray, cfg: ChannelConfig, rng: np.random.Generato
         per_param = 1.0 / (10.0 ** (cfg.snr_db / 10.0))
         return signs + rng.standard_normal(signs.shape) * math.sqrt(per_param)
     payload = np.packbits(signs.reshape(-1) > 0, bitorder="little")
-    _corrupt_payload(payload, signs.size, cfg, rng)
+    _corrupt_payload(payload, _channel_hits([signs.size], cfg, rng), cfg)
     bits = np.unpackbits(payload, count=signs.size, bitorder="little")
     return np.where(bits == 1, 1.0, -1.0).reshape(signs.shape)
 
@@ -392,7 +479,7 @@ def apply_channel(model: ClassPrototypes, cfg: ChannelConfig, rng: np.random.Gen
     n_bits = model.vectors.size * cfg.codec.value_bits
     # The payload is the frame's tail; the header and gains before it stay intact.
     payload = np.frombuffer(frame, dtype=np.uint8)[len(frame) - -(-n_bits // 8) :]
-    _corrupt_payload(payload, n_bits, cfg, rng)
+    _corrupt_payload(payload, _channel_hits([n_bits], cfg, rng), cfg)
     received, _ = read_model_bytes(frame)
     return ClassPrototypes(received.vectors, model.counts.copy())
 
@@ -423,7 +510,8 @@ def mask_prototypes(
 # HDFM model frames
 
 
-def _codec_tag(codec: CodecConfig) -> int:
+def codec_tag(codec: CodecConfig) -> int:
+    """The HDFM tag byte of a model frame in this codec."""
     if codec.representation == "float32":
         return 0
     if codec.representation == "int32":
@@ -465,7 +553,7 @@ def write_model_bytes(model: ClassPrototypes, codec: CodecConfig | None = None) 
     """Serialize a model to a self-describing HDFM frame."""
     codec = codec or CodecConfig()
     k, d = model.vectors.shape
-    head = frame_header(k, d, _codec_tag(codec))
+    head = frame_header(k, d, codec_tag(codec))
     if codec.representation == "quantized_int":
         quantized = quantize_model(model, codec.bitwidth)
         gains = quantized.gains.astype("<f8").tobytes()
@@ -479,14 +567,17 @@ def read_model_bytes(blob: bytes) -> tuple[ClassPrototypes, CodecConfig]:
     against the blob before anything is allocated."""
     k, d, tag = parse_frame_header(blob)
     codec = _codec_from_tag(tag)
-    offset = HEADER_BYTES + (8 * k if codec.representation == "quantized_int" else 0)
+    quantized = codec.representation == "quantized_int"
+    offset = HEADER_BYTES + (8 * k if quantized else 0)
     size = offset + -(-k * d * codec.value_bits // 8)
     if k < 2 or len(blob) < size:
         raise CodecError(f"HDFM frame declares K={k} and {size} bytes, got {len(blob)} bytes")
+    gains = np.frombuffer(blob, dtype="<f8", count=k if quantized else 0, offset=HEADER_BYTES)
+    if not np.all(np.isfinite(gains) & (gains > 0.0)):
+        raise CodecError("HDFM frame carries a non-positive or non-finite gain")
     payload = np.frombuffer(blob, dtype=np.uint8, offset=offset)
     values = decode_values(payload, codec, k * d).reshape(k, d)
-    if codec.representation == "quantized_int":
-        gains = np.frombuffer(blob, dtype="<f8", count=k, offset=HEADER_BYTES)
+    if quantized:
         values = values / gains[:, None]
     return ClassPrototypes(values, np.zeros(k, dtype=np.int64)), codec
 

@@ -11,6 +11,7 @@ cell plus a summary table.
 from __future__ import annotations
 
 import argparse
+import csv
 import itertools
 import os
 import sys
@@ -137,7 +138,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     keys = [k for k, _ in grid]
     combos = list(itertools.product(*[v for _, v in grid])) if grid else [()]
-    summary_lines = [",".join(["cell", *keys, "status", "final_accuracy", "uplink_bytes_cum"])]
+    # A failed cell's row ends with the exception; successful rows stop one
+    # field short of the header, since they have none.
+    summary_rows = [["cell", *keys, "status", "final_accuracy", "uplink_bytes_cum", "error"]]
     for cell_index, combo in enumerate(combos):
         overrides = dict(base_overrides)
         overrides.update(dict(zip(keys, combo)))
@@ -153,16 +156,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             write_model(result.model, config.model_path, config.channel.codec)
             final = result.records[-1]
             uplink = sum(r.uplink_bytes for r in result.records)
-            summary_lines.append(
-                ",".join([name, *combo, "ok", f"{final.test_accuracy:.6f}", str(uplink)])
-            )
+            summary_rows.append([name, *combo, "ok", f"{final.test_accuracy:.6f}", str(uplink)])
             print(f"{name}: accuracy={final.test_accuracy:.4f}")
         except Exception as exc:  # record the failure, keep sweeping
-            summary_lines.append(",".join([name, *combo, "error", "", ""]))
+            summary_rows.append([name, *combo, "error", "", "", f"{type(exc).__name__}: {exc}"])
             print(f"{name}: failed: {exc}", file=sys.stderr)
     summary_path = os.path.join(args.out_dir, "summary.csv")
-    with open(summary_path, "w", encoding="utf-8") as f:
-        f.write("\n".join(summary_lines) + "\n")
+    with open(summary_path, "w", encoding="utf-8", newline="") as f:
+        csv.writer(f, lineterminator="\n").writerows(summary_rows)
     print(f"summary -> {summary_path}")
     return 0
 

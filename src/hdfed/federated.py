@@ -92,7 +92,6 @@ class ClientState:
     client_id: int
     hvs: np.ndarray
     labels: np.ndarray
-    model: ClassPrototypes | None = None
 
 
 @dataclass
@@ -189,12 +188,10 @@ def local_update(
     """Copy the broadcast model and retrain for the configured local epochs.
 
     Batch order is drawn from the (seed, round, client) stream. A client with
-    no data returns the global model unchanged. The client's stored model is
-    replaced with the result.
+    no data returns a copy of the global model.
     """
     if client.hvs.shape[0] == 0 or cfg.local_epochs == 0:
-        client.model = global_model.copy()
-        return client.model
+        return global_model.copy()
     rng = derived_rng(cfg.seed, STREAM_LOCAL, round_index, client.client_id)
     model = global_model.copy()
     for _ in range(cfg.local_epochs):
@@ -202,7 +199,6 @@ def local_update(
         model, _ = retrain_epoch(
             model, client.hvs[order], client.labels[order], cfg.learning_rate
         )
-    client.model = model
     return model
 
 
@@ -326,16 +322,20 @@ def run_training(
                 payloads.append((indices, corrupt_values(values, channel, chan_rng)))
             else:  # sparsify
                 sparse = strat.sparsify(local, strategy.sparsity)
-                uplink += strat.wire_bytes(sparse, strategy, channel.codec)
-                corrupted = strat.SparseClassModel(
-                    indices=sparse.indices,
-                    values=[
-                        corrupt_values(v, channel, chan_rng) for v in sparse.values
-                    ],
-                    shape=sparse.shape,
-                    counts=sparse.counts,
-                )
-                payloads.append(corrupted)
+                frame = strat.serialize_sparse(sparse, channel.codec)
+                uplink += strat.wire_bytes(frame, strategy, channel.codec)
+                if channel.kind in ("bsc", "packet_loss"):
+                    frame = strat.corrupt_sparse(frame, channel, chan_rng)
+                    received = strat.deserialize_sparse(frame, channel.codec)
+                    received.counts = sparse.counts  # counts ride the reliable side
+                else:  # ideal and awgn act on the raw values, not on frame bits
+                    received = strat.SparseClassModel(
+                        indices=sparse.indices,
+                        values=[corrupt_values(v, channel, chan_rng) for v in sparse.values],
+                        shape=sparse.shape,
+                        counts=sparse.counts,
+                    )
+                payloads.append(received)
         part_weights = partition.weights[participants]
         if strategy.kind == "none":
             global_model = aggregate_weighted(payloads, part_weights)

@@ -8,7 +8,10 @@ accounting:
 * subsample: a random fraction of parameter positions; the server regenerates
   the index set from the payload's 64-bit stream key, so only values travel.
 * sparsify: the smallest-magnitude fraction of each class row is zeroed and
-  the survivors ship as gap-encoded (index distance, value) pairs.
+  the survivors ship as gap-encoded (index distance, value) pairs. The frame
+  is built once per client; over a bit channel, corrupt_sparse exposes only
+  the value bits of its pairs, inside that counted frame, and the server
+  parses what arrives.
 
 Payload frames reuse the HDFM header (magic, version, K, d, tag byte) with
 tag values outside the codec range, so every uplink message remains
@@ -24,12 +27,15 @@ import numpy as np
 
 from .channel import (
     HEADER_BYTES,
+    ChannelConfig,
     CodecConfig,
+    codec_tag,
+    corrupt_packed_values,
     frame_header,
     pack_words,
     parse_frame_header,
     quantize_block,
-    scale_down,
+    quantize_segments,
     unpack_words,
     value_words,
     words_to_values,
@@ -191,16 +197,31 @@ def sparsify(model: ClassPrototypes, sparsity: float) -> SparseClassModel:
         raise StrategyConfigError(f"sparsity must be in [0, 1), got {sparsity}")
     k, d = model.vectors.shape
     n_zero = int(round(sparsity * d))
-    indices: list[np.ndarray] = []
-    values: list[np.ndarray] = []
-    for row in model.vectors:
-        order = np.argsort(np.abs(row), kind="stable")
-        dense = row.copy()
-        dense[order[:n_zero]] = 0.0
-        nz = np.flatnonzero(dense)
-        indices.append(nz.astype(np.int64))
-        values.append(dense[nz])
-    return SparseClassModel(indices, values, (k, d), model.counts.copy())
+    keep = model.vectors != 0.0
+    if n_zero:
+        magnitudes = np.abs(model.vectors)
+        threshold = np.partition(magnitudes, n_zero - 1, axis=1)[:, n_zero - 1 : n_zero]
+        below = magnitudes < threshold
+        ties = magnitudes == threshold
+        room = n_zero - below.sum(axis=1, keepdims=True)
+        zeroed = below | ties
+        crowded = np.flatnonzero(ties.sum(axis=1) > room[:, 0])
+        if crowded.size:  # more ties than room: zero only the lowest-index ones
+            first = np.cumsum(ties[crowded], axis=1) <= room[crowded]
+            zeroed[crowded] = below[crowded] | (ties[crowded] & first)
+        keep &= ~zeroed
+    flat = np.flatnonzero(keep)
+    ends = np.cumsum(keep.sum(axis=1))
+    values = model.vectors.reshape(-1)[flat]
+    return SparseClassModel(
+        _by_class(flat % d, ends), _by_class(values, ends), (k, d), model.counts.copy()
+    )
+
+
+def _by_class(flat: np.ndarray, ends: np.ndarray) -> list[np.ndarray]:
+    """Views of a class-ordered flat array, cut at the class ends."""
+    ends = ends.tolist()
+    return [flat[start:end] for start, end in zip([0, *ends[:-1]], ends)]
 
 
 def csc_decompress(sparse: SparseClassModel) -> ClassPrototypes:
@@ -267,30 +288,53 @@ def serialize_sparse(sparse: SparseClassModel, codec: CodecConfig) -> bytes:
     The gap is the index distance from the previous stored index minus one,
     as 32 bits; the value follows at the codec width. Pairs are packed back
     to back and each class block pads to a byte boundary. Scaled-integer
-    codecs prefix each class block with its 8-byte gain.
+    codecs prefix each non-empty class block with its 8-byte gain. All
+    classes are quantized and packed in one pass.
     """
     k, d = sparse.shape
-    out = bytearray(frame_header(k, d, TAG_SPARSE))
-    for idx, val in zip(sparse.indices, sparse.values):
-        out += struct.pack("<I", idx.size)
-        if idx.size:
-            gain_prefix, words = _value_block(val, codec)
-            gaps = np.diff(idx, prepend=-1) - 1
-            pairs = gaps.astype(np.uint64) | (words.astype(np.uint64) << np.uint64(32))
-            out += gain_prefix + pack_words(pairs, 32 + codec.value_bits).tobytes()
-    return bytes(out)
+    counts = np.array([idx.size for idx in sparse.indices], dtype=np.int64)
+    if [v.size for v in sparse.values] != counts.tolist():
+        raise SparseFormatError("index/value length mismatch")
+    indices = np.concatenate([*sparse.indices, np.zeros(0, dtype=np.int64)])
+    values = np.concatenate([*sparse.values, np.zeros(0)])
+    quantized = codec.representation == "quantized_int"
+    gains = np.ones(counts.size)
+    if quantized:
+        values, gains = quantize_segments(values, counts, codec.bitwidth)
+    gaps = np.diff(indices, prepend=-1) - 1
+    firsts = (np.cumsum(counts) - counts)[counts > 0]
+    gaps[firsts] = indices[firsts]
+    words = value_words(values, codec).astype(np.uint64)
+    width = 32 + codec.value_bits
+    blocks = pack_words(gaps.astype(np.uint64) | (words << np.uint64(32)), width, counts)
+    out = [frame_header(k, d, TAG_SPARSE)]
+    start = 0
+    for count, gain in zip(counts.tolist(), gains.tolist()):
+        out.append(struct.pack("<I", count))
+        if count:
+            stop = start + -(-count * width // 8)
+            if quantized:
+                out.append(struct.pack("<d", gain))
+            out.append(blocks[start:stop].tobytes())
+            start = stop
+    return b"".join(out)
 
 
-def deserialize_sparse(blob: bytes, codec: CodecConfig) -> SparseClassModel:
-    """Parse a sparse frame back into indices and values (counts are zero).
+def _sparse_layout(
+    blob: bytes, codec: CodecConfig
+) -> tuple[int, int, np.ndarray, np.ndarray, np.ndarray]:
+    """K, d, per-class counts and gains (1 where absent) of a sparse frame,
+    and the byte positions of its pair blocks in class order.
 
-    Raises SparseFormatError on a truncated frame, a count above d, a
-    non-positive gain, or an index outside [0, d).
+    Raises SparseFormatError on a truncated frame, a count above d or a
+    non-positive gain, before allocating anything the blob cannot hold.
     """
     k, d, _ = parse_frame_header(blob, SparseFormatError, TAG_SPARSE)
+    if len(blob) < HEADER_BYTES + 4 * k:
+        raise SparseFormatError(f"sparse frame of {len(blob)} bytes cannot hold {k} classes")
     width = 32 + codec.value_bits
+    counts, gains, starts = [], [], []
     offset = HEADER_BYTES
-    sparse = SparseClassModel([], [], (k, d), np.zeros(k, dtype=np.int64))
     try:
         for row in range(k):
             (count,), gain = struct.unpack_from("<I", blob, offset), 1.0
@@ -301,23 +345,75 @@ def deserialize_sparse(blob: bytes, codec: CodecConfig) -> SparseClassModel:
             n_bytes = -(-count * width // 8)
             if count > d or not gain > 0.0 or len(blob) < offset + n_bytes:
                 raise SparseFormatError(f"class {row}: bad count {count} or gain {gain}")
-            pairs = unpack_words(np.frombuffer(blob, np.uint8, n_bytes, offset), count, width)
+            counts.append(count)
+            gains.append(gain)
+            starts.append(offset)
             offset += n_bytes
-            idx = np.cumsum((pairs & np.uint64(0xFFFFFFFF)).astype(np.int64) + 1) - 1
-            if count and idx[-1] >= d:
-                raise SparseFormatError(f"class {row}: stored index {idx[-1]} outside d={d}")
-            sparse.indices.append(idx)
-            sparse.values.append(scale_down(words_to_values(pairs >> np.uint64(32), codec), gain))
     except struct.error:
         raise SparseFormatError(f"sparse frame truncated at byte {offset}") from None
-    return sparse
+    counts = np.array(counts, dtype=np.int64)
+    sizes = -(-counts * width // 8)
+    shifts = np.array(starts, dtype=np.int64) - (np.cumsum(sizes) - sizes)
+    positions = np.arange(sizes.sum()) + np.repeat(shifts, sizes)
+    return k, d, counts, np.array(gains), positions
+
+
+def deserialize_sparse(blob: bytes, codec: CodecConfig) -> SparseClassModel:
+    """Parse a sparse frame back into indices and values (counts are zero).
+
+    Raises SparseFormatError on a truncated frame, a count above d, a
+    non-positive gain, or an index outside [0, d). All classes are unpacked
+    in one pass.
+    """
+    k, d, counts, gains, positions = _sparse_layout(blob, codec)
+    payload = np.frombuffer(blob, dtype=np.uint8)[positions]
+    pairs = unpack_words(payload, int(counts.sum()), 32 + codec.value_bits, counts)
+    ends = np.cumsum(counts)
+    steps = np.cumsum((pairs & np.uint64(0xFFFFFFFF)).astype(np.int64) + 1)
+    before = np.concatenate([[0], steps])[ends - counts]
+    indices = steps - np.repeat(before, counts) - 1
+    filled = np.flatnonzero(counts)
+    outside = filled[indices[ends[filled] - 1] >= d]
+    if outside.size:
+        row = outside[0]
+        raise SparseFormatError(f"class {row}: stored index {indices[ends[row] - 1]} outside d={d}")
+    values = words_to_values(pairs >> np.uint64(32), codec)
+    if codec.representation == "quantized_int":
+        values = values / np.repeat(gains, counts)
+    return SparseClassModel(
+        _by_class(indices, ends), _by_class(values, ends), (k, d), np.zeros(k, dtype=np.int64)
+    )
+
+
+def corrupt_sparse(blob: bytes, cfg: ChannelConfig, rng: np.random.Generator) -> bytes:
+    """A sparse frame as it leaves a bit channel (bsc or packet_loss).
+
+    Only the value bits of the (gap, value) pairs are exposed, with the
+    draws corrupt_values makes for each class's values in turn; header,
+    counts, gains, gaps and padding arrive intact.
+    """
+    _, _, counts, _, positions = _sparse_layout(blob, cfg.codec)
+    frame = np.frombuffer(bytearray(blob), dtype=np.uint8)
+    pairs = frame[positions]
+    corrupt_packed_values(pairs, counts, 32 + cfg.codec.value_bits, cfg, rng)
+    frame[positions] = pairs
+    return frame.tobytes()
 
 
 _PAYLOAD_TYPES = dict(none=ClassPrototypes, subsample=SubsamplePayload, sparsify=SparseClassModel)
+_FRAME_TAGS = dict(binary_diff=TAG_BINARY_DIFF, subsample=TAG_SUBSAMPLE, sparsify=TAG_SPARSE)
 
 
 def wire_bytes(payload, strategy: StrategyConfig, codec: CodecConfig) -> int:
-    """Exact serialized uplink size in bytes, headers and metadata included."""
+    """Exact serialized uplink size in bytes, headers and metadata included.
+
+    The payload is the strategy's payload object, or the frame already
+    serialized from it, whose tag must be the strategy's.
+    """
+    if isinstance(payload, bytes):
+        tag = _FRAME_TAGS.get(strategy.kind, codec_tag(codec))
+        parse_frame_header(payload, StrategyConfigError, tag)
+        return len(payload)
     expected = _PAYLOAD_TYPES.get(strategy.kind)
     if expected is not None and not isinstance(payload, expected):
         raise TypeError(f"{strategy.kind} strategy expects a {expected.__name__}")

@@ -1,4 +1,7 @@
+import csv
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -291,6 +294,21 @@ class TestSweepCommand:
         summary = open(os.path.join(out_dir, "summary.csv")).read()
         assert ",ok," in summary and ",error," in summary
 
+    def test_failed_cell_records_exception_type_and_message(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out_dir = str(tmp_path / "sweepE")
+        rc = main(["sweep", "--config", cfg, "--out-dir", out_dir, "--grid", "C=1.0,1.5"])
+        assert rc == 0
+        with open(os.path.join(out_dir, "summary.csv"), newline="") as f:
+            text = f.read()
+        header, ok, failed = csv.reader(text.splitlines())
+        assert header[-1] == "error" and len(failed) == len(header)
+        assert ok[:3] == ["cell000_participation=1.0", "1.0", "ok"] and len(ok) == len(header) - 1
+        assert failed[:5] == ["cell001_participation=1.5", "1.5", "error", "", ""]
+        kind, message = failed[-1].split(": ", 1)
+        assert kind.endswith("Error") and "1.5" in message
+        assert '"' in text.splitlines()[2]  # the message holds a comma, so it is quoted
+
     def test_dimensionality_grid_layout(self, tmp_path):
         # the dimensionality-study shape: one cell per hyperspace size
         cfg = write_config(tmp_path)
@@ -302,3 +320,33 @@ class TestSweepCommand:
         assert rc == 0
         summary = open(os.path.join(out_dir, "summary.csv")).read().splitlines()
         assert len(summary) == 4 and summary[0].startswith("cell,encoder.dim,")
+
+
+class TestDeterminism:
+    def test_blas_thread_count_does_not_change_results(self, tmp_path):
+        """Results depend only on config and seed: the metrics (wall_ms
+        aside) and the final model frame match with 1 and 2 BLAS threads."""
+        cfg = write_config(
+            tmp_path,
+            BASE_CONFIG.replace("encoder.dim = 256", "encoder.dim = 4096")
+            .replace("features = 8", "features = 64")
+            .replace("train_per_class = 30", "train_per_class = 200")
+            + "channel.kind = bsc\nchannel.bit_error_rate = 0.001\n"
+            + "codec.representation = quantized_int\ncodec.bitwidth = 16\n"
+            + "strategy.kind = sparsify\nstrategy.sparsity = 0.9\n",
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        outputs = []
+        for threads in ("1", "2"):
+            metrics, model = tmp_path / f"m{threads}.csv", tmp_path / f"m{threads}.hdfm"
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            env.pop("OMP_NUM_THREADS", None)
+            subprocess.run(
+                [sys.executable, "-m", "hdfed.cli", "train", "--config", cfg,
+                 "--set", f"output.metrics={metrics}", "--set", f"output.model={model}"],
+                env=env, check=True, capture_output=True, timeout=120,
+            )
+            rows = metrics.read_text().splitlines()
+            assert rows[0].endswith(",wall_ms")
+            outputs.append(([r.rsplit(",", 1)[0] for r in rows], model.read_bytes()))
+        assert outputs[0] == outputs[1]

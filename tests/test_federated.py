@@ -154,12 +154,12 @@ class TestLocalUpdate:
         expected, _ = retrain_epoch(g, client.hvs, client.labels, alpha=1.0)
         assert np.array_equal(out.vectors, expected.vectors)
 
-    def test_client_state_stores_result(self):
+    def test_client_state_holds_no_model_copy(self):
         client = self.make_client()
         g = ClassPrototypes(np.zeros((2, 16)), np.array([0, 0]))
         cfg = RoundConfig(num_clients=1, participation=1.0, rounds=1)
-        out = local_update(client, g, cfg, round_index=0)
-        assert client.model is out
+        local_update(client, g, cfg, round_index=0)
+        assert not hasattr(client, "model")
 
 
 class TestAggregation:

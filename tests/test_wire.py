@@ -4,6 +4,9 @@
   unpacked reference: serialize_bits -> bsc_flip / packetize_and_drop ->
   deserialize_bits, drawn from the same seeded generator.
 * The bytes counted on the uplink are the bytes the channel corrupts.
+* The vectorized sparse uplink (partition select, one-pass frame codec,
+  corruption of the frame's value bits) agrees, bit for bit, with the
+  per-row and per-class references it replaced.
 * Frame parsers fail closed with their module's own error type.
 """
 
@@ -14,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdfed import channel
+from hdfed import channel, strategies
 from hdfed.channel import (
     HEADER_BYTES,
     ChannelConfig,
@@ -26,14 +29,18 @@ from hdfed.channel import (
     corrupt_values,
     deserialize_bits,
     frame_header,
+    pack_words,
     packetize_and_drop,
     quantize_block,
     quantize_model,
+    quantize_segments,
     read_model_bytes,
     scale_down,
     serialize_bits,
+    unpack_words,
     write_model_bytes,
 )
+from hdfed.federated import RoundConfig, partition_iid, run_training
 from hdfed.hdc import ClassPrototypes
 from hdfed.strategies import (
     TAG_SPARSE,
@@ -41,6 +48,8 @@ from hdfed.strategies import (
     SparseFormatError,
     StrategyConfig,
     StrategyConfigError,
+    corrupt_sparse,
+    csc_decompress,
     deserialize_sign_matrix,
     deserialize_sparse,
     serialize_sign_matrix,
@@ -202,6 +211,272 @@ class TestChannelEquivalence:
         assert same_bits(got, np.where(bits == 1, 1.0, -1.0).reshape(k, d))
 
 
+def reference_quantize_block(values, bitwidth):
+    """The per-block quantizer that quantize_segments replaced."""
+    values = np.asarray(values, dtype=np.float64)
+    if not np.any(values != 0.0):
+        return np.zeros(values.shape, dtype=np.int64), 1.0
+    max_abs = float(np.max(np.abs(values)))
+    top = 2 ** (bitwidth - 1) - 1
+    gain = top / max_abs
+    ints = np.trunc(values * gain).astype(np.int64)
+    extremes = np.abs(values) == max_abs
+    ints[extremes] = np.where(values[extremes] >= 0, top, -top)
+    np.clip(ints, -top, top, out=ints)
+    return ints, gain
+
+
+def reference_sparsify(model, sparsity):
+    """The per-row stable-argsort selection that sparsify replaced."""
+    k, d = model.vectors.shape
+    n_zero = int(round(sparsity * d))
+    indices, values = [], []
+    for row in model.vectors:
+        order = np.argsort(np.abs(row), kind="stable")
+        dense = row.copy()
+        dense[order[:n_zero]] = 0.0
+        nz = np.flatnonzero(dense)
+        indices.append(nz.astype(np.int64))
+        values.append(dense[nz])
+    return SparseClassModel(indices, values, (k, d), model.counts.copy())
+
+
+def reference_sparse_frame(sparse, codec):
+    """The sparse frame written one class at a time from unpacked bits."""
+    k, d = sparse.shape
+    out = bytearray(frame_header(k, d, TAG_SPARSE))
+    for idx, val in zip(sparse.indices, sparse.values):
+        out += struct.pack("<I", idx.size)
+        if not idx.size:
+            continue
+        if codec.representation == "quantized_int":
+            val, gain = reference_quantize_block(val, codec.bitwidth)
+            out += struct.pack("<d", gain)
+        gaps = np.diff(idx, prepend=-1) - 1
+        gap_bits = (gaps[:, None] >> np.arange(32)) & 1
+        value_bits = reference_bits(val, codec).reshape(idx.size, codec.value_bits)
+        pair_bits = np.hstack([gap_bits, value_bits]).astype(np.uint8)
+        out += np.packbits(pair_bits.reshape(-1), bitorder="little").tobytes()
+    return bytes(out)
+
+
+def reference_sparse_uplink(sparse, cfg, rng):
+    """The per-class corrupt_values loop that the frame path replaced."""
+    values = [corrupt_values(v, cfg, rng) for v in sparse.values]
+    return csc_decompress(SparseClassModel(sparse.indices, values, sparse.shape, sparse.counts))
+
+
+def value_bit_mask(frame, codec):
+    """One flag per frame bit, set on the value bits of the sparse pairs;
+    walked from the format description, not from the library's parser."""
+    k, width = struct.unpack_from("<I", frame, 5)[0], 32 + codec.value_bits
+    mask = np.zeros(8 * len(frame), dtype=bool)
+    offset = HEADER_BYTES
+    for _ in range(k):
+        (count,) = struct.unpack_from("<I", frame, offset)
+        offset += 4 + (8 if count and codec.representation == "quantized_int" else 0)
+        for j in range(count):
+            start = 8 * offset + j * width + 32
+            mask[start : start + codec.value_bits] = True
+        offset += -(-count * width // 8)
+    assert offset == len(frame)
+    return mask
+
+
+def frame_bits(frame):
+    return np.unpackbits(np.frombuffer(frame, dtype=np.uint8), bitorder="little")
+
+
+CODEC_CASES = [
+    CodecConfig("float32"),
+    CodecConfig("int32"),
+    CodecConfig("quantized_int", bitwidth=16),
+    CodecConfig("quantized_int", bitwidth=7),
+]
+SPARSITIES = st.one_of(st.sampled_from([0.0, 0.5, 0.9, 0.99]), st.floats(0.0, 0.999))
+# Continuous values, or small integers: many ties at the threshold and
+# incidental zeros.
+VALUE_KINDS = st.sampled_from(["continuous", "integers"])
+SPARSE_CHANNELS = st.sampled_from(
+    [dict(kind="bsc", bit_error_rate=p) for p in (0.0, 1e-3, 0.5, 1.0)]
+    + [dict(kind="packet_loss", packet_bits=b, packet_loss_prob=0.3) for b in (1, 7, 13, 100)]
+    + [dict(kind="packet_loss", packet_bits=13, bit_error_rate=0.02)]
+)
+
+
+def sparse_input(rng, codec, k, d, kind):
+    """A model whose rows cover empty (all-zero) classes and tied magnitudes."""
+    if kind == "integers":
+        values = rng.integers(-3, 4, size=(k, d)).astype(np.float64)
+    else:
+        values = codec_values(rng, codec, (k, d))
+    values[rng.random(k) < 0.25] = 0.0
+    return ClassPrototypes(values, rng.integers(0, 50, size=k))
+
+
+class TestSparseUplink:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sparsity=SPARSITIES,
+        kind=VALUE_KINDS,
+        k=st.integers(2, 5),
+        d=st.integers(1, 60),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_sparsify_matches_stable_argsort_reference(self, seed, sparsity, kind, k, d):
+        model = sparse_input(np.random.default_rng(seed), CodecConfig(), k, d, kind)
+        got, expected = sparsify(model, sparsity), reference_sparsify(model, sparsity)
+        assert got.shape == expected.shape
+        assert np.array_equal(got.counts, expected.counts)
+        for gi, ei, gv, ev in zip(got.indices, expected.indices, got.values, expected.values):
+            assert gi.dtype == ei.dtype and np.array_equal(gi, ei)
+            assert same_bits(gv, ev)
+        assert len(got.indices) == len(got.values) == k
+
+    def test_sparsify_all_tied_rows_zero_lowest_indices_first(self):
+        model = ClassPrototypes(np.array([[2.0, -2.0, 2.0, -2.0, 2.0], [0.0] * 5]), np.zeros(2))
+        got = sparsify(model, 0.6)
+        assert got.indices[0].tolist() == [3, 4] and got.values[0].tolist() == [-2.0, 2.0]
+        assert got.indices[1].size == 0
+
+    @given(
+        codec=CODECS,
+        seed=st.integers(0, 2**32 - 1),
+        sparsity=SPARSITIES,
+        kind=VALUE_KINDS,
+        k=st.integers(2, 5),
+        d=st.integers(1, 60),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_serialize_sparse_matches_per_class_reference(self, codec, seed, sparsity, kind, k, d):
+        sparse = sparsify(sparse_input(np.random.default_rng(seed), codec, k, d, kind), sparsity)
+        frame = serialize_sparse(sparse, codec)
+        assert frame == reference_sparse_frame(sparse, codec)
+        back = deserialize_sparse(frame, codec)
+        for gi, ei in zip(back.indices, sparse.indices):
+            assert np.array_equal(gi, ei)
+
+    @given(
+        codec=CODECS,
+        chan=SPARSE_CHANNELS,
+        seed=st.integers(0, 2**32 - 1),
+        sparsity=SPARSITIES,
+        kind=VALUE_KINDS,
+        k=st.integers(2, 5),
+        d=st.integers(1, 60),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_corrupted_frame_decodes_like_per_class_reference(
+        self, codec, chan, seed, sparsity, kind, k, d
+    ):
+        cfg = ChannelConfig(codec=codec, **chan)
+        sparse = sparsify(sparse_input(np.random.default_rng(seed), codec, k, d, kind), sparsity)
+        frame = serialize_sparse(sparse, codec)
+        arrived = corrupt_sparse(frame, cfg, np.random.default_rng(seed + 1))
+        received = deserialize_sparse(arrived, codec)
+        expected = reference_sparse_uplink(sparse, cfg, np.random.default_rng(seed + 1))
+        assert same_bits(csc_decompress(received).vectors, expected.vectors)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lengths=st.lists(st.integers(0, 9), min_size=1, max_size=5),
+        bitwidth=st.integers(2, 32),
+        scale=st.sampled_from([1e-3, 1.0, 1e4]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_segmented_quantizer_matches_per_block_reference(self, seed, lengths, bitwidth, scale):
+        rng = np.random.default_rng(seed)
+        values = np.round(rng.standard_normal(sum(lengths)) * 4.0) * scale  # ties at the max
+        values[rng.random(values.size) < 0.2] = 0.0
+        ints, gains = quantize_segments(values, lengths, bitwidth)
+        for segment, (start, n) in enumerate(zip(np.cumsum([0, *lengths]), lengths)):
+            want_ints, want_gain = reference_quantize_block(values[start : start + n], bitwidth)
+            assert np.array_equal(ints[start : start + n], want_ints)
+            assert gains[segment] == want_gain
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        width=st.integers(1, 64),
+        lengths=st.lists(st.integers(0, 9), min_size=1, max_size=5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_segmented_packing_pads_each_segment_like_separate_packs(self, seed, width, lengths):
+        rng = np.random.default_rng(seed)
+        words = rng.integers(0, 2**63, size=sum(lengths), dtype=np.uint64) >> np.uint64(64 - width)
+        starts = np.cumsum([0, *lengths])
+        separate = b"".join(
+            pack_words(words[a : a + n], width).tobytes() for a, n in zip(starts, lengths)
+        )
+        packed = pack_words(words, width, np.array(lengths))
+        assert packed.tobytes() == separate
+        assert np.array_equal(unpack_words(packed, words.size, width, np.array(lengths)), words)
+
+    @pytest.mark.parametrize(
+        "codec",
+        CODEC_CASES,
+        ids=lambda c: f"{c.representation}{c.bitwidth}",
+    )
+    @pytest.mark.parametrize(
+        "chan",
+        [
+            dict(kind="bsc", bit_error_rate=1.0),
+            dict(kind="packet_loss", packet_bits=7, packet_loss_prob=1.0),
+        ],
+        ids=["flip_all", "drop_all"],
+    )
+    def test_only_value_bits_are_hit(self, codec, chan):
+        sparse = sparsify(sparse_input(np.random.default_rng(5), codec, 4, 23, "continuous"), 0.6)
+        sparse.indices[1], sparse.values[1] = np.zeros(0, dtype=np.int64), np.zeros(0)
+        sent = serialize_sparse(sparse, codec)
+        cfg = ChannelConfig(codec=codec, **chan)
+        received = corrupt_sparse(sent, cfg, np.random.default_rng(0))
+        exposed = value_bit_mask(sent, codec)
+        before, after = frame_bits(sent), frame_bits(received)
+        assert exposed.any()
+        # Header, counts, gains, gaps and padding arrive as sent.
+        assert np.array_equal(after[~exposed], before[~exposed])
+        if chan["kind"] == "bsc":
+            assert np.array_equal(after[exposed], 1 - before[exposed])
+        else:
+            assert not after[exposed].any()
+
+    @pytest.mark.parametrize("kind", ["bsc", "packet_loss", "ideal"])
+    def test_wire_bytes_is_the_length_of_the_corrupted_sparse_frame(self, kind, monkeypatch):
+        codec = CodecConfig("quantized_int", bitwidth=16)
+        chan = dict(
+            bsc=dict(kind="bsc", bit_error_rate=1e-2),
+            packet_loss=dict(kind="packet_loss", packet_bits=100, packet_loss_prob=0.1),
+            ideal={},
+        )[kind]
+        corrupted = []
+
+        def spy(blob, cfg, rng):
+            corrupted.append(len(blob))
+            return corrupt_sparse(blob, cfg, rng)
+
+        monkeypatch.setattr(strategies, "corrupt_sparse", spy)
+        rng = np.random.default_rng(0)
+        hvs, labels = rng.standard_normal((60, 64)), rng.integers(0, 3, size=60)
+        cfg = RoundConfig(num_clients=3, participation=1.0, rounds=2, seed=1)
+        _, records = run_training(
+            hvs, labels, hvs, labels, 3, partition_iid(60, 3, seed=1), cfg,
+            ChannelConfig(codec=codec, **chan), StrategyConfig(kind="sparsify", sparsity=0.9),
+        )
+        if kind == "ideal":  # values bypass the codec; nothing corrupts the frame
+            assert corrupted == []
+        else:
+            assert len(corrupted) == 6
+            assert sum(r.uplink_bytes for r in records) == sum(corrupted)
+
+    def test_wire_bytes_checks_the_frame_tag(self):
+        codec = CodecConfig("float32")
+        sparse = sparsify(model_for(np.random.default_rng(0), codec, 2, 9), 0.5)
+        frame = serialize_sparse(sparse, codec)
+        assert wire_bytes(frame, StrategyConfig(kind="sparsify", sparsity=0.5), codec) == len(frame)
+        with pytest.raises(StrategyConfigError):
+            wire_bytes(frame, StrategyConfig(), codec)
+
+
 def received_frame(model, cfg, monkeypatch):
     """The frame apply_channel hands to the parser after the channel."""
     seen = []
@@ -217,13 +492,6 @@ def received_frame(model, cfg, monkeypatch):
 
 
 class TestCountedBytesAreCorrupted:
-    CODEC_CASES = [
-        CodecConfig("float32"),
-        CodecConfig("int32"),
-        CodecConfig("quantized_int", bitwidth=16),
-        CodecConfig("quantized_int", bitwidth=7),
-    ]
-
     @pytest.mark.parametrize("codec", CODEC_CASES, ids=lambda c: f"{c.representation}{c.bitwidth}")
     def test_wire_bytes_is_the_length_of_the_corrupted_frame(self, codec, monkeypatch):
         model = model_for(np.random.default_rng(0), codec, 3, 11)
@@ -312,6 +580,14 @@ class TestParsersFailClosed:
         struct.pack_into("<d", blob, HEADER_BYTES + 4, 0.0)  # first class gain
         with pytest.raises(SparseFormatError):
             deserialize_sparse(bytes(blob), codec)
+
+    @pytest.mark.parametrize("gain", [0.0, -1.0, np.inf, np.nan])
+    def test_model_frame_bad_gain_rejected(self, gain):
+        codec = CodecConfig("quantized_int", bitwidth=12)
+        blob = bytearray(write_model_bytes(model_for(np.random.default_rng(2), codec, 2, 7), codec))
+        struct.pack_into("<d", blob, HEADER_BYTES + 8, gain)  # second class gain
+        with pytest.raises(CodecError):
+            read_model_bytes(bytes(blob))
 
     def test_huge_declared_model_rejected_before_allocation(self):
         blob = frame_header(4_000_000_000, 10, 128 + 16) + bytes(100)
