@@ -6,11 +6,9 @@ from .channel import (
     QuantizedModel,
     apply_channel,
     awgn_perturb,
-    bsc_flip,
     deserialize_bits,
     mask_prototypes,
     packet_error_probability,
-    packetize_and_drop,
     quantize_up,
     read_model,
     scale_down,

@@ -11,13 +11,13 @@ unsigned, a codec tag byte, optional per-class gains as 64-bit floats, then
 row-major parameters. The tag byte is 0 for float32, 1 for int32, and
 128 + bitwidth for scaled integers, so a frame is self-describing. Bits
 within the payload are little-endian: least-significant bit of the first
-byte first, values packed back to back at the codec width. The bit channels
-corrupt the payload bytes of the very frame counted on the uplink and parse
-what arrives; headers, gains and sample counts ride the reliable side of the
-link and are never corrupted. The same holds for the sparse frame of the
-sparsify strategy: corrupt_packed_values exposes only the value bits of its
-(gap, value) pairs inside the counted frame, and the server parses that
-frame; counts, gains, gaps and padding stay intact.
+byte first, values packed back to back at the codec width.
+
+Every serializer returns a Frame: the bytes counted on the uplink plus the
+bits a bit channel may hit in them. corrupt_frame, the one bit-channel path,
+hits only those bits, and the receiver parses what arrives; headers, gains,
+sample counts and (in sparse frames) index gaps ride the reliable side of
+the link. The raw channels (ideal, awgn) act on values, not on frames.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ HEADER_BYTES = 4 + 1 + 4 + 4 + 1  # magic, version, K, d, codec tag
 
 _REPRESENTATIONS = ("float32", "int32", "quantized_int")
 _CHANNEL_KINDS = ("ideal", "awgn", "bsc", "packet_loss")
+BIT_CHANNELS = ("bsc", "packet_loss")  # act on frame bits; ideal and awgn on raw values
 
 
 class ChannelConfigError(ValueError):
@@ -237,15 +238,6 @@ def deserialize_bits(bits: np.ndarray, codec: CodecConfig, shape: tuple[int, ...
     return decode_values(np.packbits(bits, bitorder="little"), codec, count).reshape(shape)
 
 
-def bsc_flip(bits: np.ndarray, p_e: float, rng: np.random.Generator) -> np.ndarray:
-    """Flip each bit independently with probability p_e."""
-    if not 0.0 <= p_e <= 1.0:
-        raise ChannelConfigError(f"bit error rate {p_e} outside [0, 1]")
-    bits = np.asarray(bits, dtype=np.uint8)
-    flips = rng.random(bits.size) < p_e
-    return bits ^ flips.astype(np.uint8)
-
-
 def packet_error_probability(p_e: float, packet_bits: int) -> float:
     """Probability that an packet_bits-bit packet sees at least one bit error."""
     if packet_bits < 1:
@@ -255,38 +247,6 @@ def packet_error_probability(p_e: float, packet_bits: int) -> float:
     if p_e == 1.0:
         return 1.0
     return -math.expm1(packet_bits * math.log1p(-p_e))
-
-
-def packetize_and_drop(
-    bits: np.ndarray,
-    packet_bits: int,
-    p_e: float,
-    rng: np.random.Generator,
-    packet_loss_prob: float | None = None,
-) -> tuple[np.ndarray, list[int]]:
-    """Split into packets of packet_bits and erase whole packets.
-
-    Each packet drops independently with 1 - (1 - p_e)^packet_bits, or with
-    packet_loss_prob when given directly. Dropped packets arrive zero-filled.
-    Returns the received bits and the dropped packet indices.
-    """
-    bits = np.asarray(bits, dtype=np.uint8)
-    p_drop = (
-        packet_loss_prob
-        if packet_loss_prob is not None
-        else packet_error_probability(p_e, packet_bits)
-    )
-    n_packets = -(-bits.size // packet_bits)  # ceil
-    received = bits.copy()
-    dropped: list[int] = []
-    if n_packets == 0:
-        return received, dropped
-    drops = rng.random(n_packets) < p_drop
-    for idx in np.flatnonzero(drops):
-        start = int(idx) * packet_bits
-        received[start : start + packet_bits] = 0
-        dropped.append(int(idx))
-    return received, dropped
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +260,8 @@ def quantize_segments(
 
     Per segment, the gain is (2^(B-1) - 1) / max|values| and elements are
     truncated toward zero after scaling. An all-zero segment has no defined
-    gain; it transmits as zeros at gain 1, so live traffic never aborts.
+    gain, and a tiny (e.g. subnormal) maximum overflows it; such a segment
+    transmits as zeros at gain 1, so live traffic never aborts.
     Returns the int64 integers and the per-segment gains.
     """
     if bitwidth < 2:
@@ -312,10 +273,11 @@ def quantize_segments(
     filled = lengths > 0
     if filled.any():
         max_abs[filled] = np.maximum.reduceat(magnitudes, (np.cumsum(lengths) - lengths)[filled])
-    live = max_abs != 0.0
     top = 2 ** (bitwidth - 1) - 1
-    gains = np.ones(lengths.size)
-    gains[live] = top / max_abs[live]
+    with np.errstate(divide="ignore", over="ignore"):
+        gains = top / max_abs
+    live = np.isfinite(gains)
+    gains[~live] = 1.0
     ints = np.trunc(values * np.repeat(gains, lengths)).astype(np.int64)
     # Float rounding in values * gain must not push the extreme element off
     # the exact ceiling.
@@ -362,7 +324,32 @@ def dequantize_model(quantized: QuantizedModel, counts: np.ndarray) -> ClassProt
 
 
 # ---------------------------------------------------------------------------
-# Corruption pipelines
+# Frames and the bit channels
+
+
+class Frame(bytes):
+    """The bytes of one serialized frame, plus the bits a bit channel may hit.
+
+    The exposed bits are the top `value_bits` of each `width`-bit word in a
+    stream of byte-padded segments of `lengths` words, as pack_words(words,
+    width, lengths) writes it, at byte positions `payload` (a slice or an
+    index array) of the frame. Every other bit (header, counts, gains,
+    index gaps, padding) rides the reliable side of the link.
+    """
+
+    def __new__(cls, data, payload, lengths, width: int, value_bits: int | None = None):
+        frame = super().__new__(cls, data)
+        frame.payload = payload
+        frame.lengths = np.asarray(lengths, dtype=np.int64)
+        frame.width = width
+        frame.value_bits = width if value_bits is None else value_bits
+        return frame
+
+    @classmethod
+    def tail(cls, data: bytes, count: int, width: int) -> "Frame":
+        """A frame ending in `count` packed `width`-bit words, all bits exposed."""
+        return cls(data, slice(len(data) - -(-count * width // 8), None), [count], width)
+
 
 
 def _channel_hits(
@@ -372,8 +359,8 @@ def _channel_hits(
     bit first, of the bits the channel hits in a stream of segments of these
     bit lengths. bsc hits the bits it flips; packet_loss hits the bits of
     the packets it drops, and its packets restart at every segment. The
-    draws are those bsc_flip and packetize_and_drop make for each segment
-    in turn."""
+    draws are one uniform per bit (bsc) or per packet (packet_loss), in
+    stream order."""
     segment_bits = np.asarray(segment_bits, dtype=np.int64)
     if cfg.kind == "bsc":
         flips = rng.random(int(segment_bits.sum())) < cfg.bit_error_rate
@@ -391,96 +378,64 @@ def _channel_hits(
     return np.packbits(np.repeat(drops, sizes), bitorder="little")
 
 
-def _corrupt_payload(payload: np.ndarray, hits: np.ndarray, cfg: ChannelConfig) -> None:
-    """Apply a _channel_hits mask to packed bytes in place: bsc flips the
-    hit bits, packet_loss zero-fills them."""
+def corrupt_frame(frame: Frame, cfg: ChannelConfig, rng: np.random.Generator) -> bytes:
+    """The bytes of a frame as they leave a bit channel (bsc or packet_loss).
+
+    Only the frame's exposed bits are hit, drawn by _channel_hits segment by
+    segment: bsc flips them, packet_loss zero-fills those of the packets it
+    drops. Every other byte arrives as sent.
+    """
+    hits = _channel_hits(frame.lengths * frame.value_bits, cfg, rng)
+    if frame.width != frame.value_bits or frame.lengths.size > 1:
+        # Move the hits to the top value_bits of each word; pad every segment.
+        words = unpack_words(hits, int(frame.lengths.sum()), frame.value_bits)
+        words <<= np.uint64(frame.width - frame.value_bits)
+        hits = pack_words(words, frame.width, frame.lengths)
+    data = np.frombuffer(bytearray(frame), dtype=np.uint8)
+    payload = data[frame.payload]
     if cfg.kind == "bsc":
         payload ^= hits
     else:
         payload &= ~hits
-
-
-def corrupt_packed_values(
-    payload: np.ndarray,
-    lengths: np.ndarray,
-    width: int,
-    cfg: ChannelConfig,
-    rng: np.random.Generator,
-) -> None:
-    """Corrupt, in place, the codec values inside packed `width`-bit words.
-
-    The payload is what pack_words(words, width, lengths) writes, and each
-    word carries a codec value in its top value_bits. Only those value bits
-    are exposed, with the draws corrupt_values makes for each segment's
-    values in turn; the low bits of every word and the padding arrive
-    intact.
-    """
-    lengths = np.asarray(lengths, dtype=np.int64)
-    value_bits = cfg.codec.value_bits
-    hits = _channel_hits(lengths * value_bits, cfg, rng)
-    words = unpack_words(hits, int(lengths.sum()), value_bits) << np.uint64(width - value_bits)
-    _corrupt_payload(payload, pack_words(words, width, lengths), cfg)
+    data[frame.payload] = payload
+    return data.tobytes()
 
 
 def corrupt_values(values: np.ndarray, cfg: ChannelConfig, rng: np.random.Generator) -> np.ndarray:
-    """Run a flat value vector through the configured corruption.
-
-    Used for subsampled values, and for sparse values over the ideal and
-    awgn channels (over bit channels they travel in the sparse frame, see
-    corrupt_packed_values). The scaled integer codec quantizes the vector
-    as a single block whose gain travels with the reliable metadata.
-    """
+    """A flat value vector through a raw channel: ideal returns a copy, awgn
+    adds noise at the configured SNR. Bit channels act on frames instead
+    (corrupt_frame)."""
+    if cfg.kind in BIT_CHANNELS:
+        raise ChannelConfigError(f"{cfg.kind} corrupts frames, not raw values")
     values = np.asarray(values, dtype=np.float64)
-    if cfg.kind == "ideal" or values.size == 0:
-        return values.copy()
-    if cfg.kind == "awgn":
-        return _add_awgn(values, cfg.snr_db, rng)
-    gain = None
-    if cfg.codec.representation == "quantized_int":
-        values, gain = quantize_block(values, cfg.codec.bitwidth)
-    payload = encode_values(values, cfg.codec)
-    n_bits = values.size * cfg.codec.value_bits
-    _corrupt_payload(payload, _channel_hits([n_bits], cfg, rng), cfg)
-    received = decode_values(payload, cfg.codec, values.size).reshape(values.shape)
-    return received if gain is None else scale_down(received, gain)
+    return _add_awgn(values, cfg.snr_db, rng) if cfg.kind == "awgn" else values.copy()
 
 
 def corrupt_signs(signs: np.ndarray, cfg: ChannelConfig, rng: np.random.Generator) -> np.ndarray:
-    """Corrupt a +/-1 matrix as a 1-bit-per-entry stream.
-
-    Bit 1 encodes +1. Bit-flip channels flip signs; dropped packets decode
-    as -1 (zero bits). Additive noise perturbs the raw +/-1 values.
-    """
+    """A +/-1 matrix through a raw channel: ideal returns a copy, awgn adds
+    noise at a signal power of one per entry. Bit channels act on the sign
+    frame instead (corrupt_frame)."""
+    if cfg.kind in BIT_CHANNELS:
+        raise ChannelConfigError(f"{cfg.kind} corrupts frames, not raw values")
     signs = np.asarray(signs, dtype=np.float64)
     if cfg.kind == "ideal":
         return signs.copy()
-    if cfg.kind == "awgn":
-        # Signal power of a +/-1 matrix is one per entry.
-        per_param = 1.0 / (10.0 ** (cfg.snr_db / 10.0))
-        return signs + rng.standard_normal(signs.shape) * math.sqrt(per_param)
-    payload = np.packbits(signs.reshape(-1) > 0, bitorder="little")
-    _corrupt_payload(payload, _channel_hits([signs.size], cfg, rng), cfg)
-    bits = np.unpackbits(payload, count=signs.size, bitorder="little")
-    return np.where(bits == 1, 1.0, -1.0).reshape(signs.shape)
+    per_param = 1.0 / (10.0 ** (cfg.snr_db / 10.0))
+    return signs + rng.standard_normal(signs.shape) * math.sqrt(per_param)
 
 
 def apply_channel(model: ClassPrototypes, cfg: ChannelConfig, rng: np.random.Generator) -> ClassPrototypes:
     """Dispatch a full model through the configured corruption.
 
     ideal is the exact identity; awgn perturbs raw values; bsc and
-    packet_loss corrupt the payload of the model's HDFM frame, the frame
-    write_model_bytes sends, and parse what arrives. Shape and counts are kept.
+    packet_loss corrupt the model's HDFM frame, the frame write_model_bytes
+    sends, and parse what arrives. Shape and counts are kept.
     """
     if cfg.kind == "ideal":
         return model.copy()
     if cfg.kind == "awgn":
         return awgn_perturb(model, cfg.snr_db, rng)
-    frame = bytearray(write_model_bytes(model, cfg.codec))
-    n_bits = model.vectors.size * cfg.codec.value_bits
-    # The payload is the frame's tail; the header and gains before it stay intact.
-    payload = np.frombuffer(frame, dtype=np.uint8)[len(frame) - -(-n_bits // 8) :]
-    _corrupt_payload(payload, _channel_hits([n_bits], cfg, rng), cfg)
-    received, _ = read_model_bytes(frame)
+    received, _ = read_model_bytes(corrupt_frame(write_model_bytes(model, cfg.codec), cfg, rng))
     return ClassPrototypes(received.vectors, model.counts.copy())
 
 
@@ -549,16 +504,18 @@ def parse_frame_header(
     return k, d, got
 
 
-def write_model_bytes(model: ClassPrototypes, codec: CodecConfig | None = None) -> bytes:
-    """Serialize a model to a self-describing HDFM frame."""
+def write_model_bytes(model: ClassPrototypes, codec: CodecConfig | None = None) -> Frame:
+    """Serialize a model to a self-describing HDFM frame; its parameters are
+    the bits a bit channel may hit."""
     codec = codec or CodecConfig()
     k, d = model.vectors.shape
     head = frame_header(k, d, codec_tag(codec))
+    values = model.vectors
     if codec.representation == "quantized_int":
         quantized = quantize_model(model, codec.bitwidth)
-        gains = quantized.gains.astype("<f8").tobytes()
-        return head + gains + encode_values(quantized.integers, codec).tobytes()
-    return head + encode_values(model.vectors, codec).tobytes()
+        head += quantized.gains.astype("<f8").tobytes()
+        values = quantized.integers
+    return Frame.tail(head + encode_values(values, codec).tobytes(), k * d, codec.value_bits)
 
 
 def read_model_bytes(blob: bytes) -> tuple[ClassPrototypes, CodecConfig]:

@@ -14,6 +14,7 @@ embeddings flow through the same pipeline.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, replace
 
@@ -62,8 +63,8 @@ class Dataset:
 def load_delimited(path: str, has_header: bool = False, split: str = "train") -> Dataset:
     """Parse comma-separated rows of m features plus a trailing integer label.
 
-    The class count is inferred as max label + 1. Parse failures report the
-    offending 1-based line number.
+    The class count is inferred as max label + 1. Parse failures, including
+    non-finite features (nan, inf), report the offending 1-based line number.
     """
     rows: list[list[float]] = []
     labels: list[int] = []
@@ -90,6 +91,8 @@ def load_delimited(path: str, has_header: bool = False, split: str = "train") ->
                 feats = [float(v) for v in fields[:-1]]
             except ValueError as exc:
                 raise DataFormatError(f"{path}:{lineno}: non-numeric feature: {exc}") from None
+            if not all(math.isfinite(v) for v in feats):
+                raise DataFormatError(f"{path}:{lineno}: non-finite feature")
             try:
                 label = int(fields[-1])
             except ValueError:
@@ -122,7 +125,8 @@ def save_binary(dataset: Dataset, path: str) -> None:
 
 
 def load_binary(path: str, split: str = "train") -> Dataset:
-    """Read an HDDS file; rejects bad magic, version, or truncated payloads."""
+    """Read an HDDS file; rejects bad magic, version, truncated payloads, or
+    non-finite features (naming the byte offset of the first)."""
     with open(path, "rb") as f:
         blob = f.read()
     header_size = 4 + struct.calcsize("<BIIIB")
@@ -141,6 +145,10 @@ def load_binary(path: str, split: str = "train") -> Dataset:
             f"{path}: payload size mismatch (expected {expected} bytes, got {len(blob)})"
         )
     features = np.frombuffer(blob, dtype="<f4", count=n * m, offset=header_size)
+    bad = np.flatnonzero(~np.isfinite(features))
+    if bad.size:
+        offset = header_size + 4 * int(bad[0])
+        raise DataFormatError(f"{path}: non-finite feature at byte offset {offset}")
     labels = np.frombuffer(blob, dtype="<u2", count=n, offset=header_size + n * m * 4)
     return Dataset(
         features.reshape(n, m).astype(np.float64),

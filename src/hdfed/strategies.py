@@ -1,18 +1,20 @@
 """Uplink size reduction: binarized differences, subsampling, sparsification.
 
-Three interchangeable client-to-server payloads plus exact wire-size
-accounting:
+Three interchangeable client-to-server payloads, each with its own frame
+codec (serialize_*/deserialize_*), plus exact wire-size accounting. Every
+serializer returns a channel.Frame, so a bit channel corrupts exactly the
+bytes counted on the uplink and the server parses what arrives:
 
-* binary_diff: one sign bit per parameter of (local - broadcast); the server
-  adds the summed signs onto the previous global model.
-* subsample: a random fraction of parameter positions; the server regenerates
-  the index set from the payload's 64-bit stream key, so only values travel.
+* binary_diff: one sign bit per parameter of (local - broadcast), every bit
+  exposed; the server adds the summed signs onto the previous global model.
+* subsample: a random fraction of parameter positions; only the values
+  travel, exposed, after a 64-bit stream key from which the server
+  regenerates the index set.
 * sparsify: the smallest-magnitude fraction of each class row is zeroed and
-  the survivors ship as gap-encoded (index distance, value) pairs. The frame
-  is built once per client; over a bit channel, corrupt_sparse exposes only
-  the value bits of its pairs, inside that counted frame, and the server
-  parses what arrives.
+  the survivors ship as gap-encoded (index distance, value) pairs; only the
+  value bits of the pairs are exposed.
 
+Strategy none sends the HDFM model frame (channel.write_model_bytes).
 Payload frames reuse the HDFM header (magic, version, K, d, tag byte) with
 tag values outside the codec range, so every uplink message remains
 self-describing.
@@ -27,10 +29,11 @@ import numpy as np
 
 from .channel import (
     HEADER_BYTES,
-    ChannelConfig,
     CodecConfig,
+    Frame,
     codec_tag,
-    corrupt_packed_values,
+    decode_values,
+    encode_values,
     frame_header,
     pack_words,
     parse_frame_header,
@@ -39,9 +42,11 @@ from .channel import (
     unpack_words,
     value_words,
     words_to_values,
-    write_model_bytes,
 )
+# Strategy none's frame; bench/spans.py times this name.
+from .channel import write_model_bytes  # noqa: F401
 from .hdc import ClassPrototypes, DimensionError
+from .seeding import STREAM_STRATEGY, derived_rng
 
 _STRATEGY_KINDS = ("none", "binary_diff", "subsample", "sparsify")
 
@@ -151,9 +156,12 @@ def subsample(
     if not 0.0 < rate <= 1.0:
         raise StrategyConfigError(f"rate must be in (0, 1], got {rate}")
     total = model.vectors.size
-    keep = int(round(rate * total))
-    indices = np.sort(rng.choice(total, size=keep, replace=False))
+    indices = _subsample_indices(total, int(round(rate * total)), rng)
     return indices, model.vectors.reshape(-1)[indices].copy()
+
+
+def _subsample_indices(total: int, keep: int, rng: np.random.Generator) -> np.ndarray:
+    return np.sort(rng.choice(total, size=keep, replace=False))
 
 
 def subsample_stream_key(round_index: int, client_id: int) -> int:
@@ -245,11 +253,11 @@ def csc_decompress(sparse: SparseClassModel) -> ClassPrototypes:
 # Wire formats and exact size accounting
 
 
-def serialize_sign_matrix(signs: np.ndarray) -> bytes:
+def serialize_sign_matrix(signs: np.ndarray) -> Frame:
     """One bit per parameter (1 encodes +1), row-major, after the frame header."""
     k, d = signs.shape
     bits = np.packbits(signs.reshape(-1) > 0, bitorder="little")
-    return frame_header(k, d, TAG_BINARY_DIFF) + bits.tobytes()
+    return Frame.tail(frame_header(k, d, TAG_BINARY_DIFF) + bits.tobytes(), k * d, 1)
 
 
 def deserialize_sign_matrix(blob: bytes) -> np.ndarray:
@@ -261,16 +269,9 @@ def deserialize_sign_matrix(blob: bytes) -> np.ndarray:
     return np.where(bits == 1, 1.0, -1.0).reshape(k, d)
 
 
-def _value_block(values: np.ndarray, codec: CodecConfig) -> tuple[bytes, np.ndarray]:
-    """Codec words of the values plus, for scaled integers, an 8-byte gain prefix."""
-    if codec.representation == "quantized_int":
-        ints, gain = quantize_block(values, codec.bitwidth)
-        return struct.pack("<d", gain), value_words(ints, codec)
-    return b"", value_words(values, codec)
-
-
-def serialize_subsample(payload: SubsamplePayload, codec: CodecConfig) -> bytes:
-    """Header, 64-bit index-stream key, 32-bit count, then the values.
+def serialize_subsample(payload: SubsamplePayload, codec: CodecConfig) -> Frame:
+    """Header, 64-bit index-stream key, 32-bit count, for scaled integers
+    the block's 8-byte gain, then the values.
 
     The server regenerates the index set from the key, so the index overhead
     is constant regardless of the keep rate.
@@ -278,18 +279,48 @@ def serialize_subsample(payload: SubsamplePayload, codec: CodecConfig) -> bytes:
     k, d = payload.shape
     head = frame_header(k, d, TAG_SUBSAMPLE)
     head += struct.pack("<QI", payload.stream_key, payload.values.size)
-    gain_prefix, words = _value_block(payload.values, codec)
-    return head + gain_prefix + pack_words(words, codec.value_bits).tobytes()
+    values = payload.values
+    if codec.representation == "quantized_int":
+        values, gain = quantize_block(values, codec.bitwidth)
+        head += struct.pack("<d", gain)
+    data = head + encode_values(values, codec).tobytes()
+    return Frame.tail(data, payload.values.size, codec.value_bits)
 
 
-def serialize_sparse(sparse: SparseClassModel, codec: CodecConfig) -> bytes:
+def deserialize_subsample(blob: bytes, codec: CodecConfig, seed: int) -> SubsamplePayload:
+    """Parse a subsample frame. The indices are regenerated from the run
+    seed and the frame's stream key, the draw the client made.
+
+    Raises SparseFormatError on a truncated frame, a count above K * d or a
+    non-positive or non-finite gain, before allocating anything the blob
+    cannot hold.
+    """
+    k, d, _ = parse_frame_header(blob, SparseFormatError, TAG_SUBSAMPLE)
+    quantized = codec.representation == "quantized_int"
+    offset = HEADER_BYTES + 12 + (8 if quantized else 0)
+    if len(blob) < offset:
+        raise SparseFormatError(f"subsample frame of {len(blob)} bytes is truncated")
+    key, count = struct.unpack_from("<QI", blob, HEADER_BYTES)
+    gain = struct.unpack_from("<d", blob, HEADER_BYTES + 12)[0] if quantized else 1.0
+    size = offset + -(-count * codec.value_bits // 8)
+    if count > k * d or len(blob) < size or not (gain > 0.0 and np.isfinite(gain)):
+        raise SparseFormatError(f"subsample frame: bad count {count} or gain {gain}")
+    values = decode_values(np.frombuffer(blob, dtype=np.uint8, offset=offset), codec, count)
+    if quantized:
+        values = values / gain
+    rng = derived_rng(seed, STREAM_STRATEGY, key >> 20, key & (2**20 - 1))
+    return SubsamplePayload(key, _subsample_indices(k * d, count, rng), values, (k, d))
+
+
+def serialize_sparse(sparse: SparseClassModel, codec: CodecConfig) -> Frame:
     """Per class: a 32-bit count, then (gap, value) pairs.
 
     The gap is the index distance from the previous stored index minus one,
     as 32 bits; the value follows at the codec width. Pairs are packed back
     to back and each class block pads to a byte boundary. Scaled-integer
     codecs prefix each non-empty class block with its 8-byte gain. All
-    classes are quantized and packed in one pass.
+    classes are quantized and packed in one pass; the frame exposes the
+    value bits of its pairs.
     """
     k, d = sparse.shape
     counts = np.array([idx.size for idx in sparse.indices], dtype=np.int64)
@@ -307,27 +338,29 @@ def serialize_sparse(sparse: SparseClassModel, codec: CodecConfig) -> bytes:
     words = value_words(values, codec).astype(np.uint64)
     width = 32 + codec.value_bits
     blocks = pack_words(gaps.astype(np.uint64) | (words << np.uint64(32)), width, counts)
+    sizes = -(-counts * width // 8)
+    ends = np.cumsum(sizes).tolist()
     out = [frame_header(k, d, TAG_SPARSE)]
-    start = 0
-    for count, gain in zip(counts.tolist(), gains.tolist()):
+    for count, gain, end, size in zip(counts.tolist(), gains.tolist(), ends, sizes.tolist()):
         out.append(struct.pack("<I", count))
-        if count:
-            stop = start + -(-count * width // 8)
-            if quantized:
-                out.append(struct.pack("<d", gain))
-            out.append(blocks[start:stop].tobytes())
-            start = stop
-    return b"".join(out)
+        if count and quantized:
+            out.append(struct.pack("<d", gain))
+        out.append(blocks[end - size : end].tobytes())
+    starts = HEADER_BYTES + np.cumsum(4 + 8 * (quantized & (counts > 0)) + sizes) - sizes
+    return Frame(b"".join(out), _block_positions(starts, sizes), counts, width, codec.value_bits)
 
 
-def _sparse_layout(
-    blob: bytes, codec: CodecConfig
-) -> tuple[int, int, np.ndarray, np.ndarray, np.ndarray]:
-    """K, d, per-class counts and gains (1 where absent) of a sparse frame,
-    and the byte positions of its pair blocks in class order.
+def _block_positions(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Byte positions of blocks of these sizes at these offsets, in order."""
+    return np.arange(sizes.sum()) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
 
-    Raises SparseFormatError on a truncated frame, a count above d or a
-    non-positive gain, before allocating anything the blob cannot hold.
+
+def deserialize_sparse(blob: bytes, codec: CodecConfig) -> SparseClassModel:
+    """Parse a sparse frame back into indices and values (counts are zero).
+
+    Raises SparseFormatError on a truncated frame, a count above d, a
+    non-positive gain, or an index outside [0, d), before allocating
+    anything the blob cannot hold. All classes are unpacked in one pass.
     """
     k, d, _ = parse_frame_header(blob, SparseFormatError, TAG_SPARSE)
     if len(blob) < HEADER_BYTES + 4 * k:
@@ -352,22 +385,9 @@ def _sparse_layout(
     except struct.error:
         raise SparseFormatError(f"sparse frame truncated at byte {offset}") from None
     counts = np.array(counts, dtype=np.int64)
-    sizes = -(-counts * width // 8)
-    shifts = np.array(starts, dtype=np.int64) - (np.cumsum(sizes) - sizes)
-    positions = np.arange(sizes.sum()) + np.repeat(shifts, sizes)
-    return k, d, counts, np.array(gains), positions
-
-
-def deserialize_sparse(blob: bytes, codec: CodecConfig) -> SparseClassModel:
-    """Parse a sparse frame back into indices and values (counts are zero).
-
-    Raises SparseFormatError on a truncated frame, a count above d, a
-    non-positive gain, or an index outside [0, d). All classes are unpacked
-    in one pass.
-    """
-    k, d, counts, gains, positions = _sparse_layout(blob, codec)
+    positions = _block_positions(np.array(starts, dtype=np.int64), -(-counts * width // 8))
     payload = np.frombuffer(blob, dtype=np.uint8)[positions]
-    pairs = unpack_words(payload, int(counts.sum()), 32 + codec.value_bits, counts)
+    pairs = unpack_words(payload, int(counts.sum()), width, counts)
     ends = np.cumsum(counts)
     steps = np.cumsum((pairs & np.uint64(0xFFFFFFFF)).astype(np.int64) + 1)
     before = np.concatenate([[0], steps])[ends - counts]
@@ -385,44 +405,11 @@ def deserialize_sparse(blob: bytes, codec: CodecConfig) -> SparseClassModel:
     )
 
 
-def corrupt_sparse(blob: bytes, cfg: ChannelConfig, rng: np.random.Generator) -> bytes:
-    """A sparse frame as it leaves a bit channel (bsc or packet_loss).
-
-    Only the value bits of the (gap, value) pairs are exposed, with the
-    draws corrupt_values makes for each class's values in turn; header,
-    counts, gains, gaps and padding arrive intact.
-    """
-    _, _, counts, _, positions = _sparse_layout(blob, cfg.codec)
-    frame = np.frombuffer(bytearray(blob), dtype=np.uint8)
-    pairs = frame[positions]
-    corrupt_packed_values(pairs, counts, 32 + cfg.codec.value_bits, cfg, rng)
-    frame[positions] = pairs
-    return frame.tobytes()
-
-
-_PAYLOAD_TYPES = dict(none=ClassPrototypes, subsample=SubsamplePayload, sparsify=SparseClassModel)
 _FRAME_TAGS = dict(binary_diff=TAG_BINARY_DIFF, subsample=TAG_SUBSAMPLE, sparsify=TAG_SPARSE)
 
 
-def wire_bytes(payload, strategy: StrategyConfig, codec: CodecConfig) -> int:
-    """Exact serialized uplink size in bytes, headers and metadata included.
-
-    The payload is the strategy's payload object, or the frame already
-    serialized from it, whose tag must be the strategy's.
-    """
-    if isinstance(payload, bytes):
-        tag = _FRAME_TAGS.get(strategy.kind, codec_tag(codec))
-        parse_frame_header(payload, StrategyConfigError, tag)
-        return len(payload)
-    expected = _PAYLOAD_TYPES.get(strategy.kind)
-    if expected is not None and not isinstance(payload, expected):
-        raise TypeError(f"{strategy.kind} strategy expects a {expected.__name__}")
-    if strategy.kind == "none":
-        return len(write_model_bytes(payload, codec))
-    if strategy.kind == "binary_diff":
-        return len(serialize_sign_matrix(np.asarray(payload)))
-    if strategy.kind == "subsample":
-        return len(serialize_subsample(payload, codec))
-    if strategy.kind == "sparsify":
-        return len(serialize_sparse(payload, codec))
-    raise StrategyConfigError(f"unknown strategy kind {strategy.kind!r}")
+def wire_bytes(frame: Frame, strategy: StrategyConfig, codec: CodecConfig) -> int:
+    """Exact uplink size of a serialized frame, headers and metadata
+    included, after checking that its tag is the strategy's."""
+    parse_frame_header(frame, StrategyConfigError, _FRAME_TAGS.get(strategy.kind, codec_tag(codec)))
+    return len(frame)

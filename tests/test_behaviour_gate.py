@@ -1,0 +1,151 @@
+"""Behaviour gate for the uplink: small federated runs over every strategy,
+channel and codec must reproduce recorded results exactly.
+
+Each digest is the sha256 of the metrics CSV without its wall_ms column,
+the final model's float32 HDFM frame and its float64 values and counts.
+The table was recorded before the four strategies shared one
+encode/corrupt/decode path, so it pins that refactor (and any later one)
+to the same numbers.
+
+Print the table for the current code with:
+
+    PYTHONPATH=src python tests/test_behaviour_gate.py
+"""
+
+import hashlib
+import itertools
+
+import numpy as np
+import pytest
+
+from hdfed.channel import ChannelConfig, CodecConfig, write_model_bytes
+from hdfed.federated import RoundConfig, partition_iid, run_training
+from hdfed.harness import format_metrics
+from hdfed.strategies import StrategyConfig
+
+STRATEGIES = {
+    "none": StrategyConfig(),
+    "binary_diff": StrategyConfig(kind="binary_diff"),
+    "subsample": StrategyConfig(kind="subsample", rate=0.3),
+    "sparsify": StrategyConfig(kind="sparsify", sparsity=0.7),
+}
+CHANNELS = {
+    "ideal": {},
+    "awgn": dict(kind="awgn", snr_db=10.0),
+    "bsc": dict(kind="bsc", bit_error_rate=0.02),
+    "packet_loss": dict(kind="packet_loss", packet_bits=13, bit_error_rate=0.01),
+}
+CODECS = {
+    "float32": CodecConfig("float32"),
+    "int32": CodecConfig("int32"),
+    "q16": CodecConfig("quantized_int", bitwidth=16),
+    "q7": CodecConfig("quantized_int", bitwidth=7),
+}
+
+
+def task():
+    """Three separable classes as bipolar hypervectors (integral, so the
+    int32 codec can carry a client's first update)."""
+    rng = np.random.default_rng(0)
+    centers = rng.standard_normal((3, 48))
+    labels = rng.integers(0, 3, size=120)
+    hvs = np.where(centers[labels] + 0.9 * rng.standard_normal((120, 48)) >= 0.0, 1.0, -1.0)
+    return hvs[:90], labels[:90], hvs[90:], labels[90:]
+
+
+def digest(strategy, chan, codec):
+    train_hvs, train_labels, test_hvs, test_labels = task()
+    # From round 2 on, averaged models are not integral: int32 runs one round.
+    rounds = 1 if codec == "int32" else 3
+    cfg = RoundConfig(num_clients=3, participation=0.67, rounds=rounds, seed=4)
+    channel = ChannelConfig(codec=CODECS[codec], **CHANNELS[chan])
+    model, records = run_training(
+        train_hvs, train_labels, test_hvs, test_labels, 3,
+        partition_iid(90, 3, seed=1), cfg, channel, STRATEGIES[strategy],
+    )
+    csv = "".join(line.rsplit(",", 1)[0] + "\n" for line in format_metrics(records).splitlines())
+    h = hashlib.sha256(csv.encode())
+    h.update(write_model_bytes(model, CodecConfig("float32")))
+    h.update(model.vectors.astype("<f8").tobytes())
+    h.update(model.counts.astype("<i8").tobytes())
+    return h.hexdigest()
+
+
+CASES = list(itertools.product(STRATEGIES, CHANNELS, CODECS))
+
+EXPECTED = {
+    ('none', 'ideal', 'float32'): 'f0a189e2c371cc0aabc2d7869cd11ad0671be5cd9c77b9a156cdffbe9c69040c',
+    ('none', 'ideal', 'int32'): 'e0b338c13c6b3733eec7a2ddba975926f23ee879c4d2a204f17c3a360447c719',
+    ('none', 'ideal', 'q16'): '760a69469a7314b90c21e84169334d23f7fd00ccc2d744e9cbb3d64a343e82d9',
+    ('none', 'ideal', 'q7'): '604ea69e9892a2cf31d1a3cf92b8d58186103bb93d2fb8e754b912446d86dd4c',
+    ('none', 'awgn', 'float32'): '2182f6312b5f20383aad7589716326fcd40f091b2f4385e88b000b4e01083ad1',
+    ('none', 'awgn', 'int32'): 'd61815a47226de13e1ef2f5c944626af358b42fe79f5f382afa66bf16e46916d',
+    ('none', 'awgn', 'q16'): '6d25bffbb012709310907b15a4378a739cc17d8aa65b235b0557e0e7720f5da0',
+    ('none', 'awgn', 'q7'): '5c4af32344340f0b3c3fc7be98be293cd5af772aab977c1111e84babd203133f',
+    ('none', 'bsc', 'float32'): '05b040f154b2c603d8cc54d22618564d6e3ac8bdae17e71a41df17899b2b45dc',
+    ('none', 'bsc', 'int32'): 'a686c0da9b1a0a51a15838a5f297d948130e3edaeecd5a4acf39928df0d0fe1a',
+    ('none', 'bsc', 'q16'): '209367ec631449372547f3128ac9868120bef3d27ca952fabb97435fcf5c4724',
+    ('none', 'bsc', 'q7'): '2185145a08ec38cced08a86b254e7608e4f2d3e48fa2893fdc90c0b351fd366a',
+    ('none', 'packet_loss', 'float32'): 'd947395abbcc01675898c184b2c8bf84d34764c76b7b03c78f835c58e9045521',
+    ('none', 'packet_loss', 'int32'): '6f740f0e98ec3d9a4ff810ffe382642d56d4d916756d20113ace3e90a6a1829f',
+    ('none', 'packet_loss', 'q16'): 'c608a32888371c6fb2f63c985b2def96fbb92819ee8cb7ca0470cfdea5a1f6b2',
+    ('none', 'packet_loss', 'q7'): 'b7824bbaf99363076ee057855429e4d40162a27c65f637d83e179db30065f108',
+    ('binary_diff', 'ideal', 'float32'): '0aef713797e089be35d9ad08937e38910c78456ae0519f2879c137174e6bc782',
+    ('binary_diff', 'ideal', 'int32'): 'f1988d5cd50cfe1a95975e5d355b3b36e6275728ef03d77d8115b740d9e3b371',
+    ('binary_diff', 'ideal', 'q16'): '0aef713797e089be35d9ad08937e38910c78456ae0519f2879c137174e6bc782',
+    ('binary_diff', 'ideal', 'q7'): '0aef713797e089be35d9ad08937e38910c78456ae0519f2879c137174e6bc782',
+    ('binary_diff', 'awgn', 'float32'): 'bd36c5042adbbd24cd5b7efb753dbd2e30133e74e036f71a687aec3a45ef7917',
+    ('binary_diff', 'awgn', 'int32'): '7064fc2e706367b5b69e55350cfc03e77a1ecd0432a8d96db860cec2cbf971a7',
+    ('binary_diff', 'awgn', 'q16'): 'bd36c5042adbbd24cd5b7efb753dbd2e30133e74e036f71a687aec3a45ef7917',
+    ('binary_diff', 'awgn', 'q7'): 'bd36c5042adbbd24cd5b7efb753dbd2e30133e74e036f71a687aec3a45ef7917',
+    ('binary_diff', 'bsc', 'float32'): '3e929526fd88e8634c46fb799cac0b1e935792482f2f5c1ab79ea018b8bec5c5',
+    ('binary_diff', 'bsc', 'int32'): '968146fc12b85b08a87a057ae328bc18f91cc00f44c36a95ba7d7ba722ef992a',
+    ('binary_diff', 'bsc', 'q16'): '3e929526fd88e8634c46fb799cac0b1e935792482f2f5c1ab79ea018b8bec5c5',
+    ('binary_diff', 'bsc', 'q7'): '3e929526fd88e8634c46fb799cac0b1e935792482f2f5c1ab79ea018b8bec5c5',
+    ('binary_diff', 'packet_loss', 'float32'): '8094f697d1b3bbf7797ba47445ab0c176fdd157e56acfd74937d8c085efca35a',
+    ('binary_diff', 'packet_loss', 'int32'): 'd1fa7d54bdc373655f4e747bd405827ca6e494c790d766a1c747650cdaf15336',
+    ('binary_diff', 'packet_loss', 'q16'): '8094f697d1b3bbf7797ba47445ab0c176fdd157e56acfd74937d8c085efca35a',
+    ('binary_diff', 'packet_loss', 'q7'): '8094f697d1b3bbf7797ba47445ab0c176fdd157e56acfd74937d8c085efca35a',
+    ('subsample', 'ideal', 'float32'): 'd65814b5940d9184f906443fe7f339ec4da8cc39879ea6ad7f8181a18d0b8f04',
+    ('subsample', 'ideal', 'int32'): '8d9e8d78304128d1d0456434c46c6db77d4c33c6edd40167b2017f14a18e0433',
+    ('subsample', 'ideal', 'q16'): 'aa2e25b40578a22bdb5259aff11de33b4d8296cd8fb7a413aba7e3213ed66cf2',
+    ('subsample', 'ideal', 'q7'): '183d15c78cd4e775973ba5d592627380bb9edd867fa743d51fa1881468df7dac',
+    ('subsample', 'awgn', 'float32'): '63285f0663cb6ab345917d312da1beb22369a4f4bcdbc9ef39806466b1c4574f',
+    ('subsample', 'awgn', 'int32'): 'e2681ccef4c037f9a179f33111ce5950080db2230e6018b93618b02220f12a41',
+    ('subsample', 'awgn', 'q16'): '7ea98955f050f50e934fd613f7083c9e0955f4cfdb475ea8ded6ec32d7b03c21',
+    ('subsample', 'awgn', 'q7'): '7344049f7c4c9dbea9ca7afb587e66cceef599918c72de3483728ef493656125',
+    ('subsample', 'bsc', 'float32'): 'a04aa408c8c48a24b798ebd3e1b955c3e50b56e24390424574415634a5eb9f59',
+    ('subsample', 'bsc', 'int32'): '22a6bc4cae9483af6b5f92581ac49caecc99283995ecd97cbb99943f01ec2177',
+    ('subsample', 'bsc', 'q16'): 'dd6fbecf2ca08969c06867cc0d8974b96522a92332379aebc023278e93bfad58',
+    ('subsample', 'bsc', 'q7'): '7e131fa9576af533c434a3c76b425c2b18aa843095b2ab2b7b3a4ee0463e8168',
+    ('subsample', 'packet_loss', 'float32'): 'd37b00e4c3bd9f6f59810d37622e53cf1cf13221df81c5050e86c186145bbac2',
+    ('subsample', 'packet_loss', 'int32'): 'f7147fa20dd0f725f6f7629fd2fa7d241070f2874f0121d10a00719bfddebd26',
+    ('subsample', 'packet_loss', 'q16'): '03d49fd11fdbad81881bd3447ec7e4a4ee980bf4c683aa9ec64d36b631d71755',
+    ('subsample', 'packet_loss', 'q7'): '83bc57c3f54c7571b2b36003666b3087d89ba98eb5db081b4e9473a4d00e0662',
+    ('sparsify', 'ideal', 'float32'): '248a545912280cbc6be65617066a899c2c290da380ce5d6d85a0efcc5e5d8a3a',
+    ('sparsify', 'ideal', 'int32'): '147edfe53bb93fee6fbbf3a9cad630d93563e7b6d4086e00d0acc2dc09ac62a7',
+    ('sparsify', 'ideal', 'q16'): '63ece24672b2a93a19c1c9cec7421d4f75395d21754543604d50caf15bf181c6',
+    ('sparsify', 'ideal', 'q7'): '69d06be107c5eb0ed976de4a3b87dc775292930443040e6062c913f1edc91be3',
+    ('sparsify', 'awgn', 'float32'): '42c4741b9339dfca93dc0515bed485d348459f29e11eb1fa0d677e4caa09acdb',
+    ('sparsify', 'awgn', 'int32'): '6d0a63798aeaf116fdaf3f30b1ce0dfadac02003ae8e0325b805d91bdc8f9d3a',
+    ('sparsify', 'awgn', 'q16'): 'f6b0c8e9275c0b9b5cdc6b0fd3d5b157e88a8a9a3283f7588b3c9faaf528c4a9',
+    ('sparsify', 'awgn', 'q7'): '97eb3248b9f841c4db209885e3d44c6cd13c5ba9027d6b52be65b4b25b2ad050',
+    ('sparsify', 'bsc', 'float32'): 'a771e3b4e8af08f20805cdad83e20efe7d4ac239c0450a94864579b120fd65a5',
+    ('sparsify', 'bsc', 'int32'): '8dca91ec82ac5d2cae43d0a20388ed4e3946a90c89fd08f8951b08a0efef0241',
+    ('sparsify', 'bsc', 'q16'): '5202359eb4dd9a48bf1d344b95bf6085a25938e5c5c843d6c69084bd6026c643',
+    ('sparsify', 'bsc', 'q7'): '02dcbf219e963dbb3e61fdd46d451680190d1589b1a21ea643ecf991335cccbb',
+    ('sparsify', 'packet_loss', 'float32'): '808eab0b5a260d554104486c467bf8ed5f9bdc5102f3598adbc4d3671b7fa8b0',
+    ('sparsify', 'packet_loss', 'int32'): '97cb600f387e70faf48bda056138beb96bb2ad746ba4e30e2a231ae7a7a0eb71',
+    ('sparsify', 'packet_loss', 'q16'): 'b1ffd9f9ba474a68e49bbe3407752823320041b4a3b7cd892abf0581be25fed9',
+    ('sparsify', 'packet_loss', 'q7'): '593b099bbefa3a58c6fb18ee008062f3e4c59fb30e954366c7b69d63290a72b1',
+}
+
+
+@pytest.mark.parametrize("strategy,chan,codec", CASES, ids=["-".join(c) for c in CASES])
+def test_results_match_recorded_digest(strategy, chan, codec):
+    assert digest(strategy, chan, codec) == EXPECTED[strategy, chan, codec]
+
+
+if __name__ == "__main__":
+    for case in CASES:
+        print(f"    {case!r}: {digest(*case)!r},")

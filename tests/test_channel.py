@@ -11,13 +11,13 @@ from hdfed.channel import (
     QuantizedModel,
     apply_channel,
     awgn_perturb,
-    bsc_flip,
+    corrupt_frame,
     corrupt_values,
     dequantize_model,
     deserialize_bits,
     mask_prototypes,
     packet_error_probability,
-    packetize_and_drop,
+    quantize_block,
     quantize_model,
     quantize_up,
     read_model_bytes,
@@ -26,6 +26,7 @@ from hdfed.channel import (
     write_model_bytes,
 )
 from hdfed.hdc import ClassPrototypes
+from test_wire import bsc_flip, packetize_and_drop  # the unpacked references
 
 
 def random_model(rng, k=3, d=16, float32=True):
@@ -237,6 +238,27 @@ class TestQuantizer:
         corrupted = corrupted_unsigned - 0x10000 if corrupted_unsigned >= 0x8000 else corrupted_unsigned
         assert abs(corrupted / original) <= 3.0
 
+    def test_subnormal_maximum_sends_zeros_at_gain_one(self):
+        # The gain (2^15 - 1) / 5e-324 overflows; the block is sent like an
+        # all-zero one instead of as +/-32767 at an infinite gain.
+        with np.errstate(all="raise"):
+            ints, gain = quantize_block(np.array([5e-324, -5e-324, 0.0]), 16)
+        assert ints.tolist() == [0, 0, 0] and gain == 1.0
+
+    @pytest.mark.parametrize(
+        "chan",
+        [dict(kind="bsc", bit_error_rate=0.0), dict(kind="packet_loss", packet_bits=8, packet_loss_prob=0.0)],
+        ids=["bsc", "packet_loss"],
+    )
+    def test_subnormal_row_crosses_a_bit_channel(self, chan):
+        codec = CodecConfig("quantized_int", bitwidth=16)
+        model = ClassPrototypes(np.array([[5e-324, -5e-324, 0.0], [1.0, -2.0, 3.0]]), np.zeros(2))
+        cfg = ChannelConfig(codec=codec, **chan)
+        frame = write_model_bytes(model, codec)
+        received, _ = read_model_bytes(corrupt_frame(frame, cfg, np.random.default_rng(0)))
+        assert np.array_equal(received.vectors[0], [0.0, 0.0, 0.0])
+        assert np.allclose(received.vectors[1], [1.0, -2.0, 3.0], atol=3.0 / 32767)
+
     def test_quantize_model_handles_zero_rows(self):
         model = ClassPrototypes(np.array([[0.0, 0.0], [1.0, -2.0]]), np.array([0, 2]))
         q = quantize_model(model, 8)
@@ -334,10 +356,9 @@ class TestApplyChannel:
         assert np.array_equal(ideal, values)
         noisy = corrupt_values(values, ChannelConfig(kind="awgn", snr_db=20.0), rng)
         assert noisy.shape == values.shape and not np.array_equal(noisy, values)
-        flipped = corrupt_values(
-            values, ChannelConfig(kind="bsc", bit_error_rate=0.0), rng
-        )
-        assert np.array_equal(flipped, values)
+        # Bit channels corrupt frames (corrupt_frame), never raw values.
+        with pytest.raises(ChannelConfigError):
+            corrupt_values(values, ChannelConfig(kind="bsc", bit_error_rate=0.0), rng)
 
 
 class TestPartialInformation:

@@ -56,6 +56,13 @@ class TestLoadDelimited:
         with pytest.raises(DataFormatError, match=":1:"):
             load_delimited(str(p))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e400"])
+    def test_non_finite_feature_reports_line(self, tmp_path, value):
+        p = tmp_path / "nonfinite.csv"
+        p.write_text(f"1,2,0\n3,4,1\n5,{value},1\n")
+        with pytest.raises(DataFormatError, match=r"nonfinite\.csv:3: non-finite"):
+            load_delimited(str(p))
+
     def test_header_skipped(self, tmp_path):
         p = tmp_path / "h.csv"
         p.write_text("f1,f2,label\n1,2,0\n")
@@ -94,6 +101,19 @@ class TestBinaryFormat:
         blob = open(path, "rb").read()
         open(path, "wb").write(blob[:-3])
         with pytest.raises(DataFormatError, match="size mismatch"):
+            load_binary(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_reports_byte_offset(self, tmp_path, value):
+        ds = Dataset(np.ones((3, 4)), np.zeros(3, dtype=int), 2)
+        path = str(tmp_path / "f.hdds")
+        save_binary(ds, path)
+        blob = bytearray(open(path, "rb").read())
+        offset = 18 + 4 * (1 * 4 + 2)  # row 1, feature 2
+        blob[offset : offset + 4] = np.float32(value).tobytes()
+        blob[offset + 8 : offset + 12] = np.float32(np.nan).tobytes()  # a later one
+        open(path, "wb").write(bytes(blob))
+        with pytest.raises(DataFormatError, match=f"non-finite feature at byte offset {offset}$"):
             load_binary(path)
 
     def test_bad_magic_rejected(self, tmp_path):

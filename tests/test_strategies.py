@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdfed.channel import ChannelConfig, CodecConfig, corrupt_signs, corrupt_values
+from hdfed.channel import (
+    ChannelConfig,
+    CodecConfig,
+    corrupt_frame,
+    corrupt_signs,
+    corrupt_values,
+    write_model_bytes,
+)
 from hdfed.hdc import ClassPrototypes, similarity
 from hdfed.strategies import (
     SparseClassModel,
@@ -14,6 +21,7 @@ from hdfed.strategies import (
     csc_decompress,
     deserialize_sign_matrix,
     deserialize_sparse,
+    deserialize_subsample,
     diff_apply,
     diff_binarize,
     serialize_sign_matrix,
@@ -212,7 +220,8 @@ class TestSparsify:
         sparse = sparsify(m, 0.0)
         codec = CodecConfig("float32")
         dense_bytes = 14 + 2 * 100 * 4
-        assert wire_bytes(sparse, StrategyConfig(kind="sparsify", sparsity=0.0), codec) >= dense_bytes
+        frame = serialize_sparse(sparse, codec)
+        assert wire_bytes(frame, StrategyConfig(kind="sparsify", sparsity=0.0), codec) >= dense_bytes
 
     def test_corrupt_index_ordering_rejected(self):
         sparse = SparseClassModel(
@@ -261,20 +270,21 @@ class TestSparsify:
 class TestWireBytes:
     def test_dense_float32_size(self):
         m = model_of(np.zeros((26, 10000)))
-        n = wire_bytes(m, StrategyConfig(), CodecConfig("float32"))
+        codec = CodecConfig("float32")
+        n = wire_bytes(write_model_bytes(m, codec), StrategyConfig(), codec)
         assert n == 14 + 26 * 10000 * 4
 
     def test_binary_diff_size(self):
         signs = np.ones((26, 10000))
-        n = wire_bytes(signs, StrategyConfig(kind="binary_diff"), CodecConfig())
+        n = wire_bytes(serialize_sign_matrix(signs), StrategyConfig(kind="binary_diff"), CodecConfig())
         assert n == 14 + -(-26 * 10000 // 8)
 
     def test_subsample_value_bytes_exactly_ten_percent(self):
         rng = np.random.default_rng(0)
         m = model_of(rng.standard_normal((4, 1000)))
         idx, val = subsample(m, 0.1, rng)
-        payload = SubsamplePayload(7, idx, val, (4, 1000))
-        n = wire_bytes(payload, StrategyConfig(kind="subsample", rate=0.1), CodecConfig())
+        frame = serialize_subsample(SubsamplePayload(7, idx, val, (4, 1000)), CodecConfig())
+        n = wire_bytes(frame, StrategyConfig(kind="subsample", rate=0.1), CodecConfig())
         overhead = 14 + 8 + 4  # header, stream key, count
         assert n - overhead == 400 * 4
         assert (n - overhead) * 10 == 4 * 1000 * 4
@@ -308,9 +318,9 @@ class TestWireBytes:
         rng = np.random.default_rng(3)
         m = model_of(rng.standard_normal((2, 100)))
         idx, val = subsample(m, 0.5, rng)
-        payload = SubsamplePayload(1, idx, val, (2, 100))
         codec = CodecConfig("quantized_int", bitwidth=16)
-        n = wire_bytes(payload, StrategyConfig(kind="subsample", rate=0.5), codec)
+        frame = serialize_subsample(SubsamplePayload(1, idx, val, (2, 100)), codec)
+        n = wire_bytes(frame, StrategyConfig(kind="subsample", rate=0.5), codec)
         # header 14 + key 8 + count 4 + gain 8 + 100 values at 16 bits
         assert n == 14 + 8 + 4 + 8 + 100 * 2
 
@@ -325,13 +335,21 @@ class TestChannelComposition:
             ChannelConfig(kind="bsc", bit_error_rate=0.01),
             ChannelConfig(kind="packet_loss", packet_bits=32, packet_loss_prob=0.2),
         ]
+        codec = CodecConfig()
         for cfg in channels:
             signs = diff_binarize(m, model_of(np.zeros((3, 64))))
-            out_signs = corrupt_signs(signs, cfg, rng)
-            assert out_signs.shape == signs.shape
             idx, val = subsample(m, 0.5, rng)
-            out_val = corrupt_values(val, cfg, rng)
-            assert out_val.shape == val.shape
             sparse = sparsify(m, 0.5)
-            for v in sparse.values:
-                assert corrupt_values(v, cfg, rng).shape == v.shape
+            if cfg.kind in ("ideal", "awgn"):  # raw values
+                assert corrupt_signs(signs, cfg, rng).shape == signs.shape
+                assert corrupt_values(val, cfg, rng).shape == val.shape
+                for v in sparse.values:
+                    assert corrupt_values(v, cfg, rng).shape == v.shape
+                continue
+            frame = serialize_sign_matrix(signs)
+            assert deserialize_sign_matrix(corrupt_frame(frame, cfg, rng)).shape == signs.shape
+            frame = serialize_subsample(SubsamplePayload(3, idx, val, (3, 64)), codec)
+            assert deserialize_subsample(corrupt_frame(frame, cfg, rng), codec, 0).values.shape == val.shape
+            frame = serialize_sparse(sparse, codec)
+            back = deserialize_sparse(corrupt_frame(frame, cfg, rng), codec)
+            assert [v.shape for v in back.values] == [v.shape for v in sparse.values]

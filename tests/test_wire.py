@@ -2,8 +2,10 @@
 
 * The packed codec and every bit channel agree, bit for bit, with the
   unpacked reference: serialize_bits -> bsc_flip / packetize_and_drop ->
-  deserialize_bits, drawn from the same seeded generator.
-* The bytes counted on the uplink are the bytes the channel corrupts.
+  deserialize_bits, drawn from the same seeded generator. Those two
+  references are defined here; the library corrupts packed frames only.
+* The bytes counted on the uplink are the bytes the channel corrupts and
+  the bytes the strategy's parser decodes, for every strategy.
 * The vectorized sparse uplink (partition select, one-pass frame codec,
   corruption of the frame's value bits) agrees, bit for bit, with the
   per-row and per-class references it replaced.
@@ -17,20 +19,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdfed import channel, strategies
+from hdfed import channel, federated, strategies
 from hdfed.channel import (
     HEADER_BYTES,
     ChannelConfig,
+    ChannelConfigError,
     CodecConfig,
     CodecError,
     apply_channel,
-    bsc_flip,
-    corrupt_signs,
-    corrupt_values,
+    corrupt_frame,
     deserialize_bits,
     frame_header,
     pack_words,
-    packetize_and_drop,
+    packet_error_probability,
     quantize_block,
     quantize_model,
     quantize_segments,
@@ -42,19 +43,24 @@ from hdfed.channel import (
 )
 from hdfed.federated import RoundConfig, partition_iid, run_training
 from hdfed.hdc import ClassPrototypes
+from hdfed.seeding import STREAM_STRATEGY, derived_rng
 from hdfed.strategies import (
     TAG_SPARSE,
+    TAG_SUBSAMPLE,
     SparseClassModel,
     SparseFormatError,
     StrategyConfig,
     StrategyConfigError,
-    corrupt_sparse,
+    SubsamplePayload,
     csc_decompress,
     deserialize_sign_matrix,
     deserialize_sparse,
+    deserialize_subsample,
     serialize_sign_matrix,
     serialize_sparse,
+    serialize_subsample,
     sparsify,
+    subsample,
     subsample_stream_key,
     wire_bytes,
 )
@@ -71,6 +77,47 @@ CHANNELS = st.sampled_from(
     + [dict(kind="packet_loss", packet_bits=b, packet_loss_prob=0.3) for b in (1, 8, 13, 100)]
     + [dict(kind="packet_loss", packet_bits=13, bit_error_rate=0.02)]
 )
+
+
+def bsc_flip(bits: np.ndarray, p_e: float, rng: np.random.Generator) -> np.ndarray:
+    """Flip each bit independently with probability p_e."""
+    if not 0.0 <= p_e <= 1.0:
+        raise ChannelConfigError(f"bit error rate {p_e} outside [0, 1]")
+    bits = np.asarray(bits, dtype=np.uint8)
+    flips = rng.random(bits.size) < p_e
+    return bits ^ flips.astype(np.uint8)
+
+
+def packetize_and_drop(
+    bits: np.ndarray,
+    packet_bits: int,
+    p_e: float,
+    rng: np.random.Generator,
+    packet_loss_prob: float | None = None,
+) -> tuple[np.ndarray, list[int]]:
+    """Split into packets of packet_bits and erase whole packets.
+
+    Each packet drops independently with 1 - (1 - p_e)^packet_bits, or with
+    packet_loss_prob when given directly. Dropped packets arrive zero-filled.
+    Returns the received bits and the dropped packet indices.
+    """
+    bits = np.asarray(bits, dtype=np.uint8)
+    p_drop = (
+        packet_loss_prob
+        if packet_loss_prob is not None
+        else packet_error_probability(p_e, packet_bits)
+    )
+    n_packets = -(-bits.size // packet_bits)  # ceil
+    received = bits.copy()
+    dropped: list[int] = []
+    if n_packets == 0:
+        return received, dropped
+    drops = rng.random(n_packets) < p_drop
+    for idx in np.flatnonzero(drops):
+        start = int(idx) * packet_bits
+        received[start : start + packet_bits] = 0
+        dropped.append(int(idx))
+    return received, dropped
 
 
 def reference_bits(values, codec):
@@ -91,6 +138,18 @@ def reference_channel(bits, cfg, rng):
         bits, cfg.packet_bits, cfg.bit_error_rate or 0.0, rng, cfg.packet_loss_prob
     )
     return received
+
+
+def reference_value_block(values, cfg, rng):
+    """One value block through the unpacked reference: quantized as one
+    block whose gain rides the reliable side, then bit by bit."""
+    values = np.asarray(values, dtype=np.float64)
+    codec, gain = cfg.codec, 1.0
+    if codec.representation == "quantized_int":
+        values, gain = quantize_block(values, codec.bitwidth)
+    bits = reference_channel(serialize_bits(values, codec), cfg, rng)
+    received = deserialize_bits(bits, codec, values.shape)
+    return scale_down(received, gain) if codec.representation == "quantized_int" else received
 
 
 def codec_values(rng, codec, shape):
@@ -184,28 +243,26 @@ class TestChannelEquivalence:
 
     @given(codec=CODECS, chan=CHANNELS, seed=st.integers(0, 2**32 - 1), n=st.integers(0, 90))
     @settings(max_examples=150, deadline=None)
-    def test_corrupt_values_matches_unpacked_reference(self, codec, chan, seed, n):
+    def test_subsample_frame_matches_unpacked_reference(self, codec, chan, seed, n):
         cfg = ChannelConfig(codec=codec, **chan)
         values = codec_values(np.random.default_rng(seed), codec, n)
-        got = corrupt_values(values, cfg, np.random.default_rng(seed + 1))
-        if n == 0:
-            assert got.size == 0
-            return
-        gain = 1.0
-        if codec.representation == "quantized_int":
-            values, gain = quantize_block(values, codec.bitwidth)
-        bits = reference_channel(serialize_bits(values, codec), cfg, np.random.default_rng(seed + 1))
-        expected = deserialize_bits(bits, codec, (n,))
-        if codec.representation == "quantized_int":
-            expected = scale_down(expected, gain)
-        assert same_bits(got, expected)
+        key = subsample_stream_key(seed % 7, seed % 5)
+        sent = serialize_subsample(SubsamplePayload(key, np.arange(n), values, (3, 30)), codec)
+        arrived = corrupt_frame(sent, cfg, np.random.default_rng(seed + 1))
+        got = deserialize_subsample(arrived, codec, seed=11)
+        expected = reference_value_block(values, cfg, np.random.default_rng(seed + 1))
+        assert same_bits(got.values, expected)
+        # The indices are the client's draw for this key, regenerated.
+        rng = derived_rng(11, STREAM_STRATEGY, seed % 7, seed % 5)
+        assert np.array_equal(got.indices, np.sort(rng.choice(90, size=n, replace=False)))
 
     @given(chan=CHANNELS, seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4), d=st.integers(1, 40))
     @settings(max_examples=100, deadline=None)
-    def test_corrupt_signs_matches_unpacked_reference(self, chan, seed, k, d):
+    def test_sign_frame_matches_unpacked_reference(self, chan, seed, k, d):
         cfg = ChannelConfig(**chan)
         signs = np.where(np.random.default_rng(seed).random((k, d)) < 0.5, 1.0, -1.0)
-        got = corrupt_signs(signs, cfg, np.random.default_rng(seed + 1))
+        arrived = corrupt_frame(serialize_sign_matrix(signs), cfg, np.random.default_rng(seed + 1))
+        got = deserialize_sign_matrix(arrived)
         bits = (signs.reshape(-1) > 0).astype(np.uint8)
         bits = reference_channel(bits, cfg, np.random.default_rng(seed + 1))
         assert same_bits(got, np.where(bits == 1, 1.0, -1.0).reshape(k, d))
@@ -261,8 +318,9 @@ def reference_sparse_frame(sparse, codec):
 
 
 def reference_sparse_uplink(sparse, cfg, rng):
-    """The per-class corrupt_values loop that the frame path replaced."""
-    values = [corrupt_values(v, cfg, rng) for v in sparse.values]
+    """Each class's values through the unpacked reference in turn, the
+    per-class loop that the frame path replaced."""
+    values = [reference_value_block(v, cfg, rng) for v in sparse.values]
     return csc_decompress(SparseClassModel(sparse.indices, values, sparse.shape, sparse.counts))
 
 
@@ -372,7 +430,7 @@ class TestSparseUplink:
         cfg = ChannelConfig(codec=codec, **chan)
         sparse = sparsify(sparse_input(np.random.default_rng(seed), codec, k, d, kind), sparsity)
         frame = serialize_sparse(sparse, codec)
-        arrived = corrupt_sparse(frame, cfg, np.random.default_rng(seed + 1))
+        arrived = corrupt_frame(frame, cfg, np.random.default_rng(seed + 1))
         received = deserialize_sparse(arrived, codec)
         expected = reference_sparse_uplink(sparse, cfg, np.random.default_rng(seed + 1))
         assert same_bits(csc_decompress(received).vectors, expected.vectors)
@@ -429,7 +487,7 @@ class TestSparseUplink:
         sparse.indices[1], sparse.values[1] = np.zeros(0, dtype=np.int64), np.zeros(0)
         sent = serialize_sparse(sparse, codec)
         cfg = ChannelConfig(codec=codec, **chan)
-        received = corrupt_sparse(sent, cfg, np.random.default_rng(0))
+        received = corrupt_frame(sent, cfg, np.random.default_rng(0))
         exposed = value_bit_mask(sent, codec)
         before, after = frame_bits(sent), frame_bits(received)
         assert exposed.any()
@@ -450,11 +508,11 @@ class TestSparseUplink:
         )[kind]
         corrupted = []
 
-        def spy(blob, cfg, rng):
-            corrupted.append(len(blob))
-            return corrupt_sparse(blob, cfg, rng)
+        def spy(frame, cfg, rng):
+            corrupted.append(len(frame))
+            return corrupt_frame(frame, cfg, rng)
 
-        monkeypatch.setattr(strategies, "corrupt_sparse", spy)
+        monkeypatch.setattr(federated, "corrupt_frame", spy)
         rng = np.random.default_rng(0)
         hvs, labels = rng.standard_normal((60, 64)), rng.integers(0, 3, size=60)
         cfg = RoundConfig(num_clients=3, participation=1.0, rounds=2, seed=1)
@@ -475,6 +533,23 @@ class TestSparseUplink:
         assert wire_bytes(frame, StrategyConfig(kind="sparsify", sparsity=0.5), codec) == len(frame)
         with pytest.raises(StrategyConfigError):
             wire_bytes(frame, StrategyConfig(), codec)
+        with pytest.raises(TypeError):  # only serialized frames are sized
+            wire_bytes(sparse, StrategyConfig(kind="sparsify", sparsity=0.5), codec)
+
+
+STRATEGY_CASES = [
+    StrategyConfig(),
+    StrategyConfig(kind="binary_diff"),
+    StrategyConfig(kind="subsample", rate=0.3),
+    StrategyConfig(kind="sparsify", sparsity=0.8),
+]
+# Each strategy's server-side parser, at the name the uplink looks it up.
+PARSERS = [
+    (federated, "read_model_bytes"),
+    (strategies, "deserialize_sign_matrix"),
+    (strategies, "deserialize_subsample"),
+    (strategies, "deserialize_sparse"),
+]
 
 
 def received_frame(model, cfg, monkeypatch):
@@ -497,7 +572,7 @@ class TestCountedBytesAreCorrupted:
         model = model_for(np.random.default_rng(0), codec, 3, 11)
         cfg = ChannelConfig(kind="bsc", bit_error_rate=1e-3, codec=codec)
         received = received_frame(model, cfg, monkeypatch)
-        assert len(received) == wire_bytes(model, StrategyConfig(), codec)
+        assert len(received) == wire_bytes(write_model_bytes(model, codec), StrategyConfig(), codec)
 
     @pytest.mark.parametrize("codec", CODEC_CASES, ids=lambda c: f"{c.representation}{c.bitwidth}")
     def test_rate_one_flips_every_payload_bit_and_nothing_else(self, codec, monkeypatch):
@@ -524,6 +599,50 @@ class TestCountedBytesAreCorrupted:
         assert received[:protected] == write_model_bytes(model, codec)[:protected]
         assert not any(received[protected:])
 
+    @pytest.mark.parametrize("strategy", STRATEGY_CASES, ids=lambda s: s.kind)
+    @pytest.mark.parametrize(
+        "chan",
+        [
+            dict(kind="bsc", bit_error_rate=0.01),
+            dict(kind="packet_loss", packet_bits=13, packet_loss_prob=0.2),
+        ],
+        ids=["bsc", "packet_loss"],
+    )
+    def test_every_strategy_parses_the_counted_bytes_as_corrupted(self, strategy, chan, monkeypatch):
+        counted, corrupted, arrived, parsed = [], [], [], []
+
+        def spy(fn, log, out=None):
+            """Log the bytes fn receives (and, with out, what it returns)."""
+
+            def wrapped(*args, **kwargs):
+                log.append(bytes(args[0]))
+                result = fn(*args, **kwargs)
+                if out is not None:
+                    out.append(bytes(result))
+                return result
+
+            return wrapped
+
+        monkeypatch.setattr(strategies, "wire_bytes", spy(strategies.wire_bytes, counted))
+        monkeypatch.setattr(
+            federated, "corrupt_frame", spy(federated.corrupt_frame, corrupted, out=arrived)
+        )
+        for module, name in PARSERS:
+            monkeypatch.setattr(module, name, spy(getattr(module, name), parsed))
+        rng = np.random.default_rng(0)
+        hvs, labels = rng.standard_normal((60, 32)), rng.integers(0, 3, size=60)
+        cfg = RoundConfig(num_clients=3, participation=1.0, rounds=2, seed=1)
+        codec = CodecConfig("quantized_int", bitwidth=9)
+        _, records = run_training(
+            hvs, labels, hvs, labels, 3, partition_iid(60, 3, seed=1), cfg,
+            ChannelConfig(codec=codec, **chan), strategy,
+        )
+        assert len(counted) == 6
+        assert corrupted == counted
+        assert parsed == arrived
+        assert [len(p) for p in parsed] == [len(c) for c in counted]
+        assert sum(r.uplink_bytes for r in records) == sum(len(c) for c in counted)
+
 
 class TestParsersFailClosed:
     def sign_frame(self):
@@ -533,6 +652,37 @@ class TestParsersFailClosed:
     def sparse_frame(self, codec):
         values = np.random.default_rng(1).standard_normal((3, 30))
         return serialize_sparse(sparsify(ClassPrototypes(values, np.zeros(3)), 0.5), codec)
+
+    def subsample_frame(self, codec):
+        model = ClassPrototypes(np.random.default_rng(2).standard_normal((3, 30)), np.zeros(3))
+        indices, values = subsample(model, 0.4, np.random.default_rng(0))
+        return serialize_subsample(SubsamplePayload(9, indices, values, (3, 30)), codec)
+
+    @pytest.mark.parametrize(
+        "codec",
+        [CodecConfig("float32"), CodecConfig("quantized_int", bitwidth=5)],
+        ids=["float32", "quantized5"],
+    )
+    def test_every_truncation_of_a_subsample_frame(self, codec):
+        blob = self.subsample_frame(codec)
+        assert deserialize_subsample(blob, codec, seed=0).values.size == 36
+        for cut in range(len(blob)):
+            with pytest.raises(SparseFormatError):
+                deserialize_subsample(blob[:cut], codec, seed=0)
+
+    def test_subsample_count_above_model_size_rejected(self):
+        codec = CodecConfig("float32")
+        blob = self.subsample_frame(codec)
+        with pytest.raises(SparseFormatError):
+            deserialize_subsample(frame_header(3, 10, TAG_SUBSAMPLE) + blob[HEADER_BYTES:], codec, 0)
+
+    @pytest.mark.parametrize("gain", [0.0, -1.0, np.inf, np.nan])
+    def test_subsample_bad_gain_rejected(self, gain):
+        codec = CodecConfig("quantized_int", bitwidth=8)
+        blob = bytearray(self.subsample_frame(codec))
+        struct.pack_into("<d", blob, HEADER_BYTES + 12, gain)
+        with pytest.raises(SparseFormatError):
+            deserialize_subsample(bytes(blob), codec, seed=0)
 
     def test_truncated_sign_frame_header(self):
         with pytest.raises(SparseFormatError):
@@ -602,7 +752,7 @@ class TestParsersFailClosed:
                 read_model_bytes(blob[:cut])
 
     @given(
-        which=st.sampled_from(["model", "sparse", "sign"]),
+        which=st.sampled_from(["model", "sparse", "sign", "subsample"]),
         edits=st.lists(st.tuples(st.integers(0, 10_000), st.integers(0, 255)), max_size=6),
         cut=st.integers(0, 10_000),
     )
@@ -615,9 +765,12 @@ class TestParsersFailClosed:
         elif which == "sparse":
             blob = self.sparse_frame(codec)
             parse, error = (lambda b: deserialize_sparse(b, codec)), SparseFormatError
-        else:
+        elif which == "sign":
             blob = self.sign_frame()
             parse, error = deserialize_sign_matrix, SparseFormatError
+        else:
+            blob = self.subsample_frame(codec)
+            parse, error = (lambda b: deserialize_subsample(b, codec, 0)), SparseFormatError
         mutated = bytearray(blob)
         for pos, value in edits:
             mutated[pos % len(mutated)] = value
