@@ -111,16 +111,29 @@ def load_delimited(path: str, has_header: bool = False, split: str = "train") ->
 
 
 def save_binary(dataset: Dataset, path: str) -> None:
-    """Write the HDDS binary form (float32 features, uint16 labels)."""
+    """Write the HDDS binary form (float32 features, uint16 labels).
+
+    Raises DataFormatError, before writing anything, for labels above the
+    16-bit range or features that are not finite as float32 (beyond its
+    range they would be written as infinities load_binary refuses).
+    """
     if int(dataset.labels.max(initial=0)) > _MAX_LABEL:
         raise DataFormatError("labels exceed the 16-bit storage range")
+    with np.errstate(over="ignore"):
+        features = dataset.features.astype("<f4")
+    bad = np.argwhere(~np.isfinite(features))
+    if bad.size:
+        row, col = bad[0].tolist()
+        raise DataFormatError(
+            f"feature [{row}, {col}] = {dataset.features[row, col]} is not finite as float32"
+        )
     n, m = dataset.features.shape
     header = HDDS_MAGIC + struct.pack(
         "<BIIIB", HDDS_VERSION, n, m, dataset.num_classes, _DTYPE_FLOAT32
     )
     with open(path, "wb") as f:
         f.write(header)
-        f.write(dataset.features.astype("<f4").tobytes())
+        f.write(features.tobytes())
         f.write(dataset.labels.astype("<u2").tobytes())
 
 

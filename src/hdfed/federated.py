@@ -196,12 +196,10 @@ def local_update(
     if client.hvs.shape[0] == 0 or cfg.local_epochs == 0:
         return global_model.copy()
     rng = derived_rng(cfg.seed, STREAM_LOCAL, round_index, client.client_id)
-    model = global_model.copy()
+    model = global_model  # retrain_epoch returns a new model; the broadcast is never written
     for _ in range(cfg.local_epochs):
         order = _batched_order(client.hvs.shape[0], cfg.local_batch, rng)
-        model, _ = retrain_epoch(
-            model, client.hvs[order], client.labels[order], cfg.learning_rate
-        )
+        model, _ = retrain_epoch(model, client.hvs, client.labels, cfg.learning_rate, order)
     return model
 
 
@@ -257,10 +255,13 @@ def decaying_learning_rate(mu: float, gamma: float, t: int) -> float:
 def _client_states(
     hvs: np.ndarray, labels: np.ndarray, partition: Partition
 ) -> list[ClientState]:
-    return [
-        ClientState(cid, hvs[idx], labels[idx])
-        for cid, idx in enumerate(partition.assignments)
-    ]
+    """Each client's rows as one contiguous block of a single copy in
+    partition order: one gather to build and one buffer to free when
+    training ends, not one copy per client."""
+    cuts = np.cumsum([len(idx) for idx in partition.assignments])[:-1]
+    rows = np.concatenate(partition.assignments)
+    blocks = zip(np.split(hvs[rows], cuts), np.split(labels[rows], cuts))
+    return [ClientState(cid, h, y) for cid, (h, y) in enumerate(blocks)]
 
 
 class _Uplink:

@@ -12,6 +12,7 @@ explicitly, so values can be shared freely across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,33 +249,64 @@ def retrain_epoch(
     hvs: np.ndarray,
     labels: np.ndarray,
     alpha: float,
+    order: np.ndarray | None = None,
 ) -> tuple[ClassPrototypes, int]:
-    """One correction pass over the samples in the given order.
+    """One correction pass over the samples, in ``order`` if given.
 
     Each mispredicted sample is added (scaled by alpha) to its true class
     prototype and subtracted from the predicted one. Counts are untouched.
-    Returns the updated prototypes and the number of corrections made.
+    ``order`` is a permutation of ``range(len(hvs))`` naming the sample to
+    visit at each step; the pass reads rows of ``hvs`` in place, so
+    ``retrain_epoch(p, hvs, labels, a, order)`` equals
+    ``retrain_epoch(p, hvs[order], labels[order], a)`` bit for bit without
+    the copy. ``None`` visits the samples as stored. Returns the updated
+    prototypes and the number of corrections made.
     """
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    hvs = np.asarray(hvs, dtype=np.float64)
+    hvs = np.ascontiguousarray(hvs, dtype=np.float64)  # rows score like a gathered copy's
     labels = np.asarray(labels)
     if hvs.ndim != 2 or hvs.shape[1] != prototypes.hd_dim:
         raise DimensionError("sample dimension does not match prototypes")
+    n = hvs.shape[0]
+    if labels.shape != (n,):
+        raise DimensionError("labels must align with samples")
+    if order is None:
+        steps = range(n)
+    else:
+        order = np.asarray(order)
+        if order.shape != (n,) or not np.array_equal(np.sort(order), np.arange(n)):
+            raise ValueError(f"order must be a permutation of range({n})")
+        steps = order.tolist()
+    labels = labels.tolist()
     vectors = prototypes.vectors.copy()
+    # Divisors and the zero-norm mask are built once and refreshed only for
+    # the two classes a mistake changes. The refresh uses the dot product
+    # that np.linalg.norm computes for a 1-D vector, so every score is the
+    # same float as when they were rebuilt for each sample.
     norms = _prototype_norms(vectors)
+    zero = norms == 0.0
+    safe = np.where(zero, 1.0, norms)
+    any_zero = bool(zero.any())
     mistakes = 0
-    for h, label in zip(hvs, labels):
+    for i in steps:
+        h = hvs[i]
         sims = vectors @ h
-        safe = np.where(norms == 0.0, 1.0, norms)
-        sims = sims / safe
-        sims[norms == 0.0] = 0.0
-        pred = int(np.argmax(sims))
+        sims /= safe
+        if any_zero:
+            sims[zero] = 0.0
+        pred = int(sims.argmax())
+        label = labels[i]
         if pred != label:
-            vectors[label] += alpha * h
-            vectors[pred] -= alpha * h
-            norms[label] = np.linalg.norm(vectors[label])
-            norms[pred] = np.linalg.norm(vectors[pred])
+            step = alpha * h
+            vectors[label] += step
+            vectors[pred] -= step
+            for c in (label, pred):
+                v = vectors[c]
+                norm = math.sqrt(v @ v)
+                zero[c] = norm == 0.0
+                safe[c] = 1.0 if norm == 0.0 else norm
+            any_zero = bool(zero.any())
             mistakes += 1
     return ClassPrototypes(vectors, prototypes.counts.copy()), mistakes
 

@@ -359,8 +359,9 @@ def deserialize_sparse(blob: bytes, codec: CodecConfig) -> SparseClassModel:
     """Parse a sparse frame back into indices and values (counts are zero).
 
     Raises SparseFormatError on a truncated frame, a count above d, a
-    non-positive gain, or an index outside [0, d), before allocating
-    anything the blob cannot hold. All classes are unpacked in one pass.
+    non-positive or non-finite gain, or an index outside [0, d), before
+    allocating anything the blob cannot hold. All classes are unpacked in
+    one pass.
     """
     k, d, _ = parse_frame_header(blob, SparseFormatError, TAG_SPARSE)
     if len(blob) < HEADER_BYTES + 4 * k:
@@ -376,7 +377,8 @@ def deserialize_sparse(blob: bytes, codec: CodecConfig) -> SparseClassModel:
                 (gain,) = struct.unpack_from("<d", blob, offset)
                 offset += 8
             n_bytes = -(-count * width // 8)
-            if count > d or not gain > 0.0 or len(blob) < offset + n_bytes:
+            bad_gain = not (gain > 0.0 and np.isfinite(gain))
+            if count > d or bad_gain or len(blob) < offset + n_bytes:
                 raise SparseFormatError(f"class {row}: bad count {count} or gain {gain}")
             counts.append(count)
             gains.append(gain)

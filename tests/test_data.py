@@ -1,5 +1,9 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdfed.data import (
     DataFormatError,
@@ -122,13 +126,44 @@ class TestBinaryFormat:
         with pytest.raises(DataFormatError, match="magic"):
             load_binary(path)
 
+    @pytest.mark.parametrize("value", [1e39, -1e39, np.inf, np.nan])
+    def test_feature_not_finite_as_float32_rejected_before_writing(self, tmp_path, value):
+        ds = Dataset(np.array([[1.0, value], [2.0, 3.0]]), np.array([0, 1]), 2)
+        path = tmp_path / "big.hdds"
+        with pytest.raises(DataFormatError, match=r"feature \[0, 1\]"):
+            save_binary(ds, str(path))
+        assert not path.exists()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda m: st.lists(
+                st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=m, max_size=m),
+                min_size=1,
+                max_size=5,
+            )
+        )
+    )
+    def test_every_written_file_loads_back(self, tmp_path_factory, rows):
+        features = np.array(rows)
+        ds = Dataset(features, np.arange(features.shape[0]) % 2, 2)
+        path = str(tmp_path_factory.mktemp("hdds") / "d.hdds")
+        try:
+            save_binary(ds, path)
+        except DataFormatError:
+            assert not os.path.exists(path)
+            with np.errstate(over="ignore"):
+                assert not np.all(np.isfinite(features.astype(np.float32)))
+            return
+        back = load_binary(path)
+        assert np.array_equal(back.features, features.astype(np.float32).astype(np.float64))
+        assert np.array_equal(back.labels, ds.labels)
+
     def test_file_size_formula(self, tmp_path):
         # header is 18 bytes; features 4 bytes each; labels 2 bytes each
         ds = Dataset(np.ones((50, 100)), np.zeros(50, dtype=int), 2)
         path = str(tmp_path / "s.hdds")
         save_binary(ds, path)
-        import os
-
         assert os.path.getsize(path) == 18 + 50 * 100 * 4 + 50 * 2
 
 

@@ -7,6 +7,8 @@ from hdfed.federated import (
     ClientState,
     Partition,
     RoundConfig,
+    _batched_order,
+    _client_states,
     aggregate_sum,
     aggregate_weighted,
     decaying_learning_rate,
@@ -26,6 +28,7 @@ from hdfed.hdc import (
     predict_batch,
     retrain_epoch,
 )
+from hdfed.seeding import STREAM_LOCAL, derived_rng
 from hdfed.strategies import StrategyConfig
 
 
@@ -113,6 +116,19 @@ class TestSampleClients:
         assert sample_clients(10, 0.01, 0, seed=0).size == 1
 
 
+class TestClientStates:
+    def test_each_client_holds_its_rows_in_assignment_order(self):
+        rng = np.random.default_rng(0)
+        hvs, labels = rng.standard_normal((7, 5)), rng.integers(0, 3, size=7)
+        assignments = [np.array([4, 0, 6]), np.array([], dtype=np.int64), np.array([2, 1, 5, 3])]
+        clients = _client_states(hvs, labels, Partition(assignments, np.array([0.4, 0.0, 0.6])))
+        assert [c.client_id for c in clients] == [0, 1, 2]
+        for client, idx in zip(clients, assignments):
+            assert np.array_equal(client.hvs, hvs[idx])
+            assert np.array_equal(client.labels, labels[idx])
+            assert client.hvs.flags.c_contiguous and client.hvs.shape == (len(idx), 5)
+
+
 class TestLocalUpdate:
     def make_client(self, seed=0, n=12, d=16, k=2):
         rng = np.random.default_rng(seed)
@@ -153,6 +169,27 @@ class TestLocalUpdate:
         out = local_update(client, g, cfg, round_index=0)
         expected, _ = retrain_epoch(g, client.hvs, client.labels, alpha=1.0)
         assert np.array_equal(out.vectors, expected.vectors)
+
+    @pytest.mark.parametrize("epochs", [1, 2])
+    def test_batched_epochs_equal_retrain_on_gathered_rows(self, epochs):
+        # local_update walks each epoch's order over the client's rows in
+        # place; the result is the retrain of the gathered copy, bit for bit.
+        client = self.make_client(seed=4, n=37, d=64, k=4)
+        g = ClassPrototypes(np.random.default_rng(1).standard_normal((4, 64)), np.ones(4, int))
+        cfg = RoundConfig(
+            num_clients=1, participation=1.0, local_epochs=epochs, local_batch=10,
+            learning_rate=0.7, rounds=3, seed=9,
+        )
+        before = g.vectors.copy()
+        out = local_update(client, g, cfg, round_index=2)
+        rng = derived_rng(cfg.seed, STREAM_LOCAL, 2, client.client_id)
+        expected = g
+        for _ in range(epochs):
+            order = _batched_order(37, 10, rng)
+            assert not np.array_equal(order, np.arange(37))
+            expected, _ = retrain_epoch(expected, client.hvs[order], client.labels[order], 0.7)
+        assert np.array_equal(out.vectors.view(np.uint64), expected.vectors.view(np.uint64))
+        assert np.array_equal(g.vectors, before)
 
     def test_client_state_holds_no_model_copy(self):
         client = self.make_client()

@@ -255,6 +255,119 @@ class TestRetrainEpoch:
         assert np.array_equal(protos.vectors, before)
 
 
+def reference_retrain_epoch(prototypes, hvs, labels, alpha):
+    """The per-sample loop as first written: norms, divisors and the
+    zero-norm mask rebuilt for every sample, samples in stored order."""
+    vectors = prototypes.vectors.copy()
+    norms = np.linalg.norm(vectors, axis=1)
+    mistakes = 0
+    for h, label in zip(hvs, labels):
+        sims = vectors @ h
+        safe = np.where(norms == 0.0, 1.0, norms)
+        sims = sims / safe
+        sims[norms == 0.0] = 0.0
+        pred = int(np.argmax(sims))
+        if pred != label:
+            vectors[label] += alpha * h
+            vectors[pred] -= alpha * h
+            norms[label] = np.linalg.norm(vectors[label])
+            norms[pred] = np.linalg.norm(vectors[pred])
+            mistakes += 1
+    return ClassPrototypes(vectors, prototypes.counts.copy()), mistakes
+
+
+@st.composite
+def retrain_cases(draw):
+    """Small retraining problems: K in 2..6, small d, alpha often not 1;
+    integral data (exact ties) or gaussian; a zero, partly zero or random
+    starting model."""
+    k, d, n = draw(st.integers(2, 6)), draw(st.integers(1, 12)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        hvs = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+        vectors = rng.integers(-3, 4, size=(k, d)).astype(np.float64)
+    else:
+        hvs = rng.standard_normal((n, d))
+        vectors = rng.standard_normal((k, d))
+    start = draw(st.sampled_from(["zero", "one_zero_class", "random"]))
+    if start == "zero":
+        vectors[:] = 0.0
+    elif start == "one_zero_class":
+        vectors[draw(st.integers(0, k - 1))] = 0.0
+    alpha = draw(st.sampled_from([1.0, 0.5, 0.3, 2.5, 1e-3]))
+    labels = rng.integers(0, k, size=n)
+    model = ClassPrototypes(vectors, rng.integers(0, 5, size=k))
+    return model, hvs, labels, alpha, rng.permutation(n)
+
+
+class TestRetrainEquivalence:
+    """retrain_epoch keeps the reference loop's float operations, so models
+    match it bit for bit, whatever the order argument."""
+
+    @staticmethod
+    def assert_same(got, want):
+        (model, mistakes), (ref_model, ref_mistakes) = got, want
+        assert mistakes == ref_mistakes
+        assert np.array_equal(model.vectors.view(np.uint64), ref_model.vectors.view(np.uint64))
+        assert np.array_equal(model.counts, ref_model.counts)
+
+    @settings(max_examples=300, deadline=None)
+    @given(retrain_cases())
+    def test_matches_reference_bitwise(self, case):
+        model, hvs, labels, alpha, order = case
+        inputs = [model.vectors, model.counts, hvs, labels, order]
+        before = [a.copy() for a in inputs]
+        stored = reference_retrain_epoch(model, hvs, labels, alpha)
+        self.assert_same(retrain_epoch(model, hvs, labels, alpha), stored)
+        self.assert_same(retrain_epoch(model, hvs, labels, alpha, None), stored)
+        walked = reference_retrain_epoch(model, hvs[order], labels[order], alpha)
+        self.assert_same(retrain_epoch(model, hvs, labels, alpha, order), walked)
+        self.assert_same(retrain_epoch(model, hvs[order], labels[order], alpha), walked)
+        for a, b in zip(inputs, before):
+            assert np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3000), st.integers(0, 2**32 - 1), st.sampled_from([1e-300, 1.0, 1e150]))
+    def test_dot_norm_is_numpy_norm_bitwise(self, d, seed, scale):
+        v = np.random.default_rng(seed).standard_normal(d) * scale
+        assert np.float64(math.sqrt(v @ v)).view(np.uint64) == np.linalg.norm(v).view(np.uint64)
+
+    def test_epoch_from_a_zero_model_on_real_encodings(self):
+        phi = make_projection(16, 2000, seed=3)
+        rng = np.random.default_rng(5)
+        hvs = encode_batch(phi, rng.standard_normal((150, 16)))
+        labels = rng.integers(0, 10, size=150)
+        model = ClassPrototypes.zeros(10, 2000)
+        order = rng.permutation(150)
+        got = retrain_epoch(model, hvs, labels, 1.0, order)
+        self.assert_same(got, reference_retrain_epoch(model, hvs[order], labels[order], 1.0))
+        assert got[1] > 0
+
+    def test_class_zeroed_by_a_mistake_scores_zero_against_a_non_finite_sample(self):
+        # The first sample empties class 0; against the second, its 0 * inf
+        # would score NaN, which argmax picks, if class 0 were not masked.
+        protos = ClassPrototypes(np.eye(2), np.array([1, 1]))
+        hvs, labels = np.array([[1.0, 0.0], [np.inf, 0.0]]), np.array([1, 1])
+        with np.errstate(invalid="ignore"):
+            got = retrain_epoch(protos, hvs, labels, 1.0)
+            want = reference_retrain_epoch(protos, hvs, labels, 1.0)
+        assert got[1] == 1
+        self.assert_same(got, want)
+
+    @pytest.mark.parametrize(
+        "order", [[0, 1], [0, 1, 1], [0, 2, 1, 3], [-1, 0, 1], [[0, 1, 2]]], ids=str
+    )
+    def test_order_must_be_a_permutation(self, order):
+        protos = ClassPrototypes(np.eye(2), np.array([1, 1]))
+        with pytest.raises(ValueError, match="permutation"):
+            retrain_epoch(protos, np.ones((3, 2)), np.array([0, 1, 0]), 1.0, np.array(order))
+
+    def test_labels_must_align_with_samples(self):
+        protos = ClassPrototypes(np.eye(2), np.array([1, 1]))
+        with pytest.raises(DimensionError):
+            retrain_epoch(protos, np.ones((3, 2)), np.array([0, 1]), 1.0)
+
+
 class TestBinaryRetrain:
     def test_zero_dot_product_triggers_update(self):
         w = binary_retrain(np.zeros(2), np.array([[1.0, 2.0]]), np.array([1.0]), eta=1.0)

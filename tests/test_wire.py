@@ -724,10 +724,11 @@ class TestParsersFailClosed:
         with pytest.raises(SparseFormatError):
             deserialize_sparse(frame_header(2, 3, TAG_SPARSE) + blob[HEADER_BYTES:], codec)
 
-    def test_sparse_non_positive_gain_rejected(self):
+    @pytest.mark.parametrize("gain", [0.0, -1.0, np.inf, np.nan])
+    def test_sparse_bad_gain_rejected(self, gain):
         codec = CodecConfig("quantized_int", bitwidth=8)
         blob = bytearray(self.sparse_frame(codec))
-        struct.pack_into("<d", blob, HEADER_BYTES + 4, 0.0)  # first class gain
+        struct.pack_into("<d", blob, HEADER_BYTES + 4, gain)  # first class gain
         with pytest.raises(SparseFormatError):
             deserialize_sparse(bytes(blob), codec)
 
