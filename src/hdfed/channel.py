@@ -318,11 +318,6 @@ def quantize_model(model: ClassPrototypes, bitwidth: int) -> QuantizedModel:
     return QuantizedModel(integers.reshape(k, d), gains, bitwidth)
 
 
-def dequantize_model(quantized: QuantizedModel, counts: np.ndarray) -> ClassPrototypes:
-    vectors = quantized.integers.astype(np.float64) / quantized.gains[:, None]
-    return ClassPrototypes(vectors, np.asarray(counts, dtype=np.int64).copy())
-
-
 # ---------------------------------------------------------------------------
 # Frames and the bit channels
 

@@ -247,11 +247,6 @@ def aggregate_sum(models: list[ClassPrototypes]) -> ClassPrototypes:
     return ClassPrototypes(vectors, counts)
 
 
-def decaying_learning_rate(mu: float, gamma: float, t: int) -> float:
-    """Schedule 2 / (mu * (gamma + t)), used by the convergence-rate checks."""
-    return 2.0 / (mu * (gamma + t))
-
-
 def _client_states(
     hvs: np.ndarray, labels: np.ndarray, partition: Partition
 ) -> list[ClientState]:

@@ -199,10 +199,13 @@ def _prototype_norms(vectors: np.ndarray) -> np.ndarray:
 
 
 def _similarity_matrix(vectors: np.ndarray, norms: np.ndarray, hs: np.ndarray) -> np.ndarray:
-    sims = hs @ vectors.T
-    safe = np.where(norms == 0.0, 1.0, norms)
-    sims /= safe
-    sims[:, norms == 0.0] = 0.0
+    """Class-major (K, n) scores: at K=10 the gemm takes about half the time
+    of the (n, K) one. Queries are scored as C-ordered rows: a Fortran-ordered
+    matrix takes another gemm kernel, whose sums can differ in the last bit."""
+    sims = vectors @ np.ascontiguousarray(hs).T
+    zero = norms == 0.0
+    sims /= np.where(zero, 1.0, norms)[:, None]
+    sims[zero] = 0.0
     return sims
 
 
@@ -214,7 +217,7 @@ def predict_batch(prototypes: ClassPrototypes, hs: np.ndarray) -> np.ndarray:
             f"expected (n, {prototypes.hd_dim}) queries, got shape {hs.shape}"
         )
     sims = _similarity_matrix(prototypes.vectors, _prototype_norms(prototypes.vectors), hs)
-    return np.argmax(sims, axis=1)
+    return np.argmax(sims, axis=0)
 
 
 def predict(prototypes: ClassPrototypes, h: np.ndarray) -> int:
@@ -236,11 +239,10 @@ def multiclass_margin_loss(prototypes: ClassPrototypes, hs: np.ndarray, labels: 
     hs = np.asarray(hs, dtype=np.float64)
     labels = np.asarray(labels)
     sims = _similarity_matrix(prototypes.vectors, _prototype_norms(prototypes.vectors), hs)
-    n = sims.shape[0]
-    true = sims[np.arange(n), labels]
-    masked = sims.copy()
-    masked[np.arange(n), labels] = -np.inf
-    rival = masked.max(axis=1)
+    cols = np.arange(sims.shape[1])
+    true = sims[labels, cols]
+    sims[labels, cols] = -np.inf
+    rival = sims.max(axis=0)
     return float(np.mean(np.maximum(0.0, rival - true)))
 
 
@@ -259,8 +261,9 @@ def retrain_epoch(
     visit at each step; the pass reads rows of ``hvs`` in place, so
     ``retrain_epoch(p, hvs, labels, a, order)`` equals
     ``retrain_epoch(p, hvs[order], labels[order], a)`` bit for bit without
-    the copy. ``None`` visits the samples as stored. Returns the updated
-    prototypes and the number of corrections made.
+    the copy. ``None`` visits the samples as stored. Labels must lie in
+    ``[0, K)``. Returns the updated prototypes and the number of
+    corrections made.
     """
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -271,6 +274,9 @@ def retrain_epoch(
     n = hvs.shape[0]
     if labels.shape != (n,):
         raise DimensionError("labels must align with samples")
+    k = prototypes.num_classes
+    if np.any(labels < 0) or np.any(labels >= k):
+        raise ValueError(f"labels must lie in [0, {k})")
     if order is None:
         steps = range(n)
     else:
@@ -288,11 +294,12 @@ def retrain_epoch(
     zero = norms == 0.0
     safe = np.where(zero, 1.0, norms)
     any_zero = bool(zero.any())
+    sims = np.empty(k)  # one score buffer: np.dot(out=) is the same gemv as vectors @ h
     mistakes = 0
     for i in steps:
         h = hvs[i]
-        sims = vectors @ h
-        sims /= safe
+        np.dot(vectors, h, out=sims)
+        np.divide(sims, safe, out=sims)
         if any_zero:
             sims[zero] = 0.0
         pred = int(sims.argmax())

@@ -23,7 +23,6 @@ from hdfed.channel import (
 from hdfed.data import synth_train_test
 from hdfed.federated import (
     RoundConfig,
-    decaying_learning_rate,
     partition_iid,
     run_training,
     sample_clients,
@@ -46,6 +45,7 @@ from hdfed.strategies import (
     sparsify,
     subsample,
 )
+from test_federated import decaying_learning_rate
 
 
 def report(num: int, name: str, detail: str) -> None:

@@ -13,7 +13,6 @@ from hdfed.channel import (
     awgn_perturb,
     corrupt_frame,
     corrupt_values,
-    dequantize_model,
     deserialize_bits,
     mask_prototypes,
     packet_error_probability,
@@ -27,6 +26,11 @@ from hdfed.channel import (
 )
 from hdfed.hdc import ClassPrototypes
 from test_wire import bsc_flip, packetize_and_drop  # the unpacked references
+
+
+def dequantize_model(quantized: QuantizedModel, counts: np.ndarray) -> ClassPrototypes:
+    vectors = quantized.integers.astype(np.float64) / quantized.gains[:, None]
+    return ClassPrototypes(vectors, np.asarray(counts, dtype=np.int64).copy())
 
 
 def random_model(rng, k=3, d=16, float32=True):

