@@ -3,17 +3,18 @@
 from .channel import (
     ChannelConfig,
     CodecConfig,
-    QuantizedModel,
     apply_channel,
-    awgn_perturb,
+    corrupt_frame,
+    corrupt_values,
     deserialize_bits,
     mask_prototypes,
     packet_error_probability,
-    quantize_up,
+    quantize_segments,
     read_model,
-    scale_down,
+    read_model_bytes,
     serialize_bits,
     write_model,
+    write_model_bytes,
 )
 from .data import (
     Dataset,

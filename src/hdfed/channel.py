@@ -1,10 +1,17 @@
 """Unreliable uplink models and the model bit codec.
 
-Corruption operators: additive Gaussian noise applied directly to parameter
-values (uncoded transmission), independent bit flips on the serialized
-parameter stream, and packet erasures with zero-fill on receive. The
-scale-up / truncate / scale-down quantizer bounds how much a single bit flip
-can move a parameter relative to its original value.
+One function per corruption concept:
+
+* corrupt_values: a raw channel on parameter values. ideal passes them
+  through as they are; awgn adds white Gaussian noise at a target SNR
+  (uncoded transmission). apply_channel is the same on a whole model, and
+  corrupt_signs on a +/-1 matrix, whose signal power is one per entry.
+* corrupt_frame: the one bit channel, on serialized frames. bsc flips
+  independent bits; packet_loss erases whole packets with zero-fill.
+* quantize_segments: the one scale-up / truncate quantizer, a gain per
+  segment; the receiver scales down by dividing by the gain. It bounds how
+  much a single bit flip can move a parameter relative to its original
+  value.
 
 Wire frame ("HDFM"): magic, version byte, K and d as 32-bit little-endian
 unsigned, a codec tag byte, optional per-class gains as 64-bit floats, then
@@ -14,10 +21,10 @@ within the payload are little-endian: least-significant bit of the first
 byte first, values packed back to back at the codec width.
 
 Every serializer returns a Frame: the bytes counted on the uplink plus the
-bits a bit channel may hit in them. corrupt_frame, the one bit-channel path,
-hits only those bits, and the receiver parses what arrives; headers, gains,
-sample counts and (in sparse frames) index gaps ride the reliable side of
-the link. The raw channels (ideal, awgn) act on values, not on frames.
+bits a bit channel may hit in them. corrupt_frame hits only those bits, and
+the receiver parses what arrives; headers, gains, sample counts and (in
+sparse frames) index gaps ride the reliable side of the link. The raw
+channels (ideal, awgn) act on values, not on frames.
 """
 
 from __future__ import annotations
@@ -96,38 +103,6 @@ class ChannelConfig:
         for rate in (self.bit_error_rate, self.packet_loss_prob):
             if rate is not None and not 0.0 <= rate <= 1.0:
                 raise ChannelConfigError(f"probability {rate} outside [0, 1]")
-
-
-@dataclass
-class QuantizedModel:
-    """Scaled-integer model: per-class integers plus the gains that undo them."""
-
-    integers: np.ndarray  # (K, d) int64
-    gains: np.ndarray  # (K,) float64
-    bitwidth: int
-
-
-# ---------------------------------------------------------------------------
-# Additive noise
-
-
-def awgn_perturb(model: ClassPrototypes, snr_db: float, rng: np.random.Generator) -> ClassPrototypes:
-    """Add white Gaussian noise sized so that signal power / noise power
-    matches the requested SNR.
-
-    Signal power is the sum of squares over all K*d parameters; the total
-    noise budget P / 10^(snr_db/10) is split evenly across parameters. An
-    all-zero model is returned unchanged (its SNR is undefined).
-    """
-    return ClassPrototypes(_add_awgn(model.vectors, snr_db, rng), model.counts.copy())
-
-
-def _add_awgn(values: np.ndarray, snr_db: float, rng: np.random.Generator) -> np.ndarray:
-    power = float(np.sum(values**2))
-    if power == 0.0:
-        return values.copy()
-    per_param = power / (10.0 ** (snr_db / 10.0)) / values.size
-    return values + rng.standard_normal(values.shape) * math.sqrt(per_param)
 
 
 # ---------------------------------------------------------------------------
@@ -287,37 +262,6 @@ def quantize_segments(
     return ints, gains
 
 
-def quantize_block(values: np.ndarray, bitwidth: int) -> tuple[np.ndarray, float]:
-    """quantize_segments on one block: integers in the block's shape, one gain."""
-    values = np.asarray(values, dtype=np.float64)
-    ints, gains = quantize_segments(values, [values.size], bitwidth)
-    return ints.reshape(values.shape), float(gains[0])
-
-
-def quantize_up(values: np.ndarray, bitwidth: int) -> tuple[np.ndarray, float]:
-    """quantize_block for a block that must carry signal: an all-zero vector
-    has no defined gain and raises."""
-    ints, gain = quantize_block(values, bitwidth)
-    if not np.any(np.asarray(values) != 0.0):
-        raise CodecError("cannot quantize an all-zero vector: gain undefined")
-    return ints, gain
-
-
-def scale_down(integers: np.ndarray, gain: float) -> np.ndarray:
-    """Invert the quantizer gain (element-wise division)."""
-    if gain <= 0.0:
-        raise CodecError(f"gain must be positive, got {gain}")
-    return np.asarray(integers, dtype=np.float64) / gain
-
-
-def quantize_model(model: ClassPrototypes, bitwidth: int) -> QuantizedModel:
-    """Quantize every class row with its own gain; an all-zero row
-    (untrained class) transmits as zeros at gain 1."""
-    k, d = model.vectors.shape
-    integers, gains = quantize_segments(model.vectors, np.full(k, d), bitwidth)
-    return QuantizedModel(integers.reshape(k, d), gains, bitwidth)
-
-
 # ---------------------------------------------------------------------------
 # Frames and the bit channels
 
@@ -396,63 +340,59 @@ def corrupt_frame(frame: Frame, cfg: ChannelConfig, rng: np.random.Generator) ->
     return data.tobytes()
 
 
+# ---------------------------------------------------------------------------
+# Raw channels and partial-information masking
+
+
 def corrupt_values(values: np.ndarray, cfg: ChannelConfig, rng: np.random.Generator) -> np.ndarray:
-    """A flat value vector through a raw channel: ideal returns a copy, awgn
-    adds noise at the configured SNR. Bit channels act on frames instead
-    (corrupt_frame)."""
+    """A value array through a raw channel. ideal returns it as it is; awgn
+    adds white Gaussian noise sized so that signal power / noise power
+    matches cfg.snr_db: the signal power is the sum of squares over all
+    values, and the noise budget P / 10^(snr_db/10) is split evenly across
+    them. An all-zero array comes back as it is (its SNR is undefined).
+    Bit channels act on frames instead (corrupt_frame)."""
     if cfg.kind in BIT_CHANNELS:
         raise ChannelConfigError(f"{cfg.kind} corrupts frames, not raw values")
     values = np.asarray(values, dtype=np.float64)
-    return _add_awgn(values, cfg.snr_db, rng) if cfg.kind == "awgn" else values.copy()
+    if cfg.kind == "ideal":
+        return values
+    power = float(np.sum(values**2))
+    if power == 0.0:
+        return values
+    per_param = power / (10.0 ** (cfg.snr_db / 10.0)) / values.size
+    return values + rng.standard_normal(values.shape) * math.sqrt(per_param)
 
 
 def corrupt_signs(signs: np.ndarray, cfg: ChannelConfig, rng: np.random.Generator) -> np.ndarray:
-    """A +/-1 matrix through a raw channel: ideal returns a copy, awgn adds
-    noise at a signal power of one per entry. Bit channels act on the sign
-    frame instead (corrupt_frame)."""
+    """A +/-1 matrix through a raw channel: ideal returns it as it is, awgn
+    adds noise at a signal power of one per entry. Bit channels act on the
+    sign frame instead (corrupt_frame)."""
     if cfg.kind in BIT_CHANNELS:
         raise ChannelConfigError(f"{cfg.kind} corrupts frames, not raw values")
     signs = np.asarray(signs, dtype=np.float64)
     if cfg.kind == "ideal":
-        return signs.copy()
+        return signs
     per_param = 1.0 / (10.0 ** (cfg.snr_db / 10.0))
     return signs + rng.standard_normal(signs.shape) * math.sqrt(per_param)
 
 
 def apply_channel(model: ClassPrototypes, cfg: ChannelConfig, rng: np.random.Generator) -> ClassPrototypes:
-    """Dispatch a full model through the configured corruption.
-
-    ideal is the exact identity; awgn perturbs raw values; bsc and
-    packet_loss corrupt the model's HDFM frame, the frame write_model_bytes
-    sends, and parse what arrives. Shape and counts are kept.
-    """
-    if cfg.kind == "ideal":
-        return model.copy()
-    if cfg.kind == "awgn":
-        return awgn_perturb(model, cfg.snr_db, rng)
-    received, _ = read_model_bytes(corrupt_frame(write_model_bytes(model, cfg.codec), cfg, rng))
-    return ClassPrototypes(received.vectors, model.counts.copy())
-
-
-# ---------------------------------------------------------------------------
-# Partial-information masking
-
-
-def random_keep_mask(dim: int, keep_fraction: float, rng: np.random.Generator) -> np.ndarray:
-    """Boolean mask keeping exactly round(keep_fraction * dim) positions."""
-    if not 0.0 < keep_fraction <= 1.0:
-        raise ValueError(f"keep_fraction must be in (0, 1], got {keep_fraction}")
-    keep = int(round(keep_fraction * dim))
-    mask = np.zeros(dim, dtype=bool)
-    mask[rng.choice(dim, size=keep, replace=False)] = True
-    return mask
+    """A full model through a raw channel (corrupt_values on its vectors);
+    counts are kept. A model crosses a bit channel as its HDFM frame:
+    read_model_bytes(corrupt_frame(write_model_bytes(model, codec), cfg, rng))."""
+    return ClassPrototypes(corrupt_values(model.vectors, cfg, rng), model.counts)
 
 
 def mask_prototypes(
     model: ClassPrototypes, keep_fraction: float, rng: np.random.Generator
 ) -> ClassPrototypes:
-    """Zero a shared random subset of dimensions across every prototype."""
-    mask = random_keep_mask(model.hd_dim, keep_fraction, rng)
+    """Zero a shared random subset of exactly round(keep_fraction * d)
+    dimensions across every prototype."""
+    if not 0.0 < keep_fraction <= 1.0:
+        raise ValueError(f"keep_fraction must be in (0, 1], got {keep_fraction}")
+    mask = np.zeros(model.hd_dim, dtype=bool)
+    keep = int(round(keep_fraction * model.hd_dim))
+    mask[rng.choice(model.hd_dim, size=keep, replace=False)] = True
     return ClassPrototypes(model.vectors * mask, model.counts.copy())
 
 
@@ -507,9 +447,8 @@ def write_model_bytes(model: ClassPrototypes, codec: CodecConfig | None = None) 
     head = frame_header(k, d, codec_tag(codec))
     values = model.vectors
     if codec.representation == "quantized_int":
-        quantized = quantize_model(model, codec.bitwidth)
-        head += quantized.gains.astype("<f8").tobytes()
-        values = quantized.integers
+        values, gains = quantize_segments(values, np.full(k, d), codec.bitwidth)
+        head += gains.astype("<f8").tobytes()
     return Frame.tail(head + encode_values(values, codec).tobytes(), k * d, codec.value_bits)
 
 

@@ -13,7 +13,6 @@ schedules produce identical results.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
@@ -64,8 +63,6 @@ class RoundConfig:
             raise ValueError("num_clients must be positive")
         if not 0.0 < self.participation <= 1.0:
             raise ValueError(f"participation must be in (0, 1], got {self.participation}")
-        if math.ceil(self.participation * self.num_clients) < 1:
-            raise ValueError("participation too small: no client would be sampled")
         if self.local_epochs < 0:
             raise ValueError("local_epochs must be non-negative")
         if self.local_batch is not None and self.local_batch < 1:
@@ -369,7 +366,7 @@ def run_training(
         raise ValueError(
             f"partition has {partition.num_clients} clients, config says {cfg.num_clients}"
         )
-    if strategy.kind == "subsample" and cfg.rounds > 0:
+    if strategy.kind == "subsample":
         # The last round and client give the largest stream key.
         strat.subsample_stream_key(cfg.rounds - 1, cfg.num_clients - 1)
     clients = _client_states(train_hvs, train_labels, partition)

@@ -37,14 +37,11 @@ from .channel import (
     frame_header,
     pack_words,
     parse_frame_header,
-    quantize_block,
     quantize_segments,
     unpack_words,
     value_words,
     words_to_values,
 )
-# Strategy none's frame; bench/spans.py times this name.
-from .channel import write_model_bytes  # noqa: F401
 from .hdc import ClassPrototypes, DimensionError
 from .seeding import STREAM_STRATEGY, derived_rng
 
@@ -233,19 +230,29 @@ def _by_class(flat: np.ndarray, ends: np.ndarray) -> list[np.ndarray]:
 
 
 def csc_decompress(sparse: SparseClassModel) -> ClassPrototypes:
-    """Rebuild the dense post-sparsification model, bit for bit.
+    """Rebuild the dense post-sparsification model, bit for bit, with one
+    scatter through the flat positions row * d + index.
 
-    Raises on out-of-range or non-increasing index lists.
+    Raises SparseFormatError, naming the first bad class, on an index/value
+    length mismatch, an index outside [0, d) or a non-increasing index list.
     """
     k, d = sparse.shape
+    pairs = list(zip(sparse.indices, sparse.values))
+    counts = np.array([idx.size for idx, _ in pairs], dtype=np.int64)
+    mismatched = counts != np.array([val.size for _, val in pairs], dtype=np.int64)
+    indices = np.concatenate([np.zeros(0, dtype=np.int64), *(idx for idx, _ in pairs if idx.size)])
+    rows = np.repeat(np.arange(counts.size), counts)
+    bad = (indices < 0) | (indices >= d)
+    bad[1:] |= (np.diff(indices) <= 0) & (rows[1:] == rows[:-1])
+    misordered = np.zeros(counts.size, dtype=bool)
+    misordered[rows[bad]] = True
+    failed = np.flatnonzero(mismatched | misordered)
+    if failed.size:
+        row = failed[0]
+        problem = "index/value length mismatch" if mismatched[row] else "corrupt index ordering"
+        raise SparseFormatError(f"class {row}: {problem}")
     vectors = np.zeros((k, d))
-    for row, (idx, val) in enumerate(zip(sparse.indices, sparse.values)):
-        if idx.size != val.size:
-            raise SparseFormatError(f"class {row}: index/value length mismatch")
-        if idx.size:
-            if idx[0] < 0 or idx[-1] >= d or np.any(np.diff(idx) <= 0):
-                raise SparseFormatError(f"class {row}: corrupt index ordering")
-            vectors[row, idx] = val
+    vectors.reshape(-1)[rows * d + indices] = np.concatenate([np.zeros(0), *(v for _, v in pairs)])
     return ClassPrototypes(vectors, sparse.counts.copy())
 
 
@@ -281,8 +288,8 @@ def serialize_subsample(payload: SubsamplePayload, codec: CodecConfig) -> Frame:
     head += struct.pack("<QI", payload.stream_key, payload.values.size)
     values = payload.values
     if codec.representation == "quantized_int":
-        values, gain = quantize_block(values, codec.bitwidth)
-        head += struct.pack("<d", gain)
+        values, gains = quantize_segments(values, [values.size], codec.bitwidth)
+        head += struct.pack("<d", gains[0])
     data = head + encode_values(values, codec).tobytes()
     return Frame.tail(data, payload.values.size, codec.value_bits)
 

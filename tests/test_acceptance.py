@@ -15,7 +15,7 @@ import pytest
 from hdfed.channel import (
     ChannelConfig,
     CodecConfig,
-    awgn_perturb,
+    apply_channel,
     deserialize_bits,
     mask_prototypes,
     serialize_bits,
@@ -359,11 +359,12 @@ def test_c10_bundling_snr_gain():
     vectors = rng.standard_normal((2, 250))
     model = ClassPrototypes(vectors, np.zeros(2, dtype=np.int64))
     signal_power = float(np.sum(vectors**2))
+    channel = ChannelConfig(kind="awgn", snr_db=10.0)
     per_copy_noise = 0.0
     aggregate_noise = 0.0
     for _ in range(trials):
         noises = [
-            awgn_perturb(model, 10.0, rng).vectors - vectors for _ in range(n_copies)
+            apply_channel(model, channel, rng).vectors - vectors for _ in range(n_copies)
         ]
         per_copy_noise += float(np.mean([np.sum(n**2) for n in noises]))
         aggregate_noise += float(np.sum(np.sum(noises, axis=0) ** 2))

@@ -8,19 +8,15 @@ from hdfed.channel import (
     ChannelConfigError,
     CodecConfig,
     CodecError,
-    QuantizedModel,
     apply_channel,
-    awgn_perturb,
     corrupt_frame,
+    corrupt_signs,
     corrupt_values,
     deserialize_bits,
     mask_prototypes,
     packet_error_probability,
-    quantize_block,
-    quantize_model,
-    quantize_up,
+    quantize_segments,
     read_model_bytes,
-    scale_down,
     serialize_bits,
     write_model_bytes,
 )
@@ -28,9 +24,20 @@ from hdfed.hdc import ClassPrototypes
 from test_wire import bsc_flip, packetize_and_drop  # the unpacked references
 
 
-def dequantize_model(quantized: QuantizedModel, counts: np.ndarray) -> ClassPrototypes:
-    vectors = quantized.integers.astype(np.float64) / quantized.gains[:, None]
-    return ClassPrototypes(vectors, np.asarray(counts, dtype=np.int64).copy())
+def awgn(model, snr_db, rng):
+    return apply_channel(model, ChannelConfig(kind="awgn", snr_db=snr_db), rng)
+
+
+def through_frame(model, cfg, rng):
+    """A model across a bit channel: its HDFM frame, corrupted, parsed."""
+    received, _ = read_model_bytes(corrupt_frame(write_model_bytes(model, cfg.codec), cfg, rng))
+    return received
+
+
+def quantize(values, bitwidth):
+    """quantize_segments on one block: its integers and its one gain."""
+    ints, gains = quantize_segments(values, [np.size(values)], bitwidth)
+    return ints, gains[0]
 
 
 def random_model(rng, k=3, d=16, float32=True):
@@ -71,7 +78,7 @@ class TestChannelConfig:
 class TestAwgn:
     def test_zero_model_unchanged(self):
         model = ClassPrototypes(np.zeros((2, 8)), np.zeros(2, dtype=int))
-        out = awgn_perturb(model, snr_db=0.0, rng=np.random.default_rng(0))
+        out = awgn(model, 0.0, np.random.default_rng(0))
         assert np.array_equal(out.vectors, model.vectors)
 
     def test_snr_definition_monte_carlo(self):
@@ -81,13 +88,13 @@ class TestAwgn:
         rng = np.random.default_rng(1)
         powers = []
         for _ in range(10_000):
-            out = awgn_perturb(model, snr_db=20.0, rng=rng)
+            out = awgn(model, 20.0, rng)
             powers.append(np.sum((out.vectors - vectors) ** 2))
         assert np.mean(powers) == pytest.approx(1.0, rel=0.05)
 
     def test_shape_preserved(self):
         model = random_model(np.random.default_rng(2))
-        out = awgn_perturb(model, snr_db=-5.0, rng=np.random.default_rng(3))
+        out = awgn(model, -5.0, np.random.default_rng(3))
         assert out.vectors.shape == model.vectors.shape
 
     def test_bundling_snr_gain(self):
@@ -100,7 +107,7 @@ class TestAwgn:
         per_copy_noise = []
         aggregate_noise = []
         for _ in range(300):
-            copies = [awgn_perturb(model, 10.0, rng).vectors for _ in range(n_clients)]
+            copies = [awgn(model, 10.0, rng).vectors for _ in range(n_clients)]
             per_copy_noise.extend(np.sum((c - vectors) ** 2) for c in copies)
             agg = np.sum(copies, axis=0)
             aggregate_noise.append(np.sum((agg - n_clients * vectors) ** 2))
@@ -191,34 +198,23 @@ class TestBsc:
 
 class TestQuantizer:
     def test_hand_computed_example(self):
-        ints, gain = quantize_up(np.array([3.0, -5.0, 7.0]), bitwidth=8)
+        ints, gain = quantize(np.array([3.0, -5.0, 7.0]), bitwidth=8)
         assert gain == pytest.approx(127.0 / 7.0)
         assert np.array_equal(ints, [54, -90, 127])
 
     def test_single_nonzero_hits_ceiling(self):
-        ints, _ = quantize_up(np.array([0.0, -2.5, 0.0]), bitwidth=8)
+        ints, _ = quantize(np.array([0.0, -2.5, 0.0]), bitwidth=8)
         assert np.array_equal(ints, [0, -127, 0])
 
     def test_bitwidth_two_alphabet(self):
-        ints, _ = quantize_up(np.array([0.3, -0.8, 0.9]), bitwidth=2)
+        ints, _ = quantize(np.array([0.3, -0.8, 0.9]), bitwidth=2)
         assert set(np.unique(ints)) <= {-1, 0, 1}
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(CodecError):
-            quantize_up(np.zeros(4), bitwidth=8)
-
-    def test_scale_down_inverts_gain(self):
-        assert np.array_equal(scale_down(np.array([127]), 127.0), [1.0])
 
     def test_round_trip_error_bound(self):
         values = np.array([3.0, -5.0, 7.0])
-        ints, gain = quantize_up(values, bitwidth=8)
-        back = scale_down(ints, gain)
+        ints, gain = quantize(values, bitwidth=8)
+        back = ints / gain
         assert np.max(np.abs(back - values)) <= 7.0 / 127.0
-
-    def test_scale_down_rejects_bad_gain(self):
-        with pytest.raises(CodecError):
-            scale_down(np.array([1]), 0.0)
 
     def test_reported_damping_ratios(self):
         # Unscaled single-bit corruption can blow a parameter up by ~295.9x;
@@ -246,7 +242,7 @@ class TestQuantizer:
         # The gain (2^15 - 1) / 5e-324 overflows; the block is sent like an
         # all-zero one instead of as +/-32767 at an infinite gain.
         with np.errstate(all="raise"):
-            ints, gain = quantize_block(np.array([5e-324, -5e-324, 0.0]), 16)
+            ints, gain = quantize(np.array([5e-324, -5e-324, 0.0]), 16)
         assert ints.tolist() == [0, 0, 0] and gain == 1.0
 
     @pytest.mark.parametrize(
@@ -263,12 +259,12 @@ class TestQuantizer:
         assert np.array_equal(received.vectors[0], [0.0, 0.0, 0.0])
         assert np.allclose(received.vectors[1], [1.0, -2.0, 3.0], atol=3.0 / 32767)
 
-    def test_quantize_model_handles_zero_rows(self):
+    def test_zero_rows_send_zeros_at_gain_one(self):
         model = ClassPrototypes(np.array([[0.0, 0.0], [1.0, -2.0]]), np.array([0, 2]))
-        q = quantize_model(model, 8)
-        assert np.array_equal(q.integers[0], [0, 0])
-        assert q.gains[0] == 1.0
-        back = dequantize_model(q, model.counts)
+        ints, gains = quantize_segments(model.vectors, np.full(2, 2), 8)
+        assert np.array_equal(ints[:2], [0, 0])
+        assert gains[0] == 1.0
+        back, _ = read_model_bytes(write_model_bytes(model, CodecConfig("quantized_int", bitwidth=8)))
         assert np.array_equal(back.vectors[0], [0.0, 0.0])
 
 
@@ -293,7 +289,7 @@ class TestPacketLoss:
     def test_all_dropped_model_decodes_to_zeros(self):
         model = ClassPrototypes(np.ones((2, 4)), np.zeros(2, dtype=int))
         cfg = ChannelConfig(kind="packet_loss", packet_bits=32, packet_loss_prob=1.0)
-        out = apply_channel(model, cfg, np.random.default_rng(0))
+        out = through_frame(model, cfg, np.random.default_rng(0))
         assert np.array_equal(out.vectors, np.zeros((2, 4)))
 
     def test_empirical_drop_fraction(self):
@@ -316,10 +312,28 @@ class TestApplyChannel:
         assert np.array_equal(out.vectors, model.vectors)
         assert np.array_equal(out.counts, model.counts)
 
+    def test_ideal_passes_the_input_through(self):
+        rng = np.random.default_rng(0)
+        model = random_model(rng)
+        signs = np.where(rng.random((3, 8)) < 0.5, 1.0, -1.0)
+        assert apply_channel(model, ChannelConfig(), rng).vectors is model.vectors
+        assert corrupt_values(model.vectors, ChannelConfig(), rng) is model.vectors
+        assert corrupt_signs(signs, ChannelConfig(), rng) is signs
+
+    @pytest.mark.parametrize(
+        "chan",
+        [dict(kind="bsc", bit_error_rate=0.0), dict(kind="packet_loss", packet_bits=8, packet_loss_prob=0.0)],
+        ids=["bsc", "packet_loss"],
+    )
+    def test_bit_channels_act_on_frames_not_models(self, chan):
+        model = random_model(np.random.default_rng(0))
+        with pytest.raises(ChannelConfigError):
+            apply_channel(model, ChannelConfig(**chan), np.random.default_rng(1))
+
     def test_bsc_zero_rate_identity(self):
         model = random_model(np.random.default_rng(0))
         cfg = ChannelConfig(kind="bsc", bit_error_rate=0.0)
-        out = apply_channel(model, cfg, np.random.default_rng(1))
+        out = through_frame(model, cfg, np.random.default_rng(1))
         assert np.array_equal(out.vectors, model.vectors)
 
     def test_bsc_quantized_stays_bounded(self):
@@ -330,7 +344,7 @@ class TestApplyChannel:
             bit_error_rate=0.01,
             codec=CodecConfig("quantized_int", bitwidth=16),
         )
-        out = apply_channel(model, cfg, rng)
+        out = through_frame(model, cfg, rng)
         # scaled-integer corruption cannot exceed the per-class gain ceiling
         limit = np.abs(model.vectors).max(axis=1) * (2**15) / (2**15 - 1)
         assert np.all(np.abs(out.vectors) <= limit[:, None] + 1e-9)
@@ -338,9 +352,9 @@ class TestApplyChannel:
     def test_shapes_always_preserved(self):
         rng = np.random.default_rng(3)
         model = random_model(rng, k=3, d=64)
-        configs = [
-            ChannelConfig(),
-            ChannelConfig(kind="awgn", snr_db=0.0),
+        for cfg in [ChannelConfig(), ChannelConfig(kind="awgn", snr_db=0.0)]:
+            assert apply_channel(model, cfg, rng).vectors.shape == (3, 64)
+        bit_channels = [
             ChannelConfig(kind="bsc", bit_error_rate=0.05),
             ChannelConfig(kind="packet_loss", packet_bits=64, bit_error_rate=1e-3),
             ChannelConfig(
@@ -349,9 +363,8 @@ class TestApplyChannel:
                 codec=CodecConfig("quantized_int", bitwidth=8),
             ),
         ]
-        for cfg in configs:
-            out = apply_channel(model, cfg, rng)
-            assert out.vectors.shape == (3, 64)
+        for cfg in bit_channels:
+            assert through_frame(model, cfg, rng).vectors.shape == (3, 64)
 
     def test_corrupt_values_vector_paths(self):
         rng = np.random.default_rng(4)
@@ -363,7 +376,6 @@ class TestApplyChannel:
         # Bit channels corrupt frames (corrupt_frame), never raw values.
         with pytest.raises(ChannelConfigError):
             corrupt_values(values, ChannelConfig(kind="bsc", bit_error_rate=0.0), rng)
-
 
 class TestPartialInformation:
     def test_masked_dot_product_linearity(self):

@@ -12,6 +12,7 @@
 * Frame parsers fail closed with their module's own error type.
 """
 
+import re
 import struct
 
 import numpy as np
@@ -19,24 +20,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdfed import channel, federated, strategies
+from hdfed import federated, strategies
 from hdfed.channel import (
     HEADER_BYTES,
     ChannelConfig,
     ChannelConfigError,
     CodecConfig,
     CodecError,
-    apply_channel,
     corrupt_frame,
     deserialize_bits,
     frame_header,
     pack_words,
     packet_error_probability,
-    quantize_block,
-    quantize_model,
     quantize_segments,
     read_model_bytes,
-    scale_down,
     serialize_bits,
     unpack_words,
     write_model_bytes,
@@ -146,10 +143,10 @@ def reference_value_block(values, cfg, rng):
     values = np.asarray(values, dtype=np.float64)
     codec, gain = cfg.codec, 1.0
     if codec.representation == "quantized_int":
-        values, gain = quantize_block(values, codec.bitwidth)
+        values, gains = quantize_segments(values, [values.size], codec.bitwidth)
+        gain = gains[0]
     bits = reference_channel(serialize_bits(values, codec), cfg, rng)
-    received = deserialize_bits(bits, codec, values.shape)
-    return scale_down(received, gain) if codec.representation == "quantized_int" else received
+    return deserialize_bits(bits, codec, values.shape) / gain
 
 
 def codec_values(rng, codec, shape):
@@ -195,7 +192,8 @@ class TestPackedCodec:
         width = codec.value_bits
         words = (bits.reshape(n, width).astype(np.int64) << np.arange(width)).sum(axis=1)
         if codec.representation == "float32":
-            floats = words.astype("<u4").view("<f4").astype(np.float64)
+            with np.errstate(invalid="ignore"):  # signalling-NaN patterns widen with FE_INVALID
+                floats = words.astype("<u4").view("<f4").astype(np.float64)
             expected = np.nan_to_num(floats, nan=0.0, posinf=0.0, neginf=0.0)
         else:
             half = 1 << (width - 1)
@@ -210,9 +208,8 @@ class TestPackedCodec:
         expected = frame_header(k, d, tag)
         values = model.vectors
         if codec.representation == "quantized_int":
-            quantized = quantize_model(model, codec.bitwidth)
-            expected += quantized.gains.astype("<f8").tobytes()
-            values = quantized.integers
+            values, gains = quantize_segments(values, np.full(k, d), codec.bitwidth)
+            expected += gains.astype("<f8").tobytes()
         expected += np.packbits(serialize_bits(values, codec), bitorder="little").tobytes()
         assert write_model_bytes(model, codec) == expected
 
@@ -226,20 +223,19 @@ class TestChannelEquivalence:
         d=st.integers(1, 40),
     )
     @settings(max_examples=150, deadline=None)
-    def test_apply_channel_matches_unpacked_reference(self, codec, chan, seed, k, d):
+    def test_model_frame_matches_unpacked_reference(self, codec, chan, seed, k, d):
         cfg = ChannelConfig(codec=codec, **chan)
         model = model_for(np.random.default_rng(seed), codec, k, d)
-        got = apply_channel(model, cfg, np.random.default_rng(seed + 1))
+        sent = write_model_bytes(model, codec)
+        got, _ = read_model_bytes(corrupt_frame(sent, cfg, np.random.default_rng(seed + 1)))
         values, gains = model.vectors, np.ones(k)
         if codec.representation == "quantized_int":
-            quantized = quantize_model(model, codec.bitwidth)
-            values, gains = quantized.integers, quantized.gains
+            values, gains = quantize_segments(values, np.full(k, d), codec.bitwidth)
         bits = reference_channel(serialize_bits(values, codec), cfg, np.random.default_rng(seed + 1))
         expected = deserialize_bits(bits, codec, (k, d))
         if codec.representation == "quantized_int":
             expected = expected / gains[:, None]
         assert same_bits(got.vectors, expected)
-        assert np.array_equal(got.counts, model.counts)
 
     @given(codec=CODECS, chan=CHANNELS, seed=st.integers(0, 2**32 - 1), n=st.integers(0, 90))
     @settings(max_examples=150, deadline=None)
@@ -296,6 +292,20 @@ def reference_sparsify(model, sparsity):
         indices.append(nz.astype(np.int64))
         values.append(dense[nz])
     return SparseClassModel(indices, values, (k, d), model.counts.copy())
+
+
+def reference_csc_decompress(sparse):
+    """The per-class loop that the one-scatter csc_decompress replaced."""
+    k, d = sparse.shape
+    vectors = np.zeros((k, d))
+    for row, (idx, val) in enumerate(zip(sparse.indices, sparse.values)):
+        if idx.size != val.size:
+            raise SparseFormatError(f"class {row}: index/value length mismatch")
+        if idx.size:
+            if idx[0] < 0 or idx[-1] >= d or np.any(np.diff(idx) <= 0):
+                raise SparseFormatError(f"class {row}: corrupt index ordering")
+            vectors[row, idx] = val
+    return ClassPrototypes(vectors, sparse.counts.copy())
 
 
 def reference_sparse_frame(sparse, codec):
@@ -437,6 +447,42 @@ class TestSparseUplink:
 
     @given(
         seed=st.integers(0, 2**32 - 1),
+        k=st.integers(2, 5),
+        d=st.integers(1, 30),
+        faults=st.lists(
+            st.tuples(st.sampled_from(["length", "low", "high", "repeat", "swap"]), st.integers(0, 4)),
+            max_size=2,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_csc_decompress_matches_per_class_reference(self, seed, k, d, faults):
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(0, d + 1, size=k)
+        counts[rng.random(k) < 0.3] = 0  # empty classes
+        indices = [np.sort(rng.choice(d, size=n, replace=False)) for n in counts]
+        values = [np.where(rng.random(n) < 0.3, -0.0, rng.standard_normal(n)) for n in counts]
+        for fault, row in faults:
+            row %= k
+            idx = indices[row]
+            if fault == "length":
+                values[row] = np.append(values[row], 1.0)
+            elif idx.size and fault in ("low", "high"):
+                idx[0 if fault == "low" else -1] = -1 if fault == "low" else d
+            elif idx.size > 1 and fault in ("repeat", "swap"):
+                idx[:2] = [idx[1], idx[1]] if fault == "repeat" else idx[1::-1]
+        sparse = SparseClassModel(indices, values, (k, d), rng.integers(0, 9, size=k))
+        try:
+            expected = reference_csc_decompress(sparse)
+        except SparseFormatError as error:
+            with pytest.raises(SparseFormatError, match=f"^{re.escape(str(error))}$"):
+                csc_decompress(sparse)
+            return
+        got = csc_decompress(sparse)
+        assert same_bits(got.vectors, expected.vectors)
+        assert np.array_equal(got.counts, expected.counts)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
         lengths=st.lists(st.integers(0, 9), min_size=1, max_size=5),
         bitwidth=st.integers(2, 32),
         scale=st.sampled_from([1e-3, 1.0, 1e4]),
@@ -552,35 +598,26 @@ PARSERS = [
 ]
 
 
-def received_frame(model, cfg, monkeypatch):
-    """The frame apply_channel hands to the parser after the channel."""
-    seen = []
-
-    def spy(blob):
-        seen.append(bytes(blob))
-        return read_model_bytes(blob)
-
-    monkeypatch.setattr(channel, "read_model_bytes", spy)
-    apply_channel(model, cfg, np.random.default_rng(1))
-    assert len(seen) == 1
-    return seen[0]
+def received_frame(model, cfg):
+    """A model's HDFM frame as the bit channel delivers it to the parser."""
+    return corrupt_frame(write_model_bytes(model, cfg.codec), cfg, np.random.default_rng(1))
 
 
 class TestCountedBytesAreCorrupted:
     @pytest.mark.parametrize("codec", CODEC_CASES, ids=lambda c: f"{c.representation}{c.bitwidth}")
-    def test_wire_bytes_is_the_length_of_the_corrupted_frame(self, codec, monkeypatch):
+    def test_wire_bytes_is_the_length_of_the_corrupted_frame(self, codec):
         model = model_for(np.random.default_rng(0), codec, 3, 11)
         cfg = ChannelConfig(kind="bsc", bit_error_rate=1e-3, codec=codec)
-        received = received_frame(model, cfg, monkeypatch)
+        received = received_frame(model, cfg)
         assert len(received) == wire_bytes(write_model_bytes(model, codec), StrategyConfig(), codec)
 
     @pytest.mark.parametrize("codec", CODEC_CASES, ids=lambda c: f"{c.representation}{c.bitwidth}")
-    def test_rate_one_flips_every_payload_bit_and_nothing_else(self, codec, monkeypatch):
+    def test_rate_one_flips_every_payload_bit_and_nothing_else(self, codec):
         k, d = 3, 11
         model = model_for(np.random.default_rng(2), codec, k, d)
         sent = write_model_bytes(model, codec)
         cfg = ChannelConfig(kind="bsc", bit_error_rate=1.0, codec=codec)
-        received = received_frame(model, cfg, monkeypatch)
+        received = received_frame(model, cfg)
         assert len(received) == len(sent)
         protected = HEADER_BYTES + (8 * k if codec.representation == "quantized_int" else 0)
         assert received[:protected] == sent[:protected]  # header and gains
@@ -590,11 +627,11 @@ class TestCountedBytesAreCorrupted:
         assert np.array_equal(after[:n_bits], 1 - before[:n_bits])
         assert np.array_equal(after[n_bits:], before[n_bits:])  # padding untouched
 
-    def test_all_packets_dropped_zero_only_the_payload(self, monkeypatch):
+    def test_all_packets_dropped_zero_only_the_payload(self):
         codec = CodecConfig("quantized_int", bitwidth=12)
         model = model_for(np.random.default_rng(4), codec, 2, 9)
         cfg = ChannelConfig(kind="packet_loss", packet_bits=13, packet_loss_prob=1.0, codec=codec)
-        received = received_frame(model, cfg, monkeypatch)
+        received = received_frame(model, cfg)
         protected = HEADER_BYTES + 8 * 2
         assert received[:protected] == write_model_bytes(model, codec)[:protected]
         assert not any(received[protected:])
