@@ -21,9 +21,10 @@ import numpy as np
 
 from . import data as dio
 from .channel import read_model, write_model
-from .config import ConfigError, load_config
-from .harness import run_experiment, write_metrics
-from .hdc import DimensionError, EncoderConfig, encode_batch, predict_batch, projection_for
+from .config import ConfigError, EncoderSpec, ExperimentConfig, load_config
+from .federated import RoundRecord
+from .harness import encode_features, load_dataset, run_experiment, write_metrics
+from .hdc import DimensionError, predict_batch
 
 # Sweep shorthands accepted next to full dotted keys.
 _GRID_ALIASES = {
@@ -48,22 +49,20 @@ def _parse_overrides(pairs: list[str] | None) -> dict[str, str]:
     return overrides
 
 
-def _load_dataset(path: str, fmt: str, has_header: bool, split: str) -> dio.Dataset:
-    if fmt == "csv":
-        return dio.load_delimited(path, has_header=has_header, split=split)
-    if fmt == "hdds":
-        return dio.load_binary(path, split=split)
-    raise ConfigError(f"unknown dataset format {fmt!r}")
+def _train_and_write(config: ExperimentConfig) -> list[RoundRecord]:
+    """Run one experiment, then write its metrics and its final model."""
+    result = run_experiment(config)
+    write_metrics(result.records, config.metrics_path, config.target_accuracy)
+    write_model(result.model, config.model_path, config.channel.codec)
+    return result.records
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = load_config(args.config, _parse_overrides(args.set))
-    result = run_experiment(config)
-    write_metrics(result.records, config.metrics_path, config.target_accuracy)
-    write_model(result.model, config.model_path, config.channel.codec)
-    final = result.records[-1]
+    records = _train_and_write(config)
+    final = records[-1]
     print(
-        f"completed {len(result.records)} rounds: "
+        f"completed {len(records)} rounds: "
         f"accuracy={final.test_accuracy:.4f} train_loss={final.train_loss:.4f}"
     )
     print(f"metrics -> {config.metrics_path}")
@@ -71,16 +70,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _encoder_spec(args: argparse.Namespace) -> EncoderSpec:
+    return EncoderSpec(dim=args.dim, seed=args.seed, quantize=args.quantize)
+
+
 def cmd_encode(args: argparse.Namespace) -> int:
-    dataset = _load_dataset(args.data, args.format, args.has_header, "train")
-    enc = EncoderConfig(
-        input_dim=dataset.input_dim,
-        hd_dim=args.dim,
-        seed=args.seed,
-        quantize=args.quantize,
-    )
-    phi = projection_for(enc)
-    hvs = encode_batch(phi, dataset.features, enc.quantize)
+    dataset = load_dataset(args.data, args.format, args.has_header, "train")
+    [hvs] = encode_features(_encoder_spec(args), dataset)
     encoded = dio.Dataset(hvs, dataset.labels, dataset.num_classes, split=dataset.split)
     dio.save_binary(encoded, args.out)
     print(f"encoded {dataset.n_samples} samples at d={args.dim} -> {args.out}")
@@ -89,18 +85,8 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     model, _ = read_model(args.model)
-    dataset = _load_dataset(args.data, args.format, args.has_header, "test")
-    if args.encoded:
-        hvs = dataset.features
-    else:
-        enc = EncoderConfig(
-            input_dim=dataset.input_dim,
-            hd_dim=args.dim,
-            seed=args.seed,
-            quantize=args.quantize,
-        )
-        phi = projection_for(enc)
-        hvs = encode_batch(phi, dataset.features, enc.quantize)
+    dataset = load_dataset(args.data, args.format, args.has_header, "test")
+    hvs = dataset.features if args.encoded else encode_features(_encoder_spec(args), dataset)[0]
     if hvs.shape[1] != model.hd_dim:
         raise DimensionError(
             f"model dimension {model.hd_dim} does not match encoded dimension {hvs.shape[1]}"
@@ -132,30 +118,33 @@ def _grid_values(specs: list[str]) -> list[tuple[str, list[str]]]:
     return grid
 
 
+def _path_safe(value: str) -> str:
+    """A grid value as part of a file name: path separators become '-'."""
+    for sep in filter(None, (os.sep, os.altsep)):
+        value = value.replace(sep, "-")
+    return value
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     base_overrides = _parse_overrides(args.set)
     grid = _grid_values(args.grid)
     os.makedirs(args.out_dir, exist_ok=True)
     keys = [k for k, _ in grid]
-    combos = list(itertools.product(*[v for _, v in grid])) if grid else [()]
+    combos = itertools.product(*[v for _, v in grid])  # one empty combo for no grid
     # A failed cell's row ends with the exception; successful rows stop one
     # field short of the header, since they have none.
     summary_rows = [["cell", *keys, "status", "final_accuracy", "uplink_bytes_cum", "error"]]
     for cell_index, combo in enumerate(combos):
-        overrides = dict(base_overrides)
-        overrides.update(dict(zip(keys, combo)))
-        tag = "_".join(f"{k.split('.')[-1]}={v}" for k, v in zip(keys, combo))
-        name = f"cell{cell_index:03d}" + (f"_{tag}" if tag else "")
-        metrics_path = os.path.join(args.out_dir, f"{name}.csv")
-        overrides["output.metrics"] = metrics_path
+        name = f"cell{cell_index:03d}" + "".join(
+            f"_{k.split('.')[-1]}={_path_safe(v)}" for k, v in zip(keys, combo)
+        )
+        overrides = {**base_overrides, **dict(zip(keys, combo))}
+        overrides["output.metrics"] = os.path.join(args.out_dir, f"{name}.csv")
         overrides["output.model"] = os.path.join(args.out_dir, f"{name}.hdfm")
         try:
-            config = load_config(args.config, overrides)
-            result = run_experiment(config)
-            write_metrics(result.records, config.metrics_path, config.target_accuracy)
-            write_model(result.model, config.model_path, config.channel.codec)
-            final = result.records[-1]
-            uplink = sum(r.uplink_bytes for r in result.records)
+            records = _train_and_write(load_config(args.config, overrides))
+            final = records[-1]
+            uplink = sum(r.uplink_bytes for r in records)
             summary_rows.append([name, *combo, "ok", f"{final.test_accuracy:.6f}", str(uplink)])
             print(f"{name}: accuracy={final.test_accuracy:.4f}")
         except Exception as exc:  # record the failure, keep sweeping
@@ -172,40 +161,40 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hdfed")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_train = sub.add_parser("train", help="run one federated training experiment")
-    p_train.add_argument("--config", help="flat key-value config file")
-    p_train.add_argument(
+    # Options that two subcommands share, each declared once.
+    run_opts = argparse.ArgumentParser(add_help=False)
+    run_opts.add_argument("--config", help="flat key-value config file")
+    run_opts.add_argument(
         "--set",
         action="append",
         metavar="KEY=VALUE",
         help="override a config key (repeatable)",
     )
+    data_opts = argparse.ArgumentParser(add_help=False)
+    data_opts.add_argument("--data", required=True)
+    data_opts.add_argument("--format", choices=("csv", "hdds"), default="csv")
+    data_opts.add_argument("--has-header", action="store_true")
+    data_opts.add_argument("--dim", type=int, default=EncoderSpec.dim)
+    data_opts.add_argument("--seed", type=int, default=EncoderSpec.seed)
+    data_opts.add_argument("--quantize", action="store_true")
+
+    p_train = sub.add_parser(
+        "train", parents=[run_opts], help="run one federated training experiment"
+    )
     p_train.set_defaults(func=cmd_train)
 
-    p_encode = sub.add_parser("encode", help="project a dataset into hyperspace")
-    p_encode.add_argument("--data", required=True)
-    p_encode.add_argument("--format", choices=("csv", "hdds"), default="csv")
-    p_encode.add_argument("--has-header", action="store_true")
-    p_encode.add_argument("--dim", type=int, default=10000)
-    p_encode.add_argument("--seed", type=int, default=7)
-    p_encode.add_argument("--quantize", action="store_true")
+    p_encode = sub.add_parser(
+        "encode", parents=[data_opts], help="project a dataset into hyperspace"
+    )
     p_encode.add_argument("--out", required=True)
     p_encode.set_defaults(func=cmd_encode)
 
-    p_eval = sub.add_parser("eval", help="score a stored model on a dataset")
+    p_eval = sub.add_parser("eval", parents=[data_opts], help="score a stored model on a dataset")
     p_eval.add_argument("--model", required=True)
-    p_eval.add_argument("--data", required=True)
-    p_eval.add_argument("--format", choices=("csv", "hdds"), default="csv")
-    p_eval.add_argument("--has-header", action="store_true")
     p_eval.add_argument("--encoded", action="store_true", help="data is already encoded")
-    p_eval.add_argument("--dim", type=int, default=10000)
-    p_eval.add_argument("--seed", type=int, default=7)
-    p_eval.add_argument("--quantize", action="store_true")
     p_eval.set_defaults(func=cmd_eval)
 
-    p_sweep = sub.add_parser("sweep", help="run a grid of config overrides")
-    p_sweep.add_argument("--config", help="base config file")
-    p_sweep.add_argument("--set", action="append", metavar="KEY=VALUE")
+    p_sweep = sub.add_parser("sweep", parents=[run_opts], help="run a grid of config overrides")
     p_sweep.add_argument(
         "--grid",
         action="append",

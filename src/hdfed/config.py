@@ -2,7 +2,8 @@
 
 Config files are plain text lines of ``section.key = value`` with ``#``
 comments; the same dotted keys work as command-line overrides. The format is
-deliberately trivial to parse and diff.
+deliberately trivial to parse and diff. ``KEYS`` maps each key to the field it
+sets; a key left unset keeps the field's dataclass default.
 
 Recognized keys (defaults in parentheses):
 
@@ -35,9 +36,10 @@ Recognized keys (defaults in parentheses):
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from typing import Callable
 
-from .channel import ChannelConfig, CodecConfig
+from .channel import ChannelConfig
 from .federated import RoundConfig
 from .strategies import StrategyConfig
 
@@ -67,6 +69,12 @@ class DataSpec:
     normalize: bool = False
     synth: SynthSpec = field(default_factory=SynthSpec)
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("synth", "csv", "hdds"):
+            raise ConfigError(f"data.kind must be synth, csv, or hdds, got {self.kind!r}")
+        if self.kind != "synth" and self.train is None:
+            raise ConfigError(f"data.kind={self.kind} requires data.train")
+
 
 @dataclass
 class EncoderSpec:
@@ -80,6 +88,10 @@ class PartitionSpec:
     kind: str = "iid"  # iid | noniid
     shards_per_client: int = 2
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("iid", "noniid"):
+            raise ConfigError(f"partition.kind must be iid or noniid, got {self.kind!r}")
+
 
 @dataclass
 class ExperimentConfig:
@@ -92,6 +104,10 @@ class ExperimentConfig:
     metrics_path: str = "metrics.csv"
     model_path: str = "model.hdfm"
     target_accuracy: float | None = None
+
+
+def _parse_str(value: str, key: str) -> str:
+    return value
 
 
 def _parse_bool(value: str, key: str) -> bool:
@@ -115,6 +131,56 @@ def _parse_float(value: str, key: str) -> float:
         return float(value)
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {value!r}") from None
+
+
+def _parse_batch(value: str, key: str) -> int | None:
+    return None if value.lower() == "full" else _parse_int(value, key)
+
+
+# Every accepted key -> (section, field, parser). A section is the dotted
+# path of a dataclass inside ExperimentConfig ("" for ExperimentConfig
+# itself); a key that is absent keeps that dataclass's default.
+KEYS: dict[str, tuple[str, str, Callable[[str, str], object]]] = {
+    "data.kind": ("data", "kind", _parse_str),
+    "data.train": ("data", "train", _parse_str),
+    "data.test": ("data", "test", _parse_str),
+    "data.encoded": ("data", "encoded", _parse_bool),
+    "data.has_header": ("data", "has_header", _parse_bool),
+    "data.normalize": ("data", "normalize", _parse_bool),
+    "data.synth.classes": ("data.synth", "classes", _parse_int),
+    "data.synth.features": ("data.synth", "features", _parse_int),
+    "data.synth.train_per_class": ("data.synth", "train_per_class", _parse_int),
+    "data.synth.test_per_class": ("data.synth", "test_per_class", _parse_int),
+    "data.synth.separation": ("data.synth", "separation", _parse_float),
+    "data.synth.seed": ("data.synth", "seed", _parse_int),
+    "data.synth.symmetric": ("data.synth", "symmetric", _parse_bool),
+    "encoder.dim": ("encoder", "dim", _parse_int),
+    "encoder.seed": ("encoder", "seed", _parse_int),
+    "encoder.quantize": ("encoder", "quantize", _parse_bool),
+    "round.clients": ("round", "num_clients", _parse_int),
+    "round.participation": ("round", "participation", _parse_float),
+    "round.epochs": ("round", "local_epochs", _parse_int),
+    "round.batch": ("round", "local_batch", _parse_batch),
+    "round.lr": ("round", "learning_rate", _parse_float),
+    "round.rounds": ("round", "rounds", _parse_int),
+    "round.seed": ("round", "seed", _parse_int),
+    "partition.kind": ("partition", "kind", _parse_str),
+    "partition.shards_per_client": ("partition", "shards_per_client", _parse_int),
+    "channel.kind": ("channel", "kind", _parse_str),
+    "channel.snr_db": ("channel", "snr_db", _parse_float),
+    "channel.bit_error_rate": ("channel", "bit_error_rate", _parse_float),
+    "channel.packet_bits": ("channel", "packet_bits", _parse_int),
+    "channel.packet_loss_prob": ("channel", "packet_loss_prob", _parse_float),
+    "codec.representation": ("channel.codec", "representation", _parse_str),
+    "codec.bitwidth": ("channel.codec", "bitwidth", _parse_int),
+    "strategy.kind": ("strategy", "kind", _parse_str),
+    "strategy.rate": ("strategy", "rate", _parse_float),
+    "strategy.sparsity": ("strategy", "sparsity", _parse_float),
+    "strategy.step": ("strategy", "step", _parse_float),
+    "output.metrics": ("", "metrics_path", _parse_str),
+    "output.model": ("", "model_path", _parse_str),
+    "target_accuracy": ("", "target_accuracy", _parse_float),
+}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -143,10 +209,10 @@ def load_config(path: str | None, overrides: dict[str, str] | None = None) -> Ex
 
 
 def default_seed() -> int:
-    """Run seed default; the HDFED_SEED environment variable overrides it."""
+    """Run seed when round.seed is unset: $HDFED_SEED, else RoundConfig's."""
     raw = os.environ.get("HDFED_SEED")
     if raw is None:
-        return 0
+        return RoundConfig.seed
     try:
         return int(raw)
     except ValueError:
@@ -154,121 +220,28 @@ def default_seed() -> int:
 
 
 def config_from_entries(entries: dict[str, str]) -> ExperimentConfig:
-    entries = dict(entries)
+    unknown = sorted(set(entries) - set(KEYS))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    sections: dict[str, dict[str, object]] = {}
+    for key, raw in entries.items():
+        section, name, parse = KEYS[key]
+        sections.setdefault(section, {})[name] = parse(raw, key)
+    if "round.seed" not in entries:
+        sections.setdefault("round", {})["seed"] = default_seed()
 
-    def pop(key: str, default: str | None = None) -> str | None:
-        return entries.pop(key, default)
-
-    synth = SynthSpec(
-        classes=_parse_int(pop("data.synth.classes", "8"), "data.synth.classes"),
-        features=_parse_int(pop("data.synth.features", "32"), "data.synth.features"),
-        train_per_class=_parse_int(
-            pop("data.synth.train_per_class", "200"), "data.synth.train_per_class"
-        ),
-        test_per_class=_parse_int(
-            pop("data.synth.test_per_class", "100"), "data.synth.test_per_class"
-        ),
-        separation=_parse_float(pop("data.synth.separation", "2.0"), "data.synth.separation"),
-        seed=_parse_int(pop("data.synth.seed", "1"), "data.synth.seed"),
-        symmetric=_parse_bool(pop("data.synth.symmetric", "false"), "data.synth.symmetric"),
-    )
-    data = DataSpec(
-        kind=pop("data.kind", "synth"),
-        train=pop("data.train"),
-        test=pop("data.test"),
-        encoded=_parse_bool(pop("data.encoded", "false"), "data.encoded"),
-        has_header=_parse_bool(pop("data.has_header", "false"), "data.has_header"),
-        normalize=_parse_bool(pop("data.normalize", "false"), "data.normalize"),
-        synth=synth,
-    )
-    if data.kind not in ("synth", "csv", "hdds"):
-        raise ConfigError(f"data.kind must be synth, csv, or hdds, got {data.kind!r}")
-    if data.kind != "synth" and data.train is None:
-        raise ConfigError(f"data.kind={data.kind} requires data.train")
-
-    encoder = EncoderSpec(
-        dim=_parse_int(pop("encoder.dim", "10000"), "encoder.dim"),
-        seed=_parse_int(pop("encoder.seed", "7"), "encoder.seed"),
-        quantize=_parse_bool(pop("encoder.quantize", "false"), "encoder.quantize"),
-    )
-
-    batch_raw = pop("round.batch", "10")
-    batch = None if batch_raw.lower() == "full" else _parse_int(batch_raw, "round.batch")
     try:
-        round_cfg = RoundConfig(
-            num_clients=_parse_int(pop("round.clients", "100"), "round.clients"),
-            participation=_parse_float(pop("round.participation", "0.2"), "round.participation"),
-            local_epochs=_parse_int(pop("round.epochs", "1"), "round.epochs"),
-            local_batch=batch,
-            learning_rate=_parse_float(pop("round.lr", "1.0"), "round.lr"),
-            rounds=_parse_int(pop("round.rounds", "100"), "round.rounds"),
-            seed=_parse_int(pop("round.seed", str(default_seed())), "round.seed"),
-        )
+        return _with_sections(ExperimentConfig(), "", sections)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    partition = PartitionSpec(
-        kind=pop("partition.kind", "iid"),
-        shards_per_client=_parse_int(
-            pop("partition.shards_per_client", "2"), "partition.shards_per_client"
-        ),
-    )
-    if partition.kind not in ("iid", "noniid"):
-        raise ConfigError(f"partition.kind must be iid or noniid, got {partition.kind!r}")
 
-    try:
-        codec = CodecConfig(
-            representation=pop("codec.representation", "float32"),
-            bitwidth=_parse_int(pop("codec.bitwidth", "16"), "codec.bitwidth"),
-        )
-        channel_kwargs = {}
-        for cfg_key, name in (
-            ("channel.snr_db", "snr_db"),
-            ("channel.bit_error_rate", "bit_error_rate"),
-            ("channel.packet_loss_prob", "packet_loss_prob"),
-        ):
-            raw = pop(cfg_key)
-            if raw is not None:
-                channel_kwargs[name] = _parse_float(raw, cfg_key)
-        raw = pop("channel.packet_bits")
-        if raw is not None:
-            channel_kwargs["packet_bits"] = _parse_int(raw, "channel.packet_bits")
-        channel = ChannelConfig(kind=pop("channel.kind", "ideal"), codec=codec, **channel_kwargs)
-
-        strategy_kwargs = {}
-        for cfg_key, name in (
-            ("strategy.rate", "rate"),
-            ("strategy.sparsity", "sparsity"),
-        ):
-            raw = pop(cfg_key)
-            if raw is not None:
-                strategy_kwargs[name] = _parse_float(raw, cfg_key)
-        strategy = StrategyConfig(
-            kind=pop("strategy.kind", "none"),
-            step=_parse_float(pop("strategy.step", "1.0"), "strategy.step"),
-            **strategy_kwargs,
-        )
-    except ValueError as exc:
-        # Channel/codec/strategy dataclasses validate themselves.
-        raise ConfigError(str(exc)) from None
-
-    target_raw = pop("target_accuracy")
-    target = None if target_raw is None else _parse_float(target_raw, "target_accuracy")
-
-    metrics_path = pop("output.metrics", "metrics.csv")
-    model_path = pop("output.model", "model.hdfm")
-
-    if entries:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(entries))}")
-
-    return ExperimentConfig(
-        data=data,
-        encoder=encoder,
-        round=round_cfg,
-        partition=partition,
-        channel=channel,
-        strategy=strategy,
-        metrics_path=metrics_path,
-        model_path=model_path,
-        target_accuracy=target,
-    )
+def _with_sections(default: object, path: str, sections: dict[str, dict[str, object]]) -> object:
+    """``default`` with the parsed fields of section ``path`` and of every
+    section nested in it; each dataclass validates itself as it is rebuilt."""
+    nested = {
+        f.name: _with_sections(getattr(default, f.name), f"{path}.{f.name}".lstrip("."), sections)
+        for f in fields(default)
+        if is_dataclass(getattr(default, f.name))
+    }
+    return replace(default, **nested, **sections.get(path, {}))

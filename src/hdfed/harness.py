@@ -2,7 +2,9 @@
 
 Sits between the config layer and the library: builds datasets per the data
 spec, encodes them, partitions, runs the federated loop, and writes the
-metrics file with the fixed header
+metrics file. The CLI's ``encode`` and ``eval`` load and encode through the
+same ``load_dataset`` and ``encode_features``. The metrics file has the
+fixed header
 
     round,accuracy,train_loss,uplink_bytes_cum,downlink_bytes_cum,participants,wall_ms
 
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import data as dio
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, EncoderSpec, ExperimentConfig
 from .federated import Partition, RoundRecord, partition_iid, partition_noniid, run_training
 from .hdc import ClassPrototypes, EncoderConfig, encode_batch, projection_for
 
@@ -27,8 +29,13 @@ METRICS_HEADER = "round,accuracy,train_loss,uplink_bytes_cum,downlink_bytes_cum,
 class ExperimentResult:
     model: ClassPrototypes
     records: list[RoundRecord]
-    num_classes: int
-    hd_dim: int
+
+
+def load_dataset(path: str, kind: str, has_header: bool, split: str) -> dio.Dataset:
+    """One dataset file: delimited text for kind csv, HDDS for kind hdds."""
+    if kind == "csv":
+        return dio.load_delimited(path, has_header=has_header, split=split)
+    return dio.load_binary(path, split=split)
 
 
 def load_datasets(config: ExperimentConfig) -> tuple[dio.Dataset, dio.Dataset]:
@@ -44,17 +51,8 @@ def load_datasets(config: ExperimentConfig) -> tuple[dio.Dataset, dio.Dataset]:
             symmetric=spec.synth.symmetric,
         )
     else:
-        loader = dio.load_delimited if spec.kind == "csv" else dio.load_binary
-        if spec.kind == "csv":
-            train = loader(spec.train, has_header=spec.has_header, split="train")
-            test = (
-                loader(spec.test, has_header=spec.has_header, split="test")
-                if spec.test
-                else train
-            )
-        else:
-            train = loader(spec.train, split="train")
-            test = loader(spec.test, split="test") if spec.test else train
+        train = load_dataset(spec.train, spec.kind, spec.has_header, "train")
+        test = load_dataset(spec.test, spec.kind, spec.has_header, "test") if spec.test else train
         if train.num_classes != test.num_classes:
             k = max(train.num_classes, test.num_classes)
             train.num_classes = k
@@ -66,6 +64,16 @@ def load_datasets(config: ExperimentConfig) -> tuple[dio.Dataset, dio.Dataset]:
     return train, test
 
 
+def encode_features(spec: EncoderSpec, *datasets: dio.Dataset) -> list[np.ndarray]:
+    """Project each dataset's features through the one encoder that ``spec``
+    seeds for the first dataset's input dimension."""
+    enc = EncoderConfig(
+        input_dim=datasets[0].input_dim, hd_dim=spec.dim, seed=spec.seed, quantize=spec.quantize
+    )
+    phi = projection_for(enc)
+    return [encode_batch(phi, dataset.features, enc.quantize) for dataset in datasets]
+
+
 def encode_datasets(
     config: ExperimentConfig, train: dio.Dataset, test: dio.Dataset
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -74,17 +82,8 @@ def encode_datasets(
         if train.input_dim != test.input_dim:
             raise ConfigError("encoded train/test dimensions differ")
         return train.features, test.features
-    enc = EncoderConfig(
-        input_dim=train.input_dim,
-        hd_dim=config.encoder.dim,
-        seed=config.encoder.seed,
-        quantize=config.encoder.quantize,
-    )
-    phi = projection_for(enc)
-    return (
-        encode_batch(phi, train.features, enc.quantize),
-        encode_batch(phi, test.features, enc.quantize),
-    )
+    train_hvs, test_hvs = encode_features(config.encoder, train, test)
+    return train_hvs, test_hvs
 
 
 def build_partition(config: ExperimentConfig, train: dio.Dataset) -> Partition:
@@ -113,7 +112,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         config.channel,
         config.strategy,
     )
-    return ExperimentResult(model, records, train.num_classes, train_hvs.shape[1])
+    return ExperimentResult(model, records)
 
 
 def format_metrics(records: list[RoundRecord], target_accuracy: float | None = None) -> str:
@@ -121,7 +120,7 @@ def format_metrics(records: list[RoundRecord], target_accuracy: float | None = N
     lines = [METRICS_HEADER]
     up_cum = 0
     down_cum = 0
-    reached: tuple[int, int, int] | None = None
+    reached: str | None = None
     for rec in records:
         up_cum += rec.uplink_bytes
         down_cum += rec.downlink_bytes
@@ -129,23 +128,14 @@ def format_metrics(records: list[RoundRecord], target_accuracy: float | None = N
             f"{rec.round_index},{rec.test_accuracy:.6f},{rec.train_loss:.6f},"
             f"{up_cum},{down_cum},{len(rec.participants)},{rec.wall_ms:.3f}"
         )
-        if (
-            target_accuracy is not None
-            and reached is None
-            and rec.test_accuracy >= target_accuracy
-        ):
-            reached = (rec.round_index, up_cum, down_cum)
+        if target_accuracy is not None and reached is None and rec.test_accuracy >= target_accuracy:
+            reached = (
+                f"reached_round={rec.round_index} "
+                f"uplink_bytes_cum={up_cum} downlink_bytes_cum={down_cum}"
+            )
     if target_accuracy is not None:
-        if reached is not None:
-            r, up, down = reached
-            lines.append(
-                f"# target_accuracy={target_accuracy} reached_round={r} "
-                f"uplink_bytes_cum={up} downlink_bytes_cum={down}"
-            )
-        else:
-            lines.append(
-                f"# target_accuracy={target_accuracy} not_reached rounds={len(records)}"
-            )
+        outcome = reached or f"not_reached rounds={len(records)}"
+        lines.append(f"# target_accuracy={target_accuracy} {outcome}")
     return "\n".join(lines) + "\n"
 
 

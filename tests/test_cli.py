@@ -1,14 +1,27 @@
 import csv
+import dataclasses
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from hdfed.channel import read_model
+from hdfed import config as config_module
+from hdfed.channel import ChannelConfig, read_model
 from hdfed.cli import main
-from hdfed.config import ConfigError, load_config, parse_config_text
+from hdfed.config import (
+    ConfigError,
+    DataSpec,
+    EncoderSpec,
+    ExperimentConfig,
+    PartitionSpec,
+    load_config,
+    parse_config_text,
+)
+from hdfed.federated import RoundConfig
+from hdfed.strategies import StrategyConfig
 from hdfed.data import Dataset, save_binary
 
 BASE_CONFIG = """
@@ -81,6 +94,133 @@ class TestConfigParsing:
         # explicit key still wins
         cfg = load_config(None, {"round.seed": "7"})
         assert cfg.round.seed == 7
+
+    def test_malformed_env_seed_is_read_only_when_round_seed_is_unset(self, monkeypatch):
+        monkeypatch.setenv("HDFED_SEED", "abc")
+        assert load_config(None, {"round.seed": "7"}).round.seed == 7
+        with pytest.raises(ConfigError, match="HDFED_SEED"):
+            load_config(None)
+
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"data.kind": "parquet", "data.train": "x"}, "data.kind"),
+            ({"data.kind": "csv"}, "requires data.train"),
+            ({"partition.kind": "random"}, "partition.kind"),
+        ],
+    )
+    def test_data_and_partition_sections_validate_themselves(self, overrides, match):
+        with pytest.raises(ConfigError, match=match):
+            load_config(None, overrides)
+        section = DataSpec if "data.kind" in overrides else PartitionSpec
+        with pytest.raises(ConfigError, match=match):
+            section(**{k.split(".")[-1]: v for k, v in overrides.items()})
+
+
+def flat_fields(obj, prefix=""):
+    """Every leaf field of a nested config dataclass, by dotted path."""
+    out = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            out.update(flat_fields(value, f"{prefix}{f.name}."))
+        else:
+            out[f"{prefix}{f.name}"] = value
+    return out
+
+
+# (overrides, field path, expected): the first override is the key under
+# test, any further ones are what it needs to validate.
+KEY_CASES = [
+    ({"data.kind": "csv", "data.train": "a.csv"}, "data.kind", "csv"),
+    ({"data.train": "a.csv"}, "data.train", "a.csv"),
+    ({"data.test": "b.csv"}, "data.test", "b.csv"),
+    ({"data.encoded": "true"}, "data.encoded", True),
+    ({"data.has_header": "YES"}, "data.has_header", True),
+    ({"data.normalize": "on"}, "data.normalize", True),
+    ({"data.synth.classes": "5"}, "data.synth.classes", 5),
+    ({"data.synth.features": "12"}, "data.synth.features", 12),
+    ({"data.synth.train_per_class": "30"}, "data.synth.train_per_class", 30),
+    ({"data.synth.test_per_class": "20"}, "data.synth.test_per_class", 20),
+    ({"data.synth.separation": "3.5"}, "data.synth.separation", 3.5),
+    ({"data.synth.seed": "9"}, "data.synth.seed", 9),
+    ({"data.synth.symmetric": "1"}, "data.synth.symmetric", True),
+    ({"encoder.dim": "512"}, "encoder.dim", 512),
+    ({"encoder.seed": "11"}, "encoder.seed", 11),
+    ({"encoder.quantize": "True"}, "encoder.quantize", True),
+    ({"round.clients": "12"}, "round.num_clients", 12),
+    ({"round.participation": "0.5"}, "round.participation", 0.5),
+    ({"round.epochs": "3"}, "round.local_epochs", 3),
+    ({"round.batch": "full"}, "round.local_batch", None),
+    ({"round.lr": "0.25"}, "round.learning_rate", 0.25),
+    ({"round.rounds": "4"}, "round.rounds", 4),
+    ({"round.seed": "13"}, "round.seed", 13),
+    ({"partition.kind": "noniid"}, "partition.kind", "noniid"),
+    ({"partition.shards_per_client": "3"}, "partition.shards_per_client", 3),
+    ({"channel.kind": "awgn", "channel.snr_db": "10"}, "channel.kind", "awgn"),
+    ({"channel.snr_db": "-3"}, "channel.snr_db", -3.0),
+    ({"channel.bit_error_rate": "1e-3"}, "channel.bit_error_rate", 1e-3),
+    ({"channel.packet_bits": "64"}, "channel.packet_bits", 64),
+    ({"channel.packet_loss_prob": "0.1"}, "channel.packet_loss_prob", 0.1),
+    ({"codec.representation": "int32"}, "channel.codec.representation", "int32"),
+    ({"codec.bitwidth": "8"}, "channel.codec.bitwidth", 8),
+    ({"strategy.kind": "binary_diff"}, "strategy.kind", "binary_diff"),
+    ({"strategy.rate": "0.3", "strategy.kind": "subsample"}, "strategy.rate", 0.3),
+    ({"strategy.sparsity": "0.9", "strategy.kind": "sparsify"}, "strategy.sparsity", 0.9),
+    ({"strategy.step": "2"}, "strategy.step", 2.0),
+    ({"output.metrics": "run.csv"}, "metrics_path", "run.csv"),
+    ({"output.model": "run.hdfm"}, "model_path", "run.hdfm"),
+    ({"target_accuracy": "0.8"}, "target_accuracy", 0.8),
+    # spellings: an integer batch next to full, and the false booleans
+    ({"round.batch": "7"}, "round.local_batch", 7),
+    ({"data.encoded": "off"}, "data.encoded", False),
+    ({"data.normalize": "No"}, "data.normalize", False),
+    ({"encoder.quantize": "0"}, "encoder.quantize", False),
+    ({"data.synth.symmetric": "FALSE"}, "data.synth.symmetric", False),
+]
+FIELD_OF = {}
+for _overrides, _path, _ in KEY_CASES:
+    FIELD_OF.setdefault(next(iter(_overrides)), _path)
+
+
+class TestKeyTable:
+    def test_documented_keys_are_the_accepted_keys(self):
+        doc = config_module.__doc__.split("Recognized keys", 1)[1]
+        doc = re.sub(r"\([^)]*\)", "", doc)  # defaults may look like keys
+        documented = set(re.findall(r"\b(?:[a-z_]+\.[a-z_.]*[a-z_]|target_accuracy)\b", doc))
+        assert documented == set(config_module.KEYS)
+        assert len(documented) == 39
+        assert set(FIELD_OF) == documented
+
+    @pytest.mark.parametrize(
+        "section, default",
+        [
+            ("data", DataSpec()),
+            ("encoder", EncoderSpec()),
+            ("round", RoundConfig(num_clients=100)),
+            ("partition", PartitionSpec()),
+            ("channel", ChannelConfig()),
+            ("strategy", StrategyConfig()),
+            ("metrics_path", "metrics.csv"),
+            ("model_path", "model.hdfm"),
+            ("target_accuracy", None),
+        ],
+    )
+    def test_no_keys_give_the_dataclass_defaults(self, section, default, monkeypatch):
+        monkeypatch.delenv("HDFED_SEED", raising=False)
+        assert getattr(load_config(None), section) == default
+
+    @pytest.mark.parametrize(
+        "overrides, path, expected", KEY_CASES, ids=[f"{c[1]}={c[2]}" for c in KEY_CASES]
+    )
+    def test_each_key_sets_its_own_field(self, overrides, path, expected, monkeypatch):
+        monkeypatch.delenv("HDFED_SEED", raising=False)
+        _, *needs = overrides
+        got = flat_fields(load_config(None, overrides))
+        default = flat_fields(ExperimentConfig())
+        assert got[path] == expected
+        moved = {p for p in got if got[p] != default[p]}
+        assert moved <= {path, *(FIELD_OF[k] for k in needs)}
 
 
 class TestTrainCommand:
@@ -308,6 +448,27 @@ class TestSweepCommand:
         kind, message = failed[-1].split(": ", 1)
         assert kind.endswith("Error") and "1.5" in message
         assert '"' in text.splitlines()[2]  # the message holds a comma, so it is quoted
+
+    def test_path_valued_grid_key_names_cells_without_separators(self, tmp_path):
+        rows = "\n".join(f"{3.0 * (i % 2) + 0.1 * i},{-0.2 * i},{i % 2}" for i in range(40))
+        (tmp_path / "dir").mkdir()
+        for name in ("a.csv", os.path.join("dir", "b.csv")):
+            (tmp_path / name).write_text(rows + "\n")
+        out_dir = tmp_path / "sweepP"
+        rc = main(
+            ["sweep", "--out-dir", str(out_dir),
+             "--set", "data.kind=csv", "--set", "encoder.dim=64",
+             "--set", "round.clients=2", "--set", "round.rounds=1",
+             "--grid", f"data.train={tmp_path / 'a.csv'},{tmp_path / 'dir' / 'b.csv'}"]
+        )
+        assert rc == 0
+        with open(out_dir / "summary.csv", newline="") as f:
+            _, *cells = csv.reader(f)
+        assert [row[2] for row in cells] == ["ok", "ok"]
+        assert cells[1][1] == str(tmp_path / "dir" / "b.csv")  # the raw value
+        tag = str(tmp_path / "dir" / "b.csv").replace(os.sep, "-")
+        assert os.path.exists(out_dir / f"cell001_train={tag}.csv")
+        assert os.path.exists(out_dir / f"cell001_train={tag}.hdfm")
 
     def test_dimensionality_grid_layout(self, tmp_path):
         # the dimensionality-study shape: one cell per hyperspace size
