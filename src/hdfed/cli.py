@@ -114,6 +114,9 @@ def _grid_values(specs: list[str]) -> list[tuple[str, list[str]]]:
         values = [v.strip() for v in raw.split(",") if v.strip()]
         if not values:
             raise ConfigError(f"grid spec {spec!r} lists no values")
+        if any(key == seen for seen, _ in grid):
+            # Every cell would train at the last value given for the key.
+            raise ConfigError(f"grid key {key} is given more than once")
         grid.append((key, values))
     return grid
 

@@ -32,6 +32,7 @@ from .channel import (
 )
 from .hdc import (
     ClassPrototypes,
+    SampleRows,
     accuracy,
     multiclass_margin_loss,
     retrain_epoch,
@@ -90,7 +91,7 @@ class Partition:
 @dataclass
 class ClientState:
     client_id: int
-    hvs: np.ndarray
+    hvs: np.ndarray | SampleRows  # (n, d) samples, or n rows of the shared training matrix
     labels: np.ndarray
 
 
@@ -190,12 +191,13 @@ def local_update(
     Batch order is drawn from the (seed, round, client) stream. A client with
     no data returns a copy of the global model.
     """
-    if client.hvs.shape[0] == 0 or cfg.local_epochs == 0:
+    n = len(client.hvs)
+    if n == 0 or cfg.local_epochs == 0:
         return global_model.copy()
     rng = derived_rng(cfg.seed, STREAM_LOCAL, round_index, client.client_id)
     model = global_model  # retrain_epoch returns a new model; the broadcast is never written
     for _ in range(cfg.local_epochs):
-        order = _batched_order(client.hvs.shape[0], cfg.local_batch, rng)
+        order = _batched_order(n, cfg.local_batch, rng)
         model, _ = retrain_epoch(model, client.hvs, client.labels, cfg.learning_rate, order)
     return model
 
@@ -247,13 +249,12 @@ def aggregate_sum(models: list[ClassPrototypes]) -> ClassPrototypes:
 def _client_states(
     hvs: np.ndarray, labels: np.ndarray, partition: Partition
 ) -> list[ClientState]:
-    """Each client's rows as one contiguous block of a single copy in
-    partition order: one gather to build and one buffer to free when
-    training ends, not one copy per client."""
-    cuts = np.cumsum([len(idx) for idx in partition.assignments])[:-1]
-    rows = np.concatenate(partition.assignments)
-    blocks = zip(np.split(hvs[rows], cuts), np.split(labels[rows], cuts))
-    return [ClientState(cid, h, y) for cid, (h, y) in enumerate(blocks)]
+    """Each client's rows, in assignment order, as row views of the one
+    C-ordered float64 training matrix: only the labels are gathered."""
+    return [
+        ClientState(cid, SampleRows(hvs, idx), labels[idx])
+        for cid, idx in enumerate(partition.assignments)
+    ]
 
 
 class _Uplink:
@@ -369,6 +370,9 @@ def run_training(
     if strategy.kind == "subsample":
         # The last round and client give the largest stream key.
         strat.subsample_stream_key(cfg.rounds - 1, cfg.num_clients - 1)
+    # Held once: the clients' rows and the train-loss eval read this matrix.
+    # The encoder's output is already C-ordered float64, so this copies nothing.
+    train_hvs = np.ascontiguousarray(train_hvs, dtype=np.float64)
     clients = _client_states(train_hvs, train_labels, partition)
     hd_dim = train_hvs.shape[1]
     global_model = ClassPrototypes.zeros(num_classes, hd_dim)

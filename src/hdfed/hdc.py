@@ -107,6 +107,37 @@ class ClassPrototypes:
         return cls(np.zeros((num_classes, hd_dim)), np.zeros(num_classes, dtype=np.int64))
 
 
+class SampleRows:
+    """Rows ``index`` of one (n, d) sample matrix, in that order, read in
+    place: ``len()`` is ``len(index)`` and item ``j`` is the view
+    ``matrix[index[j]]``. The matrix must be C-ordered float64. It is
+    checked once here, so the retrain loop reads the rows with no per-call
+    check and no gathered copy."""
+
+    __slots__ = ("matrix", "index")
+
+    def __init__(self, matrix: np.ndarray, index: np.ndarray) -> None:
+        if not isinstance(matrix, np.ndarray) or matrix.ndim != 2:
+            raise DimensionError("sample rows need an (n, d) matrix")
+        if matrix.dtype != np.float64 or not matrix.flags.c_contiguous:
+            raise DimensionError(
+                f"sample rows need a C-ordered float64 matrix, got {matrix.dtype}"
+                f" with c_contiguous={matrix.flags.c_contiguous}"
+            )
+        index = np.asarray(index)
+        if index.ndim != 1 or index.dtype.kind not in "iu":
+            raise ValueError("row index must be a 1-D integer array")
+        if index.size and (index.min() < 0 or index.max() >= matrix.shape[0]):
+            raise ValueError(f"row index must lie in [0, {matrix.shape[0]})")
+        self.matrix, self.index = matrix, index
+
+    def __len__(self) -> int:
+        return self.index.shape[0]
+
+    def __getitem__(self, j: int) -> np.ndarray:
+        return self.matrix[self.index[j]]
+
+
 def make_projection(input_dim: int, hd_dim: int, seed: int) -> ProjectionMatrix:
     """Draw hd_dim random directions on the unit sphere in input_dim dimensions.
 
@@ -248,7 +279,7 @@ def multiclass_margin_loss(prototypes: ClassPrototypes, hs: np.ndarray, labels: 
 
 def retrain_epoch(
     prototypes: ClassPrototypes,
-    hvs: np.ndarray,
+    hvs: np.ndarray | SampleRows,
     labels: np.ndarray,
     alpha: float,
     order: np.ndarray | None = None,
@@ -257,34 +288,40 @@ def retrain_epoch(
 
     Each mispredicted sample is added (scaled by alpha) to its true class
     prototype and subtracted from the predicted one. Counts are untouched.
+    ``hvs`` is an (n, d) matrix or a ``SampleRows`` of n rows.
     ``order`` is a permutation of ``range(len(hvs))`` naming the sample to
     visit at each step; the pass reads rows of ``hvs`` in place, so
     ``retrain_epoch(p, hvs, labels, a, order)`` equals
     ``retrain_epoch(p, hvs[order], labels[order], a)`` bit for bit without
-    the copy. ``None`` visits the samples as stored. Labels must lie in
+    the copy, and ``SampleRows(m, idx)`` equals the gathered ``m[idx]``.
+    ``None`` visits the samples as stored. Labels must lie in
     ``[0, K)``. Returns the updated prototypes and the number of
     corrections made.
     """
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    hvs = np.ascontiguousarray(hvs, dtype=np.float64)  # rows score like a gathered copy's
+    if isinstance(hvs, SampleRows):
+        hvs, rows = hvs.matrix, hvs.index  # checked where built
+    else:
+        hvs = np.ascontiguousarray(hvs, dtype=np.float64)  # rows score like a gathered copy's
+        rows = None
     labels = np.asarray(labels)
     if hvs.ndim != 2 or hvs.shape[1] != prototypes.hd_dim:
         raise DimensionError("sample dimension does not match prototypes")
-    n = hvs.shape[0]
+    n = hvs.shape[0] if rows is None else rows.shape[0]
     if labels.shape != (n,):
         raise DimensionError("labels must align with samples")
     k = prototypes.num_classes
     if np.any(labels < 0) or np.any(labels >= k):
         raise ValueError(f"labels must lie in [0, {k})")
     if order is None:
-        steps = range(n)
+        order = np.arange(n)
     else:
         order = np.asarray(order)
         if order.shape != (n,) or not np.array_equal(np.sort(order), np.arange(n)):
             raise ValueError(f"order must be a permutation of range({n})")
-        steps = order.tolist()
-    labels = labels.tolist()
+    # Each step names the matrix row to read and its label.
+    steps = zip((order if rows is None else rows[order]).tolist(), labels[order].tolist())
     vectors = prototypes.vectors.copy()
     # Divisors and the zero-norm mask are built once and refreshed only for
     # the two classes a mistake changes. The refresh uses the dot product
@@ -296,14 +333,13 @@ def retrain_epoch(
     any_zero = bool(zero.any())
     sims = np.empty(k)  # one score buffer: np.dot(out=) is the same gemv as vectors @ h
     mistakes = 0
-    for i in steps:
+    for i, label in steps:
         h = hvs[i]
         np.dot(vectors, h, out=sims)
         np.divide(sims, safe, out=sims)
         if any_zero:
             sims[zero] = 0.0
         pred = int(sims.argmax())
-        label = labels[i]
         if pred != label:
             step = alpha * h
             vectors[label] += step

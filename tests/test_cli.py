@@ -470,6 +470,18 @@ class TestSweepCommand:
         assert os.path.exists(out_dir / f"cell001_train={tag}.csv")
         assert os.path.exists(out_dir / f"cell001_train={tag}.hdfm")
 
+    @pytest.mark.parametrize(
+        "grids", [["E=1,2", "E=3"], ["E=1", "round.epochs=2"]], ids=["repeated", "alias"]
+    )
+    def test_repeated_grid_key_rejected_before_any_cell(self, tmp_path, grids, capsys):
+        cfg = write_config(tmp_path)
+        out_dir = tmp_path / "sweepR"
+        argv = ["sweep", "--config", cfg, "--out-dir", str(out_dir)]
+        rc = main(argv + [arg for g in grids for arg in ("--grid", g)])
+        assert rc == 2
+        assert "round.epochs is given more than once" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_dimensionality_grid_layout(self, tmp_path):
         # the dimensionality-study shape: one cell per hyperspace size
         cfg = write_config(tmp_path)

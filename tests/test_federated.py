@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from hdfed import federated
 from hdfed.channel import ChannelConfig, CodecConfig
 from hdfed.data import synth_train_test
 from hdfed.federated import (
@@ -123,9 +126,11 @@ class TestClientStates:
         clients = _client_states(hvs, labels, Partition(assignments, np.array([0.4, 0.0, 0.6])))
         assert [c.client_id for c in clients] == [0, 1, 2]
         for client, idx in zip(clients, assignments):
-            assert np.array_equal(client.hvs, hvs[idx])
+            assert len(client.hvs) == len(idx)
+            for j, i in enumerate(idx):
+                assert np.array_equal(client.hvs[j], hvs[i])
+                assert np.shares_memory(client.hvs[j], hvs)  # a view, not a copy
             assert np.array_equal(client.labels, labels[idx])
-            assert client.hvs.flags.c_contiguous and client.hvs.shape == (len(idx), 5)
 
 
 class TestLocalUpdate:
@@ -366,6 +371,48 @@ class TestRunTraining:
             strategy=StrategyConfig(kind="binary_diff"),
         )
         assert all(len(r.participants) == 4 for r in records)
+
+    def test_row_views_train_like_gathered_client_copies(self, monkeypatch):
+        # d = 131 puts client rows at offsets that are not 64-byte aligned.
+        train_hvs, train_labels, test_hvs, test_labels, k = encoded_task(seed=3, d=131)
+        cfg = RoundConfig(
+            num_clients=5, participation=0.6, local_epochs=2, local_batch=4, rounds=3, seed=6
+        )
+        part = partition_noniid(train_labels, 5, 2, seed=6)
+
+        def run(hvs):
+            model, recs = run_training(hvs, train_labels, test_hvs, test_labels, k, part, cfg)
+            rows = [(r.participants, r.test_accuracy, r.train_loss, r.uplink_bytes) for r in recs]
+            return model.vectors.view(np.uint64), rows
+
+        def gathered_states(hvs, labels, partition):
+            return [
+                ClientState(cid, hvs[idx], labels[idx])
+                for cid, idx in enumerate(partition.assignments)
+            ]
+
+        views = run(train_hvs)
+        fortran = run(np.asfortranarray(train_hvs))
+        monkeypatch.setattr(federated, "_client_states", gathered_states)
+        copies = run(train_hvs)
+        for got in (views, fortran):
+            assert np.array_equal(got[0], copies[0]) and got[1] == copies[1]
+
+    def test_training_matrix_is_held_once(self):
+        # Clients read row views of the caller's matrix: no second copy of
+        # the training set is made, so the traced peak stays far below it.
+        rng = np.random.default_rng(0)
+        train_hvs, train_labels = rng.standard_normal((2000, 1000)), rng.integers(0, 4, 2000)
+        test_hvs, test_labels = rng.standard_normal((100, 1000)), rng.integers(0, 4, 100)
+        cfg = RoundConfig(num_clients=10, participation=1.0, rounds=2, seed=0)
+        part = partition_iid(2000, 10, seed=0)
+        tracemalloc.start()
+        try:
+            run_training(train_hvs, train_labels, test_hvs, test_labels, 4, part, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < train_hvs.nbytes / 4
 
 
 def decaying_learning_rate(mu: float, gamma: float, t: int) -> float:

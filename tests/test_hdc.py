@@ -10,6 +10,7 @@ from hdfed.hdc import (
     DimensionError,
     EncoderConfig,
     ProjectionMatrix,
+    SampleRows,
     _prototype_norms,
     _similarity_matrix,
     binary_retrain,
@@ -386,6 +387,67 @@ class TestRetrainEquivalence:
         buf = np.empty(k)
         np.dot(vectors, h, out=buf)
         assert np.array_equal(buf.view(np.uint64), (vectors @ h).view(np.uint64))
+
+
+@st.composite
+def shared_row_cases(draw):
+    """A model and a client's rows drawn from a larger shared matrix: K in
+    2..12, d often not a multiple of 8, so row starts fall at every 8-byte
+    offset from a 64-byte line; rows in any order, some left out."""
+    k, d, n = draw(st.integers(2, 12)), draw(st.integers(1, 300)), draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrix = rng.standard_normal((n + draw(st.integers(0, 20)), d))
+    index = rng.choice(matrix.shape[0], size=n, replace=False)
+    vectors = rng.standard_normal((k, d))
+    if draw(st.booleans()):
+        vectors[:] = 0.0
+    model = ClassPrototypes(vectors, np.ones(k, dtype=np.int64))
+    labels = rng.integers(0, k, size=n)
+    order = rng.permutation(n) if draw(st.booleans()) else None
+    alpha = draw(st.sampled_from([1.0, 0.3, 2.5]))
+    return model, matrix, index, labels, alpha, order
+
+
+class TestSampleRows:
+    """Retraining over row views of a shared matrix reads the same bytes as
+    over the gathered rows, so the result is the same bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(shared_row_cases())
+    def test_row_views_retrain_like_the_gathered_block(self, case):
+        model, matrix, index, labels, alpha, order = case
+        rows = SampleRows(matrix, index)
+        assert len(rows) == len(index)
+        got = retrain_epoch(model, rows, labels, alpha, order)
+        want = retrain_epoch(model, matrix[index], labels, alpha, order)
+        TestRetrainEquivalence.assert_same(got, want)
+
+    def test_items_are_views_of_the_matrix(self):
+        matrix = np.arange(15.0).reshape(5, 3)
+        rows = SampleRows(matrix, np.array([3, 0]))
+        assert np.array_equal(np.asarray(rows), matrix[[3, 0]])
+        assert all(np.shares_memory(rows[j], matrix) for j in range(2))
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            np.ones((4, 3)),  # wrong length: the model has d = 2
+            np.ones((4, 2), dtype=np.float32),
+            np.ones((4, 4))[:, ::2],  # rows not contiguous
+            np.asfortranarray(np.ones((4, 2))),
+            np.ones(4),
+        ],
+        ids=["length", "float32", "strided", "fortran", "1-D"],
+    )
+    def test_malformed_rows_rejected(self, matrix):
+        protos = ClassPrototypes(np.eye(2), np.array([1, 1]))
+        with pytest.raises(DimensionError):
+            retrain_epoch(protos, SampleRows(matrix, np.array([0, 2])), np.array([0, 1]), 1.0)
+
+    @pytest.mark.parametrize("index", [[0, 4], [-1, 0], [[0, 1]], [0.0, 1.0]], ids=str)
+    def test_index_must_name_rows_of_the_matrix(self, index):
+        with pytest.raises(ValueError, match="row index"):
+            SampleRows(np.ones((4, 2)), np.array(index))
 
 
 def reference_similarity_matrix(vectors, norms, hs):
