@@ -40,6 +40,7 @@ from .federated import (
 from .hdc import (
     ClassPrototypes,
     EncoderConfig,
+    ProjectedQueries,
     ProjectionMatrix,
     binary_retrain,
     encode,

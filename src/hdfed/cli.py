@@ -23,7 +23,14 @@ from . import data as dio
 from .channel import read_model, write_model
 from .config import ConfigError, EncoderSpec, ExperimentConfig, load_config
 from .federated import RoundRecord
-from .harness import encode_features, load_dataset, run_experiment, write_metrics
+from .harness import (
+    encode_features,
+    encoder_projection,
+    eval_queries,
+    load_dataset,
+    run_experiment,
+    write_metrics,
+)
 from .hdc import DimensionError, predict_batch
 
 # Sweep shorthands accepted next to full dotted keys.
@@ -76,7 +83,7 @@ def _encoder_spec(args: argparse.Namespace) -> EncoderSpec:
 
 def cmd_encode(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.data, args.format, args.has_header, "train")
-    [hvs] = encode_features(_encoder_spec(args), dataset)
+    hvs = encode_features(_encoder_spec(args), dataset)
     encoded = dio.Dataset(hvs, dataset.labels, dataset.num_classes, split=dataset.split)
     dio.save_binary(encoded, args.out)
     print(f"encoded {dataset.n_samples} samples at d={args.dim} -> {args.out}")
@@ -86,12 +93,16 @@ def cmd_encode(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     model, _ = read_model(args.model)
     dataset = load_dataset(args.data, args.format, args.has_header, "test")
-    hvs = dataset.features if args.encoded else encode_features(_encoder_spec(args), dataset)[0]
-    if hvs.shape[1] != model.hd_dim:
+    if args.encoded:
+        queries = dataset.features
+    else:
+        spec = _encoder_spec(args)
+        queries = eval_queries(spec, encoder_projection(spec, dataset), dataset)
+    if queries.shape[1] != model.hd_dim:
         raise DimensionError(
-            f"model dimension {model.hd_dim} does not match encoded dimension {hvs.shape[1]}"
+            f"model dimension {model.hd_dim} does not match encoded dimension {queries.shape[1]}"
         )
-    preds = predict_batch(model, hvs)
+    preds = predict_batch(model, queries)
     overall = float(np.mean(preds == dataset.labels))
     print(f"accuracy {overall:.4f} on {dataset.n_samples} samples")
     for k in range(dataset.num_classes):

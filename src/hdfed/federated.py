@@ -32,6 +32,7 @@ from .channel import (
 )
 from .hdc import (
     ClassPrototypes,
+    ProjectedQueries,
     SampleRows,
     accuracy,
     multiclass_margin_loss,
@@ -346,15 +347,21 @@ _UPLINKS = dict(none=_FullModel, binary_diff=_SignDiff, subsample=_Subsample, sp
 def run_training(
     train_hvs: np.ndarray,
     train_labels: np.ndarray,
-    test_hvs: np.ndarray,
+    test_hvs: np.ndarray | ProjectedQueries,
     test_labels: np.ndarray,
     num_classes: int,
     partition: Partition,
     cfg: RoundConfig,
     channel: ChannelConfig | None = None,
     strategy: strat.StrategyConfig | None = None,
+    train_queries: np.ndarray | ProjectedQueries | None = None,
 ) -> tuple[ClassPrototypes, list[RoundRecord]]:
     """Run the full federated loop over encoded data for cfg.rounds rounds.
+
+    Clients retrain on the rows of ``train_hvs``. Each round scores the test
+    accuracy on ``test_hvs`` and the train loss on ``train_queries``, which
+    defaults to ``train_hvs``; either may be ``ProjectedQueries`` of a
+    linear encoder, which the eval scores without the encoded rows.
 
     Returns the final global model and one record per round. Configuration
     errors surface before round 1; channel corruption never aborts a run.
@@ -370,9 +377,12 @@ def run_training(
     if strategy.kind == "subsample":
         # The last round and client give the largest stream key.
         strat.subsample_stream_key(cfg.rounds - 1, cfg.num_clients - 1)
-    # Held once: the clients' rows and the train-loss eval read this matrix.
-    # The encoder's output is already C-ordered float64, so this copies nothing.
+    # Held once: the clients' rows, and the train-loss eval unless given
+    # queries, read this matrix. The encoder's output is already C-ordered
+    # float64, so this copies nothing.
     train_hvs = np.ascontiguousarray(train_hvs, dtype=np.float64)
+    if train_queries is None:
+        train_queries = train_hvs
     clients = _client_states(train_hvs, train_labels, partition)
     hd_dim = train_hvs.shape[1]
     global_model = ClassPrototypes.zeros(num_classes, hd_dim)
@@ -401,7 +411,7 @@ def run_training(
                 round_index=t,
                 participants=tuple(int(c) for c in participants),
                 test_accuracy=accuracy(global_model, test_hvs, test_labels),
-                train_loss=multiclass_margin_loss(global_model, train_hvs, train_labels),
+                train_loss=multiclass_margin_loss(global_model, train_queries, train_labels),
                 uplink_bytes=uplink_bytes,
                 downlink_bytes=downlink_frame * cfg.num_clients,
                 wall_ms=(time.perf_counter() - tic) * 1000.0,

@@ -2,9 +2,10 @@
 
 Sits between the config layer and the library: builds datasets per the data
 spec, encodes them, partitions, runs the federated loop, and writes the
-metrics file. The CLI's ``encode`` and ``eval`` load and encode through the
-same ``load_dataset`` and ``encode_features``. The metrics file has the
-fixed header
+metrics file. Only the training split is encoded: the eval scores a linear
+encoding from the raw features. The CLI's ``encode`` and ``eval`` load and
+encode through the same ``load_dataset``, ``encode_features`` and
+``eval_queries``. The metrics file has the fixed header
 
     round,accuracy,train_loss,uplink_bytes_cum,downlink_bytes_cum,participants,wall_ms
 
@@ -20,7 +21,14 @@ import numpy as np
 from . import data as dio
 from .config import ConfigError, EncoderSpec, ExperimentConfig
 from .federated import Partition, RoundRecord, partition_iid, partition_noniid, run_training
-from .hdc import ClassPrototypes, EncoderConfig, encode_batch, projection_for
+from .hdc import (
+    ClassPrototypes,
+    EncoderConfig,
+    ProjectedQueries,
+    ProjectionMatrix,
+    encode_batch,
+    projection_for,
+)
 
 METRICS_HEADER = "round,accuracy,train_loss,uplink_bytes_cum,downlink_bytes_cum,participants,wall_ms"
 
@@ -64,26 +72,45 @@ def load_datasets(config: ExperimentConfig) -> tuple[dio.Dataset, dio.Dataset]:
     return train, test
 
 
-def encode_features(spec: EncoderSpec, *datasets: dio.Dataset) -> list[np.ndarray]:
-    """Project each dataset's features through the one encoder that ``spec``
-    seeds for the first dataset's input dimension."""
-    enc = EncoderConfig(
-        input_dim=datasets[0].input_dim, hd_dim=spec.dim, seed=spec.seed, quantize=spec.quantize
+def encoder_projection(spec: EncoderSpec, dataset: dio.Dataset) -> ProjectionMatrix:
+    """The one projection that ``spec`` seeds for the dataset's input dimension."""
+    return projection_for(
+        EncoderConfig(
+            input_dim=dataset.input_dim, hd_dim=spec.dim, seed=spec.seed, quantize=spec.quantize
+        )
     )
-    phi = projection_for(enc)
-    return [encode_batch(phi, dataset.features, enc.quantize) for dataset in datasets]
+
+
+def encode_features(spec: EncoderSpec, dataset: dio.Dataset) -> np.ndarray:
+    """The dataset's encoded (n, d) rows."""
+    return encode_batch(encoder_projection(spec, dataset), dataset.features, spec.quantize)
+
+
+def eval_queries(
+    spec: EncoderSpec, phi: ProjectionMatrix, dataset: dio.Dataset
+) -> np.ndarray | ProjectedQueries:
+    """The dataset as the eval scores it. The linear encoding h = P x is
+    scored from the raw features, so its (n, d) rows are never built; the
+    sign encoding is not linear and is encoded."""
+    if spec.quantize:
+        return encode_batch(phi, dataset.features, True)
+    return ProjectedQueries(dataset.features, phi)
 
 
 def encode_datasets(
     config: ExperimentConfig, train: dio.Dataset, test: dio.Dataset
-) -> tuple[np.ndarray, np.ndarray]:
-    """Project both splits, or pass features through when already encoded."""
+) -> tuple[np.ndarray, np.ndarray | ProjectedQueries, np.ndarray | ProjectedQueries]:
+    """The training rows that clients retrain on, then the train-loss and
+    test queries of the eval. Already-encoded features pass through."""
     if config.data.encoded:
         if train.input_dim != test.input_dim:
             raise ConfigError("encoded train/test dimensions differ")
-        return train.features, test.features
-    train_hvs, test_hvs = encode_features(config.encoder, train, test)
-    return train_hvs, test_hvs
+        return train.features, train.features, test.features
+    spec = config.encoder
+    phi = encoder_projection(spec, train)
+    train_hvs = encode_batch(phi, train.features, spec.quantize)
+    train_queries = train_hvs if spec.quantize else eval_queries(spec, phi, train)
+    return train_hvs, train_queries, eval_queries(spec, phi, test)
 
 
 def build_partition(config: ExperimentConfig, train: dio.Dataset) -> Partition:
@@ -99,18 +126,19 @@ def build_partition(config: ExperimentConfig, train: dio.Dataset) -> Partition:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     train, test = load_datasets(config)
-    train_hvs, test_hvs = encode_datasets(config, train, test)
+    train_hvs, train_queries, test_queries = encode_datasets(config, train, test)
     partition = build_partition(config, train)
     model, records = run_training(
         train_hvs,
         train.labels,
-        test_hvs,
+        test_queries,
         test.labels,
         train.num_classes,
         partition,
         config.round,
         config.channel,
         config.strategy,
+        train_queries=train_queries,
     )
     return ExperimentResult(model, records)
 

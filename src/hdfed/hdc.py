@@ -138,6 +138,30 @@ class SampleRows:
         return self.matrix[self.index[j]]
 
 
+class ProjectedQueries:
+    """The encodings h = P x of n samples, held as their raw (n, m) features
+    x and the ``ProjectionMatrix`` P: the (n, d) rows are never built. The
+    eval scores them as (V P) x (see ``_similarity_matrix``), which equals
+    V (P x) up to rounding. ``shape`` is that of the encoded rows."""
+
+    __slots__ = ("features", "projection")
+
+    def __init__(self, features: np.ndarray, projection: ProjectionMatrix) -> None:
+        features = np.asarray(features, dtype=np.float64)
+        if features.ndim != 2 or features.shape[1] != projection.input_dim:
+            raise DimensionError(
+                f"expected (n, {projection.input_dim}) features, got shape {features.shape}"
+            )
+        self.features, self.projection = features, projection
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.features.shape[0], self.projection.hd_dim
+
+    def __len__(self) -> int:
+        return self.features.shape[0]
+
+
 def make_projection(input_dim: int, hd_dim: int, seed: int) -> ProjectionMatrix:
     """Draw hd_dim random directions on the unit sphere in input_dim dimensions.
 
@@ -229,26 +253,46 @@ def _prototype_norms(vectors: np.ndarray) -> np.ndarray:
     return np.linalg.norm(vectors, axis=1)
 
 
-def _similarity_matrix(vectors: np.ndarray, norms: np.ndarray, hs: np.ndarray) -> np.ndarray:
-    """Class-major (K, n) scores: at K=10 the gemm takes about half the time
-    of the (n, K) one. Queries are scored as C-ordered rows: a Fortran-ordered
-    matrix takes another gemm kernel, whose sums can differ in the last bit."""
-    sims = vectors @ np.ascontiguousarray(hs).T
+def _similarity_matrix(
+    vectors: np.ndarray, norms: np.ndarray, queries: np.ndarray | ProjectedQueries
+) -> np.ndarray:
+    """Class-major (K, n) scores <v, h> / ||v||, 0 for a zero-norm class.
+
+    ``ProjectedQueries`` are scored as (V P) x with the d-space norms: two
+    fixed-order einsum products of K x d x m and K x m x n, no BLAS, so
+    their bytes do not depend on the thread count. A (n, d) matrix is
+    scored by one gemm, which at K=10 takes about half the time of the
+    (n, K) one. Its rows are read C-ordered: a Fortran-ordered matrix takes
+    another gemm kernel, whose sums can differ in the last bit."""
+    if isinstance(queries, ProjectedQueries):
+        weights = np.einsum("kd,dm->km", vectors, queries.projection.rows, optimize=False)
+        sims = np.einsum("km,nm->kn", weights, queries.features, optimize=False)
+    else:
+        sims = vectors @ np.ascontiguousarray(queries).T
     zero = norms == 0.0
     sims /= np.where(zero, 1.0, norms)[:, None]
     sims[zero] = 0.0
     return sims
 
 
-def predict_batch(prototypes: ClassPrototypes, hs: np.ndarray) -> np.ndarray:
-    """Most-similar class per row; ties resolve to the lowest class index."""
-    hs = np.asarray(hs, dtype=np.float64)
-    if hs.ndim != 2 or hs.shape[1] != prototypes.hd_dim:
+def _class_scores(
+    prototypes: ClassPrototypes, queries: np.ndarray | ProjectedQueries
+) -> np.ndarray:
+    """(K, n) scores of (n, d) encoded rows or of ``ProjectedQueries``."""
+    if not isinstance(queries, ProjectedQueries):
+        queries = np.asarray(queries, dtype=np.float64)
+    if len(queries.shape) != 2 or queries.shape[1] != prototypes.hd_dim:
         raise DimensionError(
-            f"expected (n, {prototypes.hd_dim}) queries, got shape {hs.shape}"
+            f"expected (n, {prototypes.hd_dim}) queries, got shape {queries.shape}"
         )
-    sims = _similarity_matrix(prototypes.vectors, _prototype_norms(prototypes.vectors), hs)
-    return np.argmax(sims, axis=0)
+    return _similarity_matrix(prototypes.vectors, _prototype_norms(prototypes.vectors), queries)
+
+
+def predict_batch(
+    prototypes: ClassPrototypes, hs: np.ndarray | ProjectedQueries
+) -> np.ndarray:
+    """Most-similar class per row; ties resolve to the lowest class index."""
+    return np.argmax(_class_scores(prototypes, hs), axis=0)
 
 
 def predict(prototypes: ClassPrototypes, h: np.ndarray) -> int:
@@ -256,20 +300,23 @@ def predict(prototypes: ClassPrototypes, h: np.ndarray) -> int:
     return int(predict_batch(prototypes, h[np.newaxis, :])[0])
 
 
-def accuracy(prototypes: ClassPrototypes, hs: np.ndarray, labels: np.ndarray) -> float:
+def accuracy(
+    prototypes: ClassPrototypes, hs: np.ndarray | ProjectedQueries, labels: np.ndarray
+) -> float:
     preds = predict_batch(prototypes, hs)
     return float(np.mean(preds == np.asarray(labels)))
 
 
-def multiclass_margin_loss(prototypes: ClassPrototypes, hs: np.ndarray, labels: np.ndarray) -> float:
+def multiclass_margin_loss(
+    prototypes: ClassPrototypes, hs: np.ndarray | ProjectedQueries, labels: np.ndarray
+) -> float:
     """Mean hinge gap between the best wrong class and the true class.
 
     Zero exactly when every sample's true class strictly dominates (or ties
     from the favorable side) all other similarities.
     """
-    hs = np.asarray(hs, dtype=np.float64)
     labels = np.asarray(labels)
-    sims = _similarity_matrix(prototypes.vectors, _prototype_norms(prototypes.vectors), hs)
+    sims = _class_scores(prototypes, hs)
     cols = np.arange(sims.shape[1])
     true = sims[labels, cols]
     sims[labels, cols] = -np.inf

@@ -384,6 +384,44 @@ class TestEncodeEvalCommands:
         overall = float(line.split()[1])
         assert abs(overall - 0.5) <= 0.15
 
+    def test_eval_scores_raw_features_with_the_same_lines(self, tmp_path, capsys, monkeypatch):
+        # A linear encoding is scored from the raw features; the printed
+        # lines equal those of scoring the encoded rows. The sign encoding
+        # is not linear and is still encoded.
+        from hdfed import cli
+        from hdfed.channel import write_model
+        from hdfed.hdc import ClassPrototypes, ProjectedQueries, encode_batch
+
+        rng = np.random.default_rng(4)
+        rows = [
+            ",".join(f"{v:.5f}" for v in rng.standard_normal(5)) + f",{i % 3}"
+            for i in range(90)
+        ]
+        data = tmp_path / "noise.csv"
+        data.write_text("\n".join(rows) + "\n")
+        path = str(tmp_path / "random.hdfm")
+        write_model(ClassPrototypes(rng.standard_normal((3, 96)), np.zeros(3, dtype=int)), path)
+        seen = []
+        predict = cli.predict_batch
+
+        def spy(model, queries):
+            seen.append(type(queries))
+            return predict(model, queries)
+
+        monkeypatch.setattr(cli, "predict_batch", spy)
+        args = ["eval", "--model", path, "--data", str(data), "--dim", "96", "--seed", "3"]
+        assert main(args) == 0
+        projected = capsys.readouterr().out
+        assert main(args + ["--quantize"]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(
+            cli, "eval_queries", lambda spec, phi, ds: encode_batch(phi, ds.features)
+        )
+        assert main(args) == 0
+        assert capsys.readouterr().out == projected
+        assert len(projected.splitlines()) == 4
+        assert seen == [ProjectedQueries, np.ndarray, np.ndarray]
+
     def test_eval_dimension_mismatch_fails(self, tmp_path, csv_dataset):
         model = str(tmp_path / "model.hdfm")
         main(
@@ -522,4 +560,41 @@ class TestDeterminism:
             rows = metrics.read_text().splitlines()
             assert rows[0].endswith(",wall_ms")
             outputs.append(([r.rsplit(",", 1)[0] for r in rows], model.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    def test_linear_encoder_eval_is_bitwise_blas_thread_invariant(self, tmp_path):
+        """With a linear encoder the eval scores the raw features by fixed-order
+        products, so every record's train_loss and test_accuracy floats, not
+        only their printed digits, match with 1 and 2 BLAS threads. At K=10,
+        d=2000 and 3000 test rows, scoring the encoded rows with a gemm gave
+        a train_loss that differed in the last bit."""
+        cfg = write_config(
+            tmp_path,
+            BASE_CONFIG.replace("encoder.dim = 256", "encoder.dim = 2000")
+            .replace("classes = 3", "classes = 10")
+            .replace("features = 8", "features = 32")
+            .replace("test_per_class = 10", "test_per_class = 300")
+            .replace("separation = 4.0", "separation = 3.6")
+            .replace("data.synth.seed = 2", "data.synth.seed = 1")
+            .replace("round.rounds = 4", "round.rounds = 3")
+            .replace("round.seed = 5", "round.seed = 2"),
+        )
+        script = (
+            "import sys\n"
+            "from hdfed.config import load_config\n"
+            "from hdfed.harness import run_experiment\n"
+            "for r in run_experiment(load_config(sys.argv[1])).records:\n"
+            "    print(repr(r.train_loss), repr(r.test_accuracy))\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            env.pop("OMP_NUM_THREADS", None)
+            done = subprocess.run(
+                [sys.executable, "-c", script, cfg],
+                env=env, check=True, capture_output=True, text=True, timeout=120,
+            )
+            outputs.append(done.stdout.splitlines())
+        assert len(outputs[0]) == 3
         assert outputs[0] == outputs[1]

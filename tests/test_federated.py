@@ -5,6 +5,7 @@ import pytest
 
 from hdfed import federated
 from hdfed.channel import ChannelConfig, CodecConfig
+from hdfed.config import load_config
 from hdfed.data import synth_train_test
 from hdfed.federated import (
     ClientState,
@@ -30,6 +31,7 @@ from hdfed.hdc import (
     predict_batch,
     retrain_epoch,
 )
+from hdfed.harness import run_experiment
 from hdfed.seeding import STREAM_LOCAL, derived_rng
 from hdfed.strategies import StrategyConfig
 
@@ -413,6 +415,35 @@ class TestRunTraining:
         finally:
             tracemalloc.stop()
         assert peak < train_hvs.nbytes / 4
+
+    def test_experiment_never_encodes_the_test_split(self):
+        # The eval scores a linear encoding from the raw features, so the
+        # experiment's peak holds the encoded training rows and not the
+        # (n, d) test rows, which would take it past the bound.
+        n, d = 2000, 1000
+        config = load_config(
+            None,
+            {
+                "data.kind": "synth",
+                "data.synth.classes": "4",
+                "data.synth.features": "16",
+                "data.synth.train_per_class": str(n // 4),
+                "data.synth.test_per_class": str(n // 4),
+                "encoder.dim": str(d),
+                "round.clients": "10",
+                "round.participation": "1.0",
+                "round.rounds": "2",
+                "round.seed": "0",
+            },
+        )
+        tracemalloc.start()
+        try:
+            run_experiment(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        train_bytes = test_bytes = n * d * 8
+        assert peak < train_bytes + test_bytes / 2
 
 
 def decaying_learning_rate(mu: float, gamma: float, t: int) -> float:

@@ -9,10 +9,12 @@ from hdfed.hdc import (
     ClassPrototypes,
     DimensionError,
     EncoderConfig,
+    ProjectedQueries,
     ProjectionMatrix,
     SampleRows,
     _prototype_norms,
     _similarity_matrix,
+    accuracy,
     binary_retrain,
     encode,
     encode_batch,
@@ -576,6 +578,113 @@ class TestClassMajorScoring:
         # scores per sample (zero class scores 0): [3, 1, 0], [1, 3, 0], [1, 1, 0]
         loss = multiclass_margin_loss(protos, hs, np.array([0, 0, 2]))
         assert loss == pytest.approx((0 + 2 + 1) / 3)
+
+
+@st.composite
+def projected_cases(draw):
+    """Linear encodings h = P x to score both ways: a random P (unit rows as
+    the encoder draws them, or a plain gaussian), K in 2..12, n in 1..300;
+    gaussian or integral features; all-zero, one-zero or no zero classes;
+    and a class that duplicates another."""
+    k, m, n = draw(st.integers(2, 12)), draw(st.integers(1, 24)), draw(st.integers(1, 300))
+    d = draw(st.integers(m, 160))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        phi = make_projection(m, d, seed)
+    else:
+        phi = ProjectionMatrix(rng.standard_normal((d, m)))
+    if draw(st.booleans()):
+        xs = rng.integers(-2, 3, size=(n, m)).astype(np.float64)
+    else:
+        xs = rng.standard_normal((n, m)) * draw(st.sampled_from([1e-3, 1.0, 30.0]))
+    vectors = rng.standard_normal((k, d)) * draw(st.sampled_from([1e-3, 1.0, 30.0]))
+    zeros = draw(st.sampled_from(["none", "all", "one"]))
+    if zeros == "all":
+        vectors[:] = 0.0
+    elif zeros == "one":
+        vectors[draw(st.integers(0, k - 1))] = 0.0
+    if draw(st.booleans()):
+        pair = st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True)
+        first, second = sorted(draw(pair))
+        vectors[second] = vectors[first]
+    model = ClassPrototypes(vectors, np.ones(k, dtype=np.int64))
+    return model, phi, xs, rng.integers(0, k, size=n)
+
+
+class TestProjectedScoring:
+    """Scoring ``ProjectedQueries`` as (V P) x against scoring the encoded
+    rows V (P x). Both compute the trilinear form sum v_i P_ij x_j with two
+    rounded dot products (lengths d and m) and one division, so each score
+    is within (d + m + 2) u of it and the two within
+
+        bound = 2 (d + m + 2) eps (|V| |P| |x|) / ||v||
+
+    of each other, eps = 2u the float64 machine epsilon."""
+
+    @staticmethod
+    def bound(model, phi, xs):
+        d, m = phi.rows.shape
+        norms = _prototype_norms(model.vectors)
+        scale = np.abs(model.vectors) @ np.abs(phi.rows) @ np.abs(xs).T
+        scale /= np.where(norms == 0.0, 1.0, norms)[:, None]
+        return 2 * (d + m + 2) * np.finfo(np.float64).eps * scale
+
+    @settings(max_examples=300, deadline=None)
+    @given(projected_cases())
+    def test_projected_scores_match_encoded_rows(self, case):
+        model, phi, xs, labels = case
+        before = [model.vectors.tobytes(), xs.tobytes()]
+        queries = ProjectedQueries(xs, phi)
+        hs = encode_batch(phi, xs)
+        norms = _prototype_norms(model.vectors)
+        got = _similarity_matrix(model.vectors, norms, queries)
+        want = _similarity_matrix(model.vectors, norms, hs)
+        bound = self.bound(model, phi, xs)
+        assert got.shape == want.shape == (model.num_classes, len(xs))
+        assert np.all(np.abs(got - want) <= bound)
+        # A zero-norm class scores exactly 0.
+        assert np.all(got[norms == 0.0] == 0.0)
+        # Ties go to the lowest index: a duplicated class scores the same
+        # bytes as its original, and never wins.
+        preds = predict_batch(model, queries)
+        assert np.array_equal(preds, np.argmax(got == got.max(axis=0), axis=0))
+        same = (model.vectors[:, None] == model.vectors[None]).all(axis=-1)
+        for a, b in zip(*np.nonzero(np.triu(same, 1))):
+            assert np.array_equal(got[a].view(np.uint64), got[b].view(np.uint64))
+            assert not np.any(preds == b)
+        # Predictions agree wherever the top two encoded-row scores are
+        # further apart than the bound.
+        top2 = np.sort(want, axis=0)[-2:]
+        clear = top2[1] - top2[0] > 2 * bound.max(axis=0)
+        assert np.array_equal(preds[clear], predict_batch(model, hs)[clear])
+        loss = multiclass_margin_loss(model, queries, labels)
+        ref = multiclass_margin_loss(model, hs, labels)
+        assert abs(loss - ref) <= 2 * bound.max(axis=0).mean() * (1 + 1e-12)
+        assert [model.vectors.tobytes(), xs.tobytes()] == before
+
+    def test_accuracy_and_prediction_take_projected_queries(self):
+        phi = make_projection(3, 50, seed=4)
+        xs = np.random.default_rng(1).standard_normal((40, 3))
+        hs = encode_batch(phi, xs)
+        labels = (xs[:, 0] > 0).astype(int)
+        model = one_shot_train(hs, labels, 2)
+        queries = ProjectedQueries(xs, phi)
+        assert queries.shape == hs.shape and len(queries) == 40
+        assert np.array_equal(predict_batch(model, queries), predict_batch(model, hs))
+        assert accuracy(model, queries, labels) == accuracy(model, hs, labels)
+
+    def test_dimension_mismatches_rejected(self):
+        phi = make_projection(3, 50, seed=4)
+        with pytest.raises(DimensionError):
+            ProjectedQueries(np.ones((5, 4)), phi)
+        with pytest.raises(DimensionError):
+            ProjectedQueries(np.ones(3), phi)
+        model = ClassPrototypes(np.ones((2, 60)), np.ones(2, dtype=np.int64))
+        with pytest.raises(DimensionError):
+            predict_batch(model, ProjectedQueries(np.ones((5, 3)), phi))
+        with pytest.raises(DimensionError):
+            multiclass_margin_loss(model, ProjectedQueries(np.ones((5, 3)), phi), np.zeros(5, int))
 
 
 class TestBinaryRetrain:
