@@ -3,7 +3,8 @@
 
 Compares an error-free uplink with 20% packet drops, -10 dB additive noise,
 and 1e-3 bit errors under both the raw float32 codec and the 16-bit
-scale-up/down quantizer, all on one seeded task.
+scale-up/down quantizer, all on one seeded task. Each run is the
+experiment `hdfed train` runs for the same flat config keys.
 
     python scripts/channel_robustness.py
     python scripts/channel_robustness.py --clients 10 --dim 1024
@@ -13,10 +14,8 @@ import argparse
 import sys
 import time
 
-from hdfed.channel import ChannelConfig, CodecConfig
-from hdfed.data import synth_train_test
-from hdfed.federated import RoundConfig, partition_iid, run_training
-from hdfed.hdc import encode_batch, make_projection
+from hdfed.config import config_from_entries
+from hdfed.harness import run_experiment
 
 
 def parse_args():
@@ -33,38 +32,36 @@ def parse_args():
 
 def main():
     args = parse_args()
-    train, test = synth_train_test(8, 32, 375, 100, mean_separation=3.5, seed=0)
-    phi = make_projection(32, args.dim, seed=1)
-    tr_h = encode_batch(phi, train.features)
-    te_h = encode_batch(phi, test.features)
-    cfg = RoundConfig(
-        num_clients=args.clients,
-        participation=1.0,
-        local_epochs=1,
-        local_batch=10,
-        rounds=args.rounds,
-        seed=args.seed,
-    )
-    part = partition_iid(train.n_samples, args.clients, seed=args.seed)
-
+    task = {
+        "data.synth.classes": "8",
+        "data.synth.features": "32",
+        "data.synth.train_per_class": "375",
+        "data.synth.test_per_class": "100",
+        "data.synth.separation": "3.5",
+        "data.synth.seed": "0",
+        "encoder.dim": str(args.dim),
+        "encoder.seed": "1",
+        "round.clients": str(args.clients),
+        "round.participation": "1.0",
+        "round.rounds": str(args.rounds),
+        "round.seed": str(args.seed),
+    }
+    bsc = {"channel.kind": "bsc", "channel.bit_error_rate": str(args.bit_error_rate)}
     channels = [
-        ("ideal", None),
+        ("ideal", {}),
         (
             f"packet loss p_p={args.packet_loss}",
-            ChannelConfig(kind="packet_loss", packet_bits=1024, packet_loss_prob=args.packet_loss),
+            {
+                "channel.kind": "packet_loss",
+                "channel.packet_bits": "1024",
+                "channel.packet_loss_prob": str(args.packet_loss),
+            },
         ),
-        (f"awgn {args.snr_db} dB", ChannelConfig(kind="awgn", snr_db=args.snr_db)),
-        (
-            f"bsc p_e={args.bit_error_rate} float32",
-            ChannelConfig(kind="bsc", bit_error_rate=args.bit_error_rate, codec=CodecConfig("float32")),
-        ),
+        (f"awgn {args.snr_db} dB", {"channel.kind": "awgn", "channel.snr_db": str(args.snr_db)}),
+        (f"bsc p_e={args.bit_error_rate} float32", {**bsc, "codec.representation": "float32"}),
         (
             f"bsc p_e={args.bit_error_rate} quant16",
-            ChannelConfig(
-                kind="bsc",
-                bit_error_rate=args.bit_error_rate,
-                codec=CodecConfig("quantized_int", bitwidth=16),
-            ),
+            {**bsc, "codec.representation": "quantized_int", "codec.bitwidth": "16"},
         ),
     ]
 
@@ -72,9 +69,7 @@ def main():
     print(f"{'channel':<28} {'accuracy':>9} {'vs ideal':>9} {'time':>7}")
     for name, channel in channels:
         tic = time.time()
-        _, records = run_training(
-            tr_h, train.labels, te_h, test.labels, 8, part, cfg, channel
-        )
+        records = run_experiment(config_from_entries({**task, **channel})).records
         acc = records[-1].test_accuracy
         if baseline is None:
             baseline = acc

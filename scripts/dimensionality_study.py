@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Accuracy versus hyperspace dimension at the reference federation scale.
 
-Runs the same federated experiment at several hypervector dimensions and
-prints a one-row-per-dimension table. Works on the built-in synthetic
-mixture or any CSV/HDDS dataset pair.
+Runs the same federated experiment, on sign-quantized encodings, at several
+hypervector dimensions and prints a one-row-per-dimension table. Works on
+the built-in synthetic mixture or any CSV/HDDS dataset pair. Each run is the
+experiment `hdfed train` runs for the same flat config keys.
 
     python scripts/dimensionality_study.py
     python scripts/dimensionality_study.py --dims 1000,2000,4000,8000,10000 \
@@ -13,11 +14,8 @@ mixture or any CSV/HDDS dataset pair.
 import argparse
 import sys
 
-import numpy as np
-
-from hdfed.data import load_binary, load_delimited, synth_train_test
-from hdfed.federated import RoundConfig, partition_iid, run_training
-from hdfed.hdc import encode_batch, make_projection
+from hdfed.config import config_from_entries
+from hdfed.harness import run_experiment
 
 
 def parse_args():
@@ -30,8 +28,6 @@ def parse_args():
     p.add_argument("--participation", type=float, default=0.2)
     p.add_argument("--rounds", type=int, default=40)
     p.add_argument("--seed", type=int, default=3)
-    p.add_argument("--quantize", action="store_true", default=True,
-                   help="sign-quantized encodings (default on)")
     p.add_argument("--out", help="optional CSV output path")
     return p.parse_args()
 
@@ -39,31 +35,33 @@ def parse_args():
 def main():
     args = parse_args()
     if args.train:
-        load = load_delimited if args.format == "csv" else load_binary
-        train = load(args.train)
-        test = load(args.test) if args.test else train
+        data = {"data.kind": args.format, "data.train": args.train}
+        if args.test:
+            data["data.test"] = args.test
     else:
-        train, test = synth_train_test(12, 256, 170, 80, mean_separation=4.0, seed=0)
+        data = {
+            "data.synth.classes": "12",
+            "data.synth.features": "256",
+            "data.synth.train_per_class": "170",
+            "data.synth.test_per_class": "80",
+            "data.synth.separation": "4.0",
+            "data.synth.seed": "0",
+        }
+    task = {
+        **data,
+        "encoder.seed": "1",
+        "encoder.quantize": "true",
+        "round.clients": str(args.clients),
+        "round.participation": str(args.participation),
+        "round.rounds": str(args.rounds),
+        "round.seed": str(args.seed),
+    }
 
     dims = [int(v) for v in args.dims.split(",")]
     rows = []
     print(f"{'d':>8} {'accuracy':>10} {'rounds':>7}")
     for d in dims:
-        phi = make_projection(train.input_dim, d, seed=1)
-        tr_h = encode_batch(phi, train.features, args.quantize)
-        te_h = encode_batch(phi, test.features, args.quantize)
-        cfg = RoundConfig(
-            num_clients=args.clients,
-            participation=args.participation,
-            local_epochs=1,
-            local_batch=10,
-            rounds=args.rounds,
-            seed=args.seed,
-        )
-        part = partition_iid(train.n_samples, args.clients, seed=args.seed)
-        _, records = run_training(
-            tr_h, train.labels, te_h, test.labels, train.num_classes, part, cfg
-        )
+        records = run_experiment(config_from_entries({**task, "encoder.dim": str(d)})).records
         acc = records[-1].test_accuracy
         rows.append((d, acc))
         print(f"{d:>8} {acc:>10.4f} {args.rounds:>7}")

@@ -3,7 +3,8 @@
 
 Runs the baseline full-model uplink, binarized differential transmission,
 10% subsampling, and 90% sparsification on one seeded task, reporting final
-accuracy and measured uplink bytes per round.
+accuracy and measured uplink bytes per round. Each run is the experiment
+`hdfed train` runs for the same flat config keys.
 
     python scripts/strategy_tradeoffs.py
     python scripts/strategy_tradeoffs.py --rounds 100 --subsample-rate 0.5
@@ -12,10 +13,8 @@ accuracy and measured uplink bytes per round.
 import argparse
 import sys
 
-from hdfed.data import synth_train_test
-from hdfed.federated import RoundConfig, partition_iid, run_training
-from hdfed.hdc import encode_batch, make_projection
-from hdfed.strategies import StrategyConfig
+from hdfed.config import config_from_entries
+from hdfed.harness import run_experiment
 
 
 def parse_args():
@@ -31,34 +30,38 @@ def parse_args():
 
 def main():
     args = parse_args()
-    train, test = synth_train_test(10, 32, 300, 100, mean_separation=3.6, seed=0)
-    phi = make_projection(32, args.dim, seed=1)
-    tr_h = encode_batch(phi, train.features)
-    te_h = encode_batch(phi, test.features)
-    cfg = RoundConfig(
-        num_clients=args.clients,
-        participation=1.0,
-        local_epochs=1,
-        local_batch=10,
-        rounds=args.rounds,
-        seed=args.seed,
-    )
-    part = partition_iid(train.n_samples, args.clients, seed=args.seed)
-
+    task = {
+        "data.synth.classes": "10",
+        "data.synth.features": "32",
+        "data.synth.train_per_class": "300",
+        "data.synth.test_per_class": "100",
+        "data.synth.separation": "3.6",
+        "data.synth.seed": "0",
+        "encoder.dim": str(args.dim),
+        "encoder.seed": "1",
+        "round.clients": str(args.clients),
+        "round.participation": "1.0",
+        "round.rounds": str(args.rounds),
+        "round.seed": str(args.seed),
+    }
     strategies = [
-        ("baseline (full model)", StrategyConfig()),
-        ("binary differential", StrategyConfig(kind="binary_diff")),
-        (f"{args.subsample_rate:.0%} subsample", StrategyConfig(kind="subsample", rate=args.subsample_rate)),
-        (f"{args.sparsity:.0%} sparsify", StrategyConfig(kind="sparsify", sparsity=args.sparsity)),
+        ("baseline (full model)", {}),
+        ("binary differential", {"strategy.kind": "binary_diff"}),
+        (
+            f"{args.subsample_rate:.0%} subsample",
+            {"strategy.kind": "subsample", "strategy.rate": str(args.subsample_rate)},
+        ),
+        (
+            f"{args.sparsity:.0%} sparsify",
+            {"strategy.kind": "sparsify", "strategy.sparsity": str(args.sparsity)},
+        ),
     ]
 
     base_bytes = None
     base_acc = None
     print(f"{'strategy':<24} {'accuracy':>9} {'vs base':>8} {'uplink/round':>13} {'reduction':>10}")
     for name, strategy in strategies:
-        _, records = run_training(
-            tr_h, train.labels, te_h, test.labels, 10, part, cfg, None, strategy
-        )
+        records = run_experiment(config_from_entries({**task, **strategy})).records
         acc = records[-1].test_accuracy
         per_round = records[-1].uplink_bytes
         if base_bytes is None:

@@ -6,13 +6,10 @@ from .channel import (
     apply_channel,
     corrupt_frame,
     corrupt_values,
-    deserialize_bits,
-    mask_prototypes,
     packet_error_probability,
     quantize_segments,
     read_model,
     read_model_bytes,
-    serialize_bits,
     write_model,
     write_model_bytes,
 )
@@ -22,14 +19,12 @@ from .data import (
     load_delimited,
     normalize_features,
     save_binary,
-    synth_gaussian_mixture,
     synth_train_test,
 )
 from .federated import (
     Partition,
     RoundConfig,
     RoundRecord,
-    aggregate_sum,
     aggregate_weighted,
     local_update,
     partition_iid,
@@ -42,18 +37,10 @@ from .hdc import (
     EncoderConfig,
     ProjectedQueries,
     ProjectionMatrix,
-    binary_retrain,
-    encode,
     encode_batch,
-    fisher_direction,
     make_projection,
-    one_shot_train,
-    perceptron_loss,
-    predict,
     predict_batch,
-    reconstruct,
     retrain_epoch,
-    similarity,
 )
 from .strategies import (
     SparseClassModel,

@@ -18,7 +18,9 @@ unsigned, a codec tag byte, optional per-class gains as 64-bit floats, then
 row-major parameters. The tag byte is 0 for float32, 1 for int32, and
 128 + bitwidth for scaled integers, so a frame is self-describing. Bits
 within the payload are little-endian: least-significant bit of the first
-byte first, values packed back to back at the codec width.
+byte first, values packed back to back at the codec width. encode_values
+and decode_values are that payload codec; the unpacked 0/1-bit view that
+the tests' reference channels act on is built from them in the tests.
 
 Every serializer returns a Frame: the bytes counted on the uplink plus the
 bits a bit channel may hit in them. corrupt_frame hits only those bits, and
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hdc import ClassPrototypes, DimensionError
+from .hdc import ClassPrototypes
 
 HDFM_MAGIC = b"HDFM"
 HDFM_VERSION = 1
@@ -196,21 +198,6 @@ def encode_values(values: np.ndarray, codec: CodecConfig) -> np.ndarray:
 def decode_values(payload: np.ndarray, codec: CodecConfig, count: int) -> np.ndarray:
     """The first `count` values of a packed codec payload."""
     return words_to_values(unpack_words(payload, count, codec.value_bits), codec)
-
-
-def serialize_bits(values: np.ndarray, codec: CodecConfig) -> np.ndarray:
-    """Unpacked view of encode_values: exactly values.size * width 0/1 bytes."""
-    n_bits = np.size(values) * codec.value_bits
-    return np.unpackbits(encode_values(values, codec), count=n_bits, bitorder="little")
-
-
-def deserialize_bits(bits: np.ndarray, codec: CodecConfig, shape: tuple[int, ...]) -> np.ndarray:
-    """Decode a 0/1 bit vector back into parameters of the given shape."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    count = int(np.prod(shape))
-    if bits.size != count * codec.value_bits:
-        raise DimensionError(f"{bits.size} bits do not hold {shape} at {codec.value_bits} bits")
-    return decode_values(np.packbits(bits, bitorder="little"), codec, count).reshape(shape)
 
 
 def packet_error_probability(p_e: float, packet_bits: int) -> float:
@@ -381,19 +368,6 @@ def apply_channel(model: ClassPrototypes, cfg: ChannelConfig, rng: np.random.Gen
     counts are kept. A model crosses a bit channel as its HDFM frame:
     read_model_bytes(corrupt_frame(write_model_bytes(model, codec), cfg, rng))."""
     return ClassPrototypes(corrupt_values(model.vectors, cfg, rng), model.counts)
-
-
-def mask_prototypes(
-    model: ClassPrototypes, keep_fraction: float, rng: np.random.Generator
-) -> ClassPrototypes:
-    """Zero a shared random subset of exactly round(keep_fraction * d)
-    dimensions across every prototype."""
-    if not 0.0 < keep_fraction <= 1.0:
-        raise ValueError(f"keep_fraction must be in (0, 1], got {keep_fraction}")
-    mask = np.zeros(model.hd_dim, dtype=bool)
-    keep = int(round(keep_fraction * model.hd_dim))
-    mask[rng.choice(model.hd_dim, size=keep, replace=False)] = True
-    return ClassPrototypes(model.vectors * mask, model.counts.copy())
 
 
 # ---------------------------------------------------------------------------

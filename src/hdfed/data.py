@@ -1,4 +1,4 @@
-"""Dataset ingestion, binary storage, normalization, and synthetic generators.
+"""Dataset ingestion, binary storage, normalization, and a synthetic mixture.
 
 Two on-disk formats:
 
@@ -9,7 +9,8 @@ Two on-disk formats:
   labels as 16-bit unsigned.
 
 Feature vectors are treated opaquely, so raw features and precomputed
-embeddings flow through the same pipeline.
+embeddings flow through the same pipeline. A Dataset holds finite features
+only; the loaders name the line or byte offset of a non-finite one.
 """
 
 from __future__ import annotations
@@ -44,6 +45,9 @@ class Dataset:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.features.ndim != 2 or self.features.shape[0] < 1:
             raise DataFormatError("features must be a non-empty (n, m) matrix")
+        if not np.isfinite(self.features).all():
+            row, col = np.argwhere(~np.isfinite(self.features))[0].tolist()
+            raise DataFormatError(f"feature [{row}, {col}] = {self.features[row, col]} is not finite")
         if self.labels.shape != (self.features.shape[0],):
             raise DataFormatError("labels must align with feature rows")
         if self.num_classes < 1:
@@ -208,27 +212,6 @@ def _sample_mixture(
         labels[start : start + n_per_class] = k
     order = rng.permutation(num_classes * n_per_class)
     return Dataset(features[order], labels[order], num_classes, split=split)
-
-
-def synth_gaussian_mixture(
-    num_classes: int,
-    input_dim: int,
-    n_per_class: int,
-    mean_separation: float,
-    seed: int,
-    symmetric: bool = False,
-    split: str = "train",
-) -> Dataset:
-    """Isotropic unit-variance Gaussian blobs with means on a sphere.
-
-    Class means are random directions scaled to radius ``mean_separation``.
-    With ``symmetric`` (two classes only) the means are +mu and -mu, which
-    gives the balanced equal-norm geometry the linear-discriminant checks
-    assume. Each class gets exactly ``n_per_class`` samples.
-    """
-    rng = derived_rng(seed, STREAM_SYNTH, num_classes, input_dim)
-    means = _mixture_means(num_classes, input_dim, mean_separation, symmetric, rng)
-    return _sample_mixture(means, n_per_class, rng, split)
 
 
 def synth_train_test(

@@ -4,7 +4,9 @@ and server aggregation over a configurable uplink.
 One round: the server broadcasts the global prototypes, each sampled client
 retrains its copy for a number of epochs on local data, client updates pass
 through the active size-reduction strategy and then the corruption model,
-and the server decodes and aggregates. The downlink is assumed reliable.
+and the server decodes them and averages them, weighted by each client's
+share of the training samples (binary differential transmission and
+subsampling have their own server steps). The downlink is assumed reliable.
 
 Everything is a pure function of (data, configs, seed): client-local work
 draws from per-(round, client) derived streams, so serial and parallel
@@ -231,20 +233,6 @@ def aggregate_weighted(models: list[ClassPrototypes], weights: np.ndarray) -> Cl
         vectors += w * model.vectors
         counts += w * model.counts
     return ClassPrototypes(vectors, np.rint(counts).astype(np.int64))
-
-
-def aggregate_sum(models: list[ClassPrototypes]) -> ClassPrototypes:
-    """Unweighted element-wise sum (federated bundling variant)."""
-    if not models:
-        raise ValueError("cannot aggregate an empty model list")
-    vectors = np.zeros_like(models[0].vectors)
-    counts = np.zeros(models[0].num_classes, dtype=np.int64)
-    for model in models:
-        if model.vectors.shape != vectors.shape:
-            raise ValueError("model shapes differ")
-        vectors += model.vectors
-        counts += model.counts
-    return ClassPrototypes(vectors, counts)
 
 
 def _client_states(

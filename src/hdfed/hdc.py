@@ -1,10 +1,10 @@
 """Hyperdimensional classification core.
 
 Random-projection encoding into a d-dimensional space, class prototypes
-built by bundling (element-wise sum), cosine-similarity inference, and
-perceptron-style retraining. Also holds the reference operations used to
-cross-check the trainer: a linear-discriminant direction, an explicit
-hinge-style loss, and reconstruction from noisy encodings.
+as bundles (element-wise sums) of samples, cosine-similarity inference,
+and perceptron-style retraining. The paper's reference operations that
+the tests check these against (binary retraining, the linear-discriminant
+direction, reconstruction) are test oracles in ``tests/reference.py``.
 
 All functions are pure: they never mutate their inputs and take RNG state
 explicitly, so values can be shared freely across threads.
@@ -187,19 +187,6 @@ def projection_for(config: EncoderConfig) -> ProjectionMatrix:
     return make_projection(config.input_dim, config.hd_dim, config.seed)
 
 
-def encode(phi: ProjectionMatrix, x: np.ndarray, quantize: bool = False) -> np.ndarray:
-    """Project one sample; optionally take the element-wise sign (sign(0) = +1)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != phi.input_dim:
-        raise DimensionError(
-            f"expected input of length {phi.input_dim}, got shape {x.shape}"
-        )
-    h = phi.rows @ x
-    if quantize:
-        return np.where(h >= 0.0, 1.0, -1.0)
-    return h
-
-
 def encode_batch(phi: ProjectionMatrix, xs: np.ndarray, quantize: bool = False) -> np.ndarray:
     """Encode rows of an (n, m) matrix; output rows follow input order."""
     xs = np.asarray(xs, dtype=np.float64)
@@ -211,42 +198,6 @@ def encode_batch(phi: ProjectionMatrix, xs: np.ndarray, quantize: bool = False) 
     if quantize:
         return np.where(hs >= 0.0, 1.0, -1.0)
     return hs
-
-
-def one_shot_train(hvs: np.ndarray, labels: np.ndarray, num_classes: int) -> ClassPrototypes:
-    """Bundle encoded samples into per-class prototypes in a single pass.
-
-    Classes that receive no samples get a zero prototype and count 0.
-    """
-    hvs = np.asarray(hvs, dtype=np.float64)
-    labels = np.asarray(labels)
-    if hvs.ndim != 2 or hvs.shape[0] == 0:
-        raise ValueError("need a non-empty (n, d) sample matrix")
-    if labels.shape != (hvs.shape[0],):
-        raise DimensionError("labels must align with samples")
-    if np.any(labels < 0) or np.any(labels >= num_classes):
-        raise ValueError(f"labels must lie in [0, {num_classes})")
-    vectors = np.zeros((num_classes, hvs.shape[1]))
-    counts = np.zeros(num_classes, dtype=np.int64)
-    np.add.at(vectors, labels, hvs)
-    np.add.at(counts, labels, 1)
-    return ClassPrototypes(vectors, counts)
-
-
-def similarity(c: np.ndarray, h: np.ndarray) -> float:
-    """Norm-invariant similarity <c, h> / ||c||, defined as 0 for ||c|| = 0.
-
-    The zero convention keeps empty-class prototypes from ever winning the
-    argmax in prediction.
-    """
-    c = np.asarray(c, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    if c.shape != h.shape:
-        raise DimensionError(f"length mismatch: {c.shape} vs {h.shape}")
-    norm = np.linalg.norm(c)
-    if norm == 0.0:
-        return 0.0
-    return float(np.dot(c, h) / norm)
 
 
 def _prototype_norms(vectors: np.ndarray) -> np.ndarray:
@@ -293,11 +244,6 @@ def predict_batch(
 ) -> np.ndarray:
     """Most-similar class per row; ties resolve to the lowest class index."""
     return np.argmax(_class_scores(prototypes, hs), axis=0)
-
-
-def predict(prototypes: ClassPrototypes, h: np.ndarray) -> int:
-    h = np.asarray(h, dtype=np.float64)
-    return int(predict_batch(prototypes, h[np.newaxis, :])[0])
 
 
 def accuracy(
@@ -400,86 +346,3 @@ def retrain_epoch(
             mistakes += 1
     return ClassPrototypes(vectors, prototypes.counts.copy()), mistakes
 
-
-def binary_retrain(
-    w: np.ndarray,
-    hvs: np.ndarray,
-    ys: np.ndarray,
-    eta: float,
-    passes: int = 1,
-) -> np.ndarray:
-    """Perceptron-style updates on a separating weight vector.
-
-    For each sample in order, if y * <w, h> <= 0 then w <- w + eta * y * h.
-    The non-strict comparison makes training progress from w = 0, which
-    otherwise would never update.
-    """
-    if eta <= 0.0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    w = np.array(w, dtype=np.float64)
-    hvs = np.asarray(hvs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    if hvs.ndim != 2 or hvs.shape[1] != w.shape[0]:
-        raise DimensionError("sample dimension does not match weights")
-    if not np.all(np.isin(ys, (-1.0, 1.0))):
-        raise ValueError("binary labels must be -1 or +1")
-    for _ in range(passes):
-        for h, y in zip(hvs, ys):
-            if y * np.dot(w, h) <= 0.0:
-                w = w + eta * y * h
-    return w
-
-
-def perceptron_loss(w: np.ndarray, h: np.ndarray, y: float) -> float:
-    """max(0, -y <w, h>): zero exactly when the decision sign agrees with y."""
-    w = np.asarray(w, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    if w.shape != h.shape:
-        raise DimensionError(f"length mismatch: {w.shape} vs {h.shape}")
-    return float(max(0.0, -y * np.dot(w, h)))
-
-
-def fisher_direction(
-    mean_pos: np.ndarray,
-    mean_neg: np.ndarray,
-    cov_pos: np.ndarray,
-    cov_neg: np.ndarray,
-    ridge: float = 1e-8,
-) -> np.ndarray:
-    """Two-class linear-discriminant direction (sum-of-scatters inverse times
-    mean difference).
-
-    Used as a test oracle, not a hot path. A numerically singular scatter
-    matrix falls back to a small ridge before solving.
-    """
-    mean_pos = np.asarray(mean_pos, dtype=np.float64)
-    mean_neg = np.asarray(mean_neg, dtype=np.float64)
-    cov_pos = np.asarray(cov_pos, dtype=np.float64)
-    cov_neg = np.asarray(cov_neg, dtype=np.float64)
-    d = mean_pos.shape[0]
-    if mean_neg.shape != (d,) or cov_pos.shape != (d, d) or cov_neg.shape != (d, d):
-        raise DimensionError("mean/covariance shapes are inconsistent")
-    scatter = cov_pos + cov_neg
-    diff = mean_pos - mean_neg
-    try:
-        direction = np.linalg.solve(scatter, diff)
-        if not np.all(np.isfinite(direction)):
-            raise np.linalg.LinAlgError("non-finite solution")
-    except np.linalg.LinAlgError:
-        direction = np.linalg.solve(scatter + ridge * np.eye(d), diff)
-    return direction
-
-
-def reconstruct(phi: ProjectionMatrix, h_noisy: np.ndarray) -> np.ndarray:
-    """Estimate the raw input from a (possibly noisy) unquantized encoding.
-
-    Returns (m/d) * Phi^T h. For unit-norm random rows E[Phi^T Phi] is
-    (d/m) * I, so the m/d factor makes the estimator unbiased; averaging over
-    d rows suppresses per-dimension noise.
-    """
-    h_noisy = np.asarray(h_noisy, dtype=np.float64)
-    if h_noisy.ndim != 1 or h_noisy.shape[0] != phi.hd_dim:
-        raise DimensionError(
-            f"expected encoding of length {phi.hd_dim}, got shape {h_noisy.shape}"
-        )
-    return (phi.input_dim / phi.hd_dim) * (phi.rows.T @ h_noisy)

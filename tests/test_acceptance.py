@@ -16,9 +16,6 @@ from hdfed.channel import (
     ChannelConfig,
     CodecConfig,
     apply_channel,
-    deserialize_bits,
-    mask_prototypes,
-    serialize_bits,
 )
 from hdfed.data import synth_train_test
 from hdfed.federated import (
@@ -30,11 +27,8 @@ from hdfed.federated import (
 from hdfed.hdc import (
     ClassPrototypes,
     accuracy,
-    binary_retrain,
     encode_batch,
     make_projection,
-    one_shot_train,
-    perceptron_loss,
     predict_batch,
     retrain_epoch,
 )
@@ -44,6 +38,14 @@ from hdfed.strategies import (
     csc_decompress,
     sparsify,
     subsample,
+)
+from reference import (
+    binary_retrain,
+    deserialize_bits,
+    mask_prototypes,
+    one_shot_train,
+    perceptron_loss,
+    serialize_bits,
 )
 from test_federated import decaying_learning_rate
 

@@ -12,15 +12,13 @@ from hdfed.channel import (
     corrupt_frame,
     corrupt_signs,
     corrupt_values,
-    deserialize_bits,
-    mask_prototypes,
     packet_error_probability,
     quantize_segments,
     read_model_bytes,
-    serialize_bits,
     write_model_bytes,
 )
 from hdfed.hdc import ClassPrototypes
+from reference import deserialize_bits, mask_prototypes, serialize_bits
 from test_wire import bsc_flip, packetize_and_drop  # the unpacked references
 
 

