@@ -25,6 +25,7 @@ from .federated import (
     Partition,
     RoundConfig,
     RoundRecord,
+    WeightedSum,
     aggregate_weighted,
     local_update,
     partition_iid,

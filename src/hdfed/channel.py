@@ -277,6 +277,11 @@ class Frame(bytes):
         return cls(data, slice(len(data) - -(-count * width // 8), None), [count], width)
 
 
+# Uniforms a bsc draw holds at once. A multiple of 8, so every chunk but the
+# last packs to whole bytes; the stream is consumed in the same order as one
+# draw of all the bits, so the mask does not depend on it.
+_DRAW_CHUNK = 1 << 16
+
 
 def _channel_hits(
     segment_bits: np.ndarray, cfg: ChannelConfig, rng: np.random.Generator
@@ -286,11 +291,20 @@ def _channel_hits(
     bit lengths. bsc hits the bits it flips; packet_loss hits the bits of
     the packets it drops, and its packets restart at every segment. The
     draws are one uniform per bit (bsc) or per packet (packet_loss), in
-    stream order."""
+    stream order; bsc draws its uniforms _DRAW_CHUNK at a time into one
+    reused buffer."""
     segment_bits = np.asarray(segment_bits, dtype=np.int64)
     if cfg.kind == "bsc":
-        flips = rng.random(int(segment_bits.sum())) < cfg.bit_error_rate
-        return np.packbits(flips, bitorder="little")
+        n = int(segment_bits.sum())
+        hits = np.empty(-(-n // 8), dtype=np.uint8)
+        chunk = np.empty(min(n, _DRAW_CHUNK))
+        for start in range(0, n, _DRAW_CHUNK):
+            uniforms = chunk[: n - start]
+            rng.random(out=uniforms)
+            hits[start // 8 : -(-(start + uniforms.size) // 8)] = np.packbits(
+                uniforms < cfg.bit_error_rate, bitorder="little"
+            )
+        return hits
     if cfg.kind != "packet_loss":
         raise ChannelConfigError(f"{cfg.kind} is not a bitstream channel")
     p_drop = cfg.packet_loss_prob

@@ -6,7 +6,9 @@ retrains its copy for a number of epochs on local data, client updates pass
 through the active size-reduction strategy and then the corruption model,
 and the server decodes them and averages them, weighted by each client's
 share of the training samples (binary differential transmission and
-subsampling have their own server steps). The downlink is assumed reliable.
+subsampling have their own server steps). The server folds each update
+into a running total as it arrives, so a round holds one client's update
+at a time. The downlink is assumed reliable.
 
 Everything is a pure function of (data, configs, seed): client-local work
 draws from per-(round, client) derived streams, so serial and parallel
@@ -214,25 +216,43 @@ def normalized_weights(weights: np.ndarray) -> np.ndarray:
     return weights / total
 
 
-def aggregate_weighted(models: list[ClassPrototypes], weights: np.ndarray) -> ClassPrototypes:
-    """Weighted element-wise combination, weights renormalized over the list.
+class WeightedSum:
+    """One round's weighted average, built one client model at a time.
 
-    Counts are combined with the same weights and rounded; they are
-    bookkeeping only.
+    Holds the participants' weights, renormalized to sum to one, and the
+    running float64 sums of weight * vectors and weight * counts.
+    aggregate_weighted folds the next model in; average() ends the round
+    once every weight has had its model.
     """
-    if not models:
-        raise ValueError("cannot aggregate an empty model list")
-    weights = normalized_weights(weights)
-    if len(models) != weights.shape[0]:
-        raise ValueError("one weight per model required")
-    vectors = np.zeros_like(models[0].vectors)
-    counts = np.zeros(models[0].num_classes, dtype=np.float64)
-    for model, w in zip(models, weights):
-        if model.vectors.shape != vectors.shape:
-            raise ValueError("model shapes differ")
-        vectors += w * model.vectors
-        counts += w * model.counts
-    return ClassPrototypes(vectors, np.rint(counts).astype(np.int64))
+
+    def __init__(self, weights: np.ndarray, num_classes: int, hd_dim: int):
+        if np.size(weights) == 0:
+            raise ValueError("cannot aggregate an empty cohort")
+        self.weights = normalized_weights(weights)
+        self.vectors = np.zeros((num_classes, hd_dim))
+        self.counts = np.zeros(num_classes)
+        self.folded = 0
+
+    def average(self) -> ClassPrototypes:
+        """The weighted average; counts are rounded, as they are bookkeeping only."""
+        if self.folded != self.weights.size:
+            raise ValueError(
+                f"one weight per model required: {self.weights.size} weights, {self.folded} models"
+            )
+        return ClassPrototypes(self.vectors, np.rint(self.counts).astype(np.int64))
+
+
+def aggregate_weighted(total: WeightedSum, model: ClassPrototypes) -> None:
+    """Fold the next model into a round's running sum, in place, at its
+    weight: vectors += w * model.vectors and counts += w * model.counts."""
+    if total.folded == total.weights.size:
+        raise ValueError(f"one weight per model required: only {total.weights.size} weights")
+    if model.vectors.shape != total.vectors.shape:
+        raise ValueError("model shapes differ")
+    w = total.weights[total.folded]
+    total.vectors += w * model.vectors
+    total.counts += w * model.counts
+    total.folded += 1
 
 
 def _client_states(
@@ -253,15 +273,23 @@ class _Uplink:
     frame counted on the uplink. Over bsc and packet_loss, corrupt_frame
     hits that frame and decode parses what arrives, with the sample counts
     from the reliable side; over ideal and awgn, perturb acts on the raw
-    values that were sent instead. aggregate folds the round's
-    contributions into the global model: by default their weighted average.
+    values that were sent instead. The server keeps one running total a
+    round: start opens it, fold adds each contribution as it arrives, and
+    finish turns it into the next global model; by default the total is
+    the weighted average.
     """
 
     def __init__(self, strategy: strat.StrategyConfig, codec: CodecConfig, seed: int):
         self.strategy, self.codec, self.seed = strategy, codec, seed
 
-    def aggregate(self, models, weights, global_model):
-        return aggregate_weighted(models, weights)
+    def start(self, global_model, weights):
+        return WeightedSum(weights, *global_model.vectors.shape)
+
+    def fold(self, total, model):
+        aggregate_weighted(total, model)
+
+    def finish(self, total, global_model):
+        return total.average()
 
 
 class _FullModel(_Uplink):
@@ -287,8 +315,14 @@ class _SignDiff(_Uplink):
     def perturb(self, signs, channel, rng):
         return corrupt_signs(signs, channel, rng)
 
-    def aggregate(self, signs, weights, global_model):
-        return strat.diff_apply(global_model, signs, self.strategy.step)
+    def start(self, global_model, weights):
+        return np.zeros_like(global_model.vectors)
+
+    def fold(self, total, signs):
+        strat.diff_fold(total, signs)
+
+    def finish(self, total, global_model):
+        return strat.diff_apply(global_model, total, self.strategy.step)
 
 
 class _Subsample(_Uplink):
@@ -306,8 +340,15 @@ class _Subsample(_Uplink):
     def perturb(self, payload, channel, rng):
         return payload.indices, corrupt_values(payload.values, channel, rng)
 
-    def aggregate(self, samples, weights, global_model):
-        return strat.subsample_aggregate(samples, global_model)
+    def start(self, global_model, weights):
+        size = global_model.vectors.size
+        return np.zeros(size), np.zeros(size, dtype=np.int64)
+
+    def fold(self, tally, sample):
+        strat.subsample_fold(*tally, *sample)
+
+    def finish(self, tally, global_model):
+        return strat.subsample_aggregate(*tally, global_model)
 
 
 class _Sparse(_Uplink):
@@ -324,9 +365,8 @@ class _Sparse(_Uplink):
         values = [corrupt_values(v, channel, rng) for v in sparse.values]
         return strat.SparseClassModel(sparse.indices, values, sparse.shape, sparse.counts)
 
-    def aggregate(self, models, weights, global_model):
-        # Decompressed here, after the round: per client it measured ~5% slower.
-        return aggregate_weighted([strat.csc_decompress(m) for m in models], weights)
+    def fold(self, total, sparse):
+        aggregate_weighted(total, strat.csc_decompress(sparse))
 
 
 _UPLINKS = dict(none=_FullModel, binary_diff=_SignDiff, subsample=_Subsample, sparsify=_Sparse)
@@ -381,19 +421,26 @@ def run_training(
     for t in range(cfg.rounds):
         tic = time.perf_counter()
         participants = sample_clients(cfg.num_clients, participation, t, cfg.seed)
+        total = uplink.start(global_model, partition.weights[participants])
         uplink_bytes = 0
-        received = []
         for cid in participants:
             local = local_update(clients[cid], global_model, cfg, t)
             sent, frame = uplink.encode(local, global_model, t, int(cid))
             uplink_bytes += strat.wire_bytes(frame, strategy, channel.codec)
-            chan_rng = derived_rng(cfg.seed, STREAM_CHANNEL, t, cid)
+            chan_rng = None  # the ideal channel draws nothing, so it gets no stream
+            if channel.kind != "ideal":
+                chan_rng = derived_rng(cfg.seed, STREAM_CHANNEL, t, cid)
             if channel.kind in BIT_CHANNELS:
-                received.append(uplink.decode(corrupt_frame(frame, channel, chan_rng), local.counts))
+                received = uplink.decode(corrupt_frame(frame, channel, chan_rng), local.counts)
             else:
-                del frame  # only counted: freed before the raw path allocates (peak RSS)
-                received.append(uplink.perturb(sent, channel, chan_rng))
-        global_model = uplink.aggregate(received, partition.weights[participants], global_model)
+                frame = None  # only counted: freed before the raw path allocates (peak RSS)
+                received = uplink.perturb(sent, channel, chan_rng)
+            # Each contribution is folded as it arrives, and nothing else of
+            # the client's is kept: a round holds one contribution and the total.
+            del local, sent, frame
+            uplink.fold(total, received)
+            del received
+        global_model = uplink.finish(total, global_model)
         records.append(
             RoundRecord(
                 round_index=t,

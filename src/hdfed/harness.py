@@ -75,9 +75,7 @@ def load_datasets(config: ExperimentConfig) -> tuple[dio.Dataset, dio.Dataset]:
 def encoder_projection(spec: EncoderSpec, dataset: dio.Dataset) -> ProjectionMatrix:
     """The one projection that ``spec`` seeds for the dataset's input dimension."""
     return projection_for(
-        EncoderConfig(
-            input_dim=dataset.input_dim, hd_dim=spec.dim, seed=spec.seed, quantize=spec.quantize
-        )
+        EncoderConfig(input_dim=dataset.input_dim, hd_dim=spec.dim, seed=spec.seed)
     )
 
 

@@ -28,15 +28,13 @@ class DimensionError(ValueError):
 class EncoderConfig:
     """Random-projection encoder parameters.
 
-    ``input_dim`` is the raw feature length, ``hd_dim`` the hyperdimensional
-    length (must not be smaller), and ``quantize`` selects element-wise sign
-    output (+1/-1) instead of raw projections.
+    ``input_dim`` is the raw feature length and ``hd_dim`` the
+    hyperdimensional length (must not be smaller).
     """
 
     input_dim: int
     hd_dim: int = 10000
     seed: int = 0
-    quantize: bool = False
 
     def __post_init__(self) -> None:
         if self.input_dim < 1:

@@ -6,7 +6,8 @@ serializer returns a channel.Frame, so a bit channel corrupts exactly the
 bytes counted on the uplink and the server parses what arrives:
 
 * binary_diff: one sign bit per parameter of (local - broadcast), every bit
-  exposed; the server adds the summed signs onto the previous global model.
+  exposed; the server sums the signs as they arrive and adds the sum onto
+  the previous global model.
 * subsample: a random fraction of parameter positions; only the values
   travel, exposed, after a 64-bit stream key from which the server
   regenerates the index set.
@@ -119,21 +120,23 @@ def diff_binarize(new_model: ClassPrototypes, old_model: ClassPrototypes) -> np.
     return np.where(diff >= 0.0, 1.0, -1.0)
 
 
-def diff_apply(
-    global_model: ClassPrototypes, signs: list[np.ndarray], step: float = 1.0
-) -> ClassPrototypes:
-    """Add the summed client sign matrices onto the global model.
+def diff_fold(total: np.ndarray, signs: np.ndarray) -> None:
+    """Add one client's sign matrix onto a round's running sum, in place."""
+    if signs.shape != total.shape:
+        raise DimensionError("sign matrix shape differs from global model")
+    total += signs
 
-    Each client moves each parameter by one step unit; an empty list returns
-    the global model unchanged.
+
+def diff_apply(
+    global_model: ClassPrototypes, total: np.ndarray, step: float = 1.0
+) -> ClassPrototypes:
+    """Add the summed client sign matrices (diff_fold) onto the global model.
+
+    Each client moves each parameter by one step unit; a sum that no client
+    added to leaves the global model unchanged.
     """
-    if not signs:
-        return global_model.copy()
-    total = np.zeros_like(global_model.vectors)
-    for s in signs:
-        if s.shape != global_model.vectors.shape:
-            raise DimensionError("sign matrix shape differs from global model")
-        total += s
+    if total.shape != global_model.vectors.shape:
+        raise DimensionError("sign matrix shape differs from global model")
     return ClassPrototypes(global_model.vectors + step * total, global_model.counts.copy())
 
 
@@ -169,19 +172,23 @@ def subsample_stream_key(round_index: int, client_id: int) -> int:
     return (round_index << 20) | client_id
 
 
+def subsample_fold(
+    sums: np.ndarray, hits: np.ndarray, indices: np.ndarray, values: np.ndarray
+) -> None:
+    """Add one client's report onto a round's running per-position sums and
+    report counts (flat, K * d long), in place."""
+    if indices.shape != values.shape:
+        raise DimensionError("indices and values must align")
+    np.add.at(sums, indices, values)
+    np.add.at(hits, indices, 1)
+
+
 def subsample_aggregate(
-    samples: list[tuple[np.ndarray, np.ndarray]], prev_global: ClassPrototypes
+    sums: np.ndarray, hits: np.ndarray, prev_global: ClassPrototypes
 ) -> ClassPrototypes:
-    """Average reports per position; unreported positions keep the previous
-    global value."""
+    """Average the reports per position (subsample_fold's sums over its
+    counts); unreported positions keep the previous global value."""
     shape = prev_global.vectors.shape
-    sums = np.zeros(prev_global.vectors.size)
-    hits = np.zeros(prev_global.vectors.size, dtype=np.int64)
-    for indices, values in samples:
-        if indices.shape != values.shape:
-            raise DimensionError("indices and values must align")
-        np.add.at(sums, indices, values)
-        np.add.at(hits, indices, 1)
     merged = prev_global.vectors.reshape(-1).copy()
     reported = hits > 0
     merged[reported] = sums[reported] / hits[reported]

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdfed.channel import (
+    _DRAW_CHUNK,
     ChannelConfig,
     ChannelConfigError,
     CodecConfig,
@@ -12,6 +15,7 @@ from hdfed.channel import (
     corrupt_frame,
     corrupt_signs,
     corrupt_values,
+    _channel_hits,
     packet_error_probability,
     quantize_segments,
     read_model_bytes,
@@ -192,6 +196,31 @@ class TestBsc:
         bits = np.zeros(100_000, dtype=np.uint8)
         out = bsc_flip(bits, 0.05, rng)
         assert np.mean(out) == pytest.approx(0.05, rel=0.1)
+
+    @pytest.mark.parametrize(
+        "n",
+        [0, 1, 7, 8, _DRAW_CHUNK - 1, _DRAW_CHUNK, _DRAW_CHUNK + 1, 3 * _DRAW_CHUNK + 5],
+    )
+    def test_chunked_draw_equals_one_draw(self, n):
+        cfg = ChannelConfig(kind="bsc", bit_error_rate=0.3)
+        rng, one_shot = np.random.default_rng(11), np.random.default_rng(11)
+        hits = _channel_hits(np.array([n]), cfg, rng)
+        expected = np.packbits(one_shot.random(n) < 0.3, bitorder="little")
+        assert hits.dtype == np.uint8 and np.array_equal(hits, expected)
+        assert rng.random() == one_shot.random()  # the stream is left at the same place
+
+    def test_draw_memory_does_not_grow_with_the_frame(self):
+        # One uniform per bit drawn at once would take 16 MB for 2^21 bits.
+        cfg = ChannelConfig(kind="bsc", bit_error_rate=1e-3)
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            hits = _channel_hits(np.array([1 << 21]), cfg, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert hits.size == 1 << 18
+        assert peak < 1 << 20
 
 
 class TestQuantizer:

@@ -11,6 +11,7 @@ from hdfed.federated import (
     ClientState,
     Partition,
     RoundConfig,
+    WeightedSum,
     _batched_order,
     _client_states,
     aggregate_weighted,
@@ -203,39 +204,85 @@ class TestLocalUpdate:
         assert not hasattr(client, "model")
 
 
+def fold_weighted(models, weights):
+    """A round's weighted average, folded one model at a time as run_training does."""
+    total = WeightedSum(weights, *models[0].vectors.shape)
+    for model in models:
+        aggregate_weighted(total, model)
+    return total.average()
+
+
 class TestAggregation:
     def test_identical_models_fixed_point(self):
         rng = np.random.default_rng(0)
         g = ClassPrototypes(rng.standard_normal((3, 8)), np.array([2, 3, 4]))
-        out = aggregate_weighted([g.copy(), g.copy(), g.copy()], np.array([0.2, 0.5, 0.3]))
+        out = fold_weighted([g.copy(), g.copy(), g.copy()], np.array([0.2, 0.5, 0.3]))
         assert np.allclose(out.vectors, g.vectors)
         assert np.array_equal(out.counts, g.counts)
 
     def test_weighted_mean(self):
         a = ClassPrototypes(np.array([[2.0], [0.0]]), np.array([1, 1]))
         b = ClassPrototypes(np.array([[0.0], [2.0]]), np.array([1, 1]))
-        out = aggregate_weighted([a, b], np.array([0.5, 0.5]))
+        out = fold_weighted([a, b], np.array([0.5, 0.5]))
         assert np.array_equal(out.vectors, [[1.0], [1.0]])
 
     def test_single_participant_unchanged(self):
         a = ClassPrototypes(np.array([[2.0, 1.0], [3.0, 4.0]]), np.array([5, 6]))
-        out = aggregate_weighted([a], np.array([0.37]))
+        out = fold_weighted([a], np.array([0.37]))
         assert np.array_equal(out.vectors, a.vectors)
 
     def test_weights_renormalized(self):
         a = ClassPrototypes(np.array([[4.0], [0.0]]), np.array([1, 0]))
         b = ClassPrototypes(np.array([[0.0], [4.0]]), np.array([0, 1]))
         # raw weights sum to 0.5: renormalized to 0.5 / 0.5 each
-        out = aggregate_weighted([a, b], np.array([0.25, 0.25]))
+        out = fold_weighted([a, b], np.array([0.25, 0.25]))
         assert np.array_equal(out.vectors, [[2.0], [2.0]])
+
+    def test_fold_matches_the_list_average_bitwise(self):
+        # The list form the fold replaced: zeros, then w * model added in
+        # cohort order, counts rounded at the end.
+        rng = np.random.default_rng(3)
+        models = [
+            ClassPrototypes(rng.standard_normal((4, 33)), rng.integers(0, 50, 4))
+            for _ in range(7)
+        ]
+        weights = rng.uniform(0.01, 1.0, 7)
+        vectors, counts = np.zeros((4, 33)), np.zeros(4)
+        for model, w in zip(models, normalized_weights(weights)):
+            vectors += w * model.vectors
+            counts += w * model.counts
+        out = fold_weighted(models, weights)
+        assert np.array_equal(out.vectors.view(np.uint64), vectors.view(np.uint64))
+        assert np.array_equal(out.counts, np.rint(counts).astype(np.int64))
 
     def test_normalized_weights_sum_to_one(self):
         w = normalized_weights(np.array([0.1, 0.4, 0.2]))
         assert abs(w.sum() - 1.0) <= 1e-12
 
-    def test_empty_list_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate_weighted([], np.array([]))
+    def test_empty_cohort_rejected(self):
+        with pytest.raises(ValueError, match="empty cohort"):
+            WeightedSum(np.array([]), 2, 3)
+
+    def test_nonpositive_weight_sum_rejected(self):
+        with pytest.raises(ValueError, match="positive sum"):
+            WeightedSum(np.array([0.0, 0.0]), 2, 3)
+
+    def test_shape_mismatch_rejected(self):
+        total = WeightedSum(np.array([0.5, 0.5]), 2, 3)
+        aggregate_weighted(total, ClassPrototypes.zeros(2, 3))
+        with pytest.raises(ValueError, match="shapes differ"):
+            aggregate_weighted(total, ClassPrototypes.zeros(2, 4))
+
+    def test_one_weight_per_model(self):
+        g = ClassPrototypes.zeros(2, 3)
+        total = WeightedSum(np.array([0.5, 0.5]), 2, 3)
+        aggregate_weighted(total, g)
+        with pytest.raises(ValueError, match="one weight per model"):
+            total.average()  # a weight without its model
+        aggregate_weighted(total, g)
+        with pytest.raises(ValueError, match="one weight per model"):
+            aggregate_weighted(total, g)  # a model without its weight
+        assert np.array_equal(total.average().vectors, g.vectors)
 
 
 def encoded_task(seed=0, classes=3, separation=4.0, d=512, n_train=90, n_test=60):
@@ -396,6 +443,45 @@ class TestRunTraining:
         finally:
             tracemalloc.stop()
         assert peak < train_hvs.nbytes / 4
+
+    @pytest.mark.parametrize(
+        "channel",
+        [ChannelConfig(), ChannelConfig(kind="bsc", bit_error_rate=1e-3)],
+        ids=["ideal", "bsc"],
+    )
+    @pytest.mark.parametrize(
+        "strategy",
+        [
+            StrategyConfig(),
+            StrategyConfig(kind="binary_diff"),
+            StrategyConfig(kind="subsample", rate=0.5),
+            StrategyConfig(kind="sparsify", sparsity=0.5),
+        ],
+        ids=lambda s: s.kind,
+    )
+    def test_round_memory_does_not_grow_with_the_cohort(self, strategy, channel):
+        # The server folds each client's update into the round's total as it
+        # arrives, so a cohort of 32 holds no more than a cohort of 8; a
+        # round that kept every update would hold 24 more, each about a model.
+        k, d, n = 4, 20000, 64
+        rng = np.random.default_rng(0)
+        train_hvs, train_labels = rng.standard_normal((n, d)), rng.integers(0, k, n)
+        test_hvs, test_labels = rng.standard_normal((8, d)), rng.integers(0, k, 8)
+
+        def peak(clients):
+            cfg = RoundConfig(num_clients=clients, participation=1.0, rounds=1, seed=0)
+            part = partition_iid(n, clients, seed=0)
+            tracemalloc.start()
+            try:
+                run_training(
+                    train_hvs, train_labels, test_hvs, test_labels, k, part, cfg,
+                    channel=channel, strategy=strategy,
+                )
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(32) - peak(8) < 2 * k * d * 8
 
     def test_experiment_never_encodes_the_test_split(self):
         # The eval scores a linear encoding from the raw features, so the

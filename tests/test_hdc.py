@@ -57,7 +57,7 @@ class TestEncoderConfig:
     def test_defaults(self):
         cfg = EncoderConfig(input_dim=8)
         assert cfg.hd_dim == 10000
-        assert cfg.quantize is False
+        assert cfg.seed == 0
 
 
 class TestMakeProjection:

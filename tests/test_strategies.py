@@ -11,7 +11,7 @@ from hdfed.channel import (
     corrupt_values,
     write_model_bytes,
 )
-from hdfed.hdc import ClassPrototypes
+from hdfed.hdc import ClassPrototypes, DimensionError
 from hdfed.strategies import (
     SparseClassModel,
     SparseFormatError,
@@ -24,12 +24,14 @@ from hdfed.strategies import (
     deserialize_subsample,
     diff_apply,
     diff_binarize,
+    diff_fold,
     serialize_sign_matrix,
     serialize_sparse,
     serialize_subsample,
     sparsify,
     subsample,
     subsample_aggregate,
+    subsample_fold,
     wire_bytes,
 )
 
@@ -84,31 +86,46 @@ class TestDiffBinarize:
         assert np.array_equal(back, signs)
 
 
+def diff_sum(signs, shape):
+    """A round's summed sign matrices, folded one client at a time."""
+    total = np.zeros(shape)
+    for s in signs:
+        diff_fold(total, s)
+    return total
+
+
 class TestDiffApply:
     def test_single_client_all_plus_one(self):
         g = model_of(np.zeros((2, 4)))
-        out = diff_apply(g, [np.ones((2, 4))])
+        out = diff_apply(g, diff_sum([np.ones((2, 4))], (2, 4)))
         assert np.array_equal(out.vectors, np.ones((2, 4)))
 
     def test_opposite_signs_cancel(self):
         g = model_of(np.full((2, 3), 5.0))
-        out = diff_apply(g, [np.ones((2, 3)), -np.ones((2, 3))])
+        out = diff_apply(g, diff_sum([np.ones((2, 3)), -np.ones((2, 3))], (2, 3)))
         assert np.array_equal(out.vectors, g.vectors)
 
     def test_agreeing_clients_move_by_count(self):
         g = model_of(np.zeros((2, 2)))
-        out = diff_apply(g, [np.ones((2, 2))] * 7)
+        out = diff_apply(g, diff_sum([np.ones((2, 2))] * 7, (2, 2)))
         assert np.array_equal(out.vectors, np.full((2, 2), 7.0))
 
-    def test_empty_list_returns_global(self):
+    def test_empty_sum_returns_global(self):
         g = model_of(np.arange(6.0).reshape(2, 3))
-        out = diff_apply(g, [])
+        out = diff_apply(g, diff_sum([], (2, 3)))
         assert np.array_equal(out.vectors, g.vectors)
 
     def test_step_multiplier(self):
         g = model_of(np.zeros((2, 2)))
-        out = diff_apply(g, [np.ones((2, 2))], step=0.25)
+        out = diff_apply(g, diff_sum([np.ones((2, 2))], (2, 2)), step=0.25)
         assert np.array_equal(out.vectors, np.full((2, 2), 0.25))
+
+    def test_shape_mismatch_rejected(self):
+        total = np.zeros((2, 3))
+        with pytest.raises(DimensionError):
+            diff_fold(total, np.ones((2, 4)))
+        with pytest.raises(DimensionError):
+            diff_apply(model_of(np.zeros((2, 4))), total)
 
     @given(
         seed=st.integers(min_value=0, max_value=2**16),
@@ -119,11 +136,19 @@ class TestDiffApply:
         rng = np.random.default_rng(seed)
         g = model_of(rng.standard_normal((2, 6)))
         signs = [rng.choice([-1.0, 1.0], size=(2, 6)) for _ in range(n_clients)]
-        out = diff_apply(g, signs)
+        out = diff_apply(g, diff_sum(signs, (2, 6)))
         delta = out.vectors - g.vectors
         # (g + s) - g re-rounds, so compare up to float epsilon
         assert np.all(np.abs(delta) <= n_clients + 1e-9)
         assert np.allclose(delta, np.rint(delta), atol=1e-9)
+
+
+def tally(samples, size):
+    """A round's per-position report sums and counts, folded one client at a time."""
+    sums, hits = np.zeros(size), np.zeros(size, dtype=np.int64)
+    for indices, values in samples:
+        subsample_fold(sums, hits, indices, values)
+    return sums, hits
 
 
 class TestSubsample:
@@ -163,20 +188,30 @@ class TestSubsample:
         prev = model_of(np.zeros((2, 3)))
         a = (np.arange(6), np.arange(6.0))
         b = (np.arange(6), np.arange(6.0) * 3)
-        out = subsample_aggregate([a, b], prev)
+        out = subsample_aggregate(*tally([a, b], 6), prev)
         assert np.array_equal(out.vectors.reshape(-1), np.arange(6.0) * 2)
 
     def test_aggregate_single_reporter(self):
         prev = model_of(np.zeros((2, 3)))
-        out = subsample_aggregate([(np.array([4]), np.array([9.0]))], prev)
+        out = subsample_aggregate(*tally([(np.array([4]), np.array([9.0]))], 6), prev)
         assert out.vectors.reshape(-1)[4] == 9.0
 
     def test_aggregate_unreported_keeps_previous(self):
         prev = model_of(np.full((2, 3), 7.0))
-        out = subsample_aggregate([(np.array([0]), np.array([1.0]))], prev)
+        out = subsample_aggregate(*tally([(np.array([0]), np.array([1.0]))], 6), prev)
         flat = out.vectors.reshape(-1)
         assert flat[0] == 1.0
         assert np.all(flat[1:] == 7.0)
+
+    def test_repeated_positions_fold_like_one_report(self):
+        # np.add.at counts a position once per occurrence in one report.
+        sums, hits = tally([(np.array([1, 1, 2]), np.array([2.0, 4.0, 5.0]))], 4)
+        assert np.array_equal(sums, [0.0, 6.0, 5.0, 0.0])
+        assert np.array_equal(hits, [0, 2, 1, 0])
+
+    def test_misaligned_report_rejected(self):
+        with pytest.raises(DimensionError):
+            tally([(np.array([0, 1]), np.array([1.0]))], 4)
 
 
 class TestSparsify:
