@@ -39,7 +39,9 @@ from .hdc import (
     ProjectedQueries,
     SampleRows,
     accuracy,
+    encode_batch,
     multiclass_margin_loss,
+    project_prototypes,
     retrain_epoch,
 )
 from .seeding import (
@@ -96,7 +98,9 @@ class Partition:
 @dataclass
 class ClientState:
     client_id: int
-    hvs: np.ndarray | SampleRows  # (n, d) samples, or n rows of the shared training matrix
+    # (n, d) samples, n rows of the shared training matrix, or the
+    # features of n samples under a linear encoder
+    hvs: np.ndarray | SampleRows | ProjectedQueries
     labels: np.ndarray
 
 
@@ -176,13 +180,10 @@ def _batched_order(
     """
     if batch is None or batch >= n:
         return np.arange(n)
-    n_batches = -(-n // batch)
-    starts = np.arange(n_batches)
+    starts = np.arange(-(-n // batch))
     rng.shuffle(starts)
-    order = np.concatenate(
-        [np.arange(s * batch, min((s + 1) * batch, n)) for s in starts]
-    )
-    return order
+    order = (starts[:, None] * batch + np.arange(batch)).ravel()
+    return order[order < n]  # the last batch is partial when batch does not divide n
 
 
 def local_update(
@@ -190,11 +191,14 @@ def local_update(
     global_model: ClassPrototypes,
     cfg: RoundConfig,
     round_index: int,
+    projected: np.ndarray | None = None,
 ) -> ClassPrototypes:
     """Copy the broadcast model and retrain for the configured local epochs.
 
     Batch order is drawn from the (seed, round, client) stream. A client with
-    no data returns a copy of the global model.
+    no data returns a copy of the global model. ``projected`` is
+    ``project_prototypes`` of the broadcast model, which the first epoch
+    over ``ProjectedQueries`` reads instead of computing it.
     """
     n = len(client.hvs)
     if n == 0 or cfg.local_epochs == 0:
@@ -203,7 +207,10 @@ def local_update(
     model = global_model  # retrain_epoch returns a new model; the broadcast is never written
     for _ in range(cfg.local_epochs):
         order = _batched_order(n, cfg.local_batch, rng)
-        model, _ = retrain_epoch(model, client.hvs, client.labels, cfg.learning_rate, order)
+        model, _ = retrain_epoch(
+            model, client.hvs, client.labels, cfg.learning_rate, order, projected
+        )
+        projected = None  # later epochs start from the client's own model
     return model
 
 
@@ -256,10 +263,21 @@ def aggregate_weighted(total: WeightedSum, model: ClassPrototypes) -> None:
 
 
 def _client_states(
-    hvs: np.ndarray, labels: np.ndarray, partition: Partition
+    hvs: np.ndarray | ProjectedQueries, labels: np.ndarray, partition: Partition
 ) -> list[ClientState]:
-    """Each client's rows, in assignment order, as row views of the one
-    C-ordered float64 training matrix: only the labels are gathered."""
+    """Each client's rows, in assignment order. Under a linear encoder a
+    client holds its own rows of the raw features (m floats a sample);
+    encoded rows are row views of the one C-ordered float64 training
+    matrix, so only the labels are gathered."""
+    if isinstance(hvs, ProjectedQueries):
+        if len(hvs) > 1:
+            return [
+                ClientState(cid, ProjectedQueries(hvs.features[idx], hvs.projection), labels[idx])
+                for cid, idx in enumerate(partition.assignments)
+            ]
+        # One row alone is encoded by a gemv, which the padded gemm that a
+        # feature-space retrain encodes its mistakes with does not reproduce.
+        hvs = encode_batch(hvs.projection, hvs.features)
     return [
         ClientState(cid, SampleRows(hvs, idx), labels[idx])
         for cid, idx in enumerate(partition.assignments)
@@ -373,7 +391,7 @@ _UPLINKS = dict(none=_FullModel, binary_diff=_SignDiff, subsample=_Subsample, sp
 
 
 def run_training(
-    train_hvs: np.ndarray,
+    train_hvs: np.ndarray | ProjectedQueries,
     train_labels: np.ndarray,
     test_hvs: np.ndarray | ProjectedQueries,
     test_labels: np.ndarray,
@@ -382,14 +400,15 @@ def run_training(
     cfg: RoundConfig,
     channel: ChannelConfig | None = None,
     strategy: strat.StrategyConfig | None = None,
-    train_queries: np.ndarray | ProjectedQueries | None = None,
 ) -> tuple[ClassPrototypes, list[RoundRecord]]:
     """Run the full federated loop over encoded data for cfg.rounds rounds.
 
-    Clients retrain on the rows of ``train_hvs``. Each round scores the test
-    accuracy on ``test_hvs`` and the train loss on ``train_queries``, which
-    defaults to ``train_hvs``; either may be ``ProjectedQueries`` of a
-    linear encoder, which the eval scores without the encoded rows.
+    Clients retrain on the rows of ``train_hvs``, and each round scores the
+    train loss on them and the test accuracy on ``test_hvs``. Either may be
+    ``ProjectedQueries`` of a linear encoder, which are retrained on and
+    scored without their encoded rows. Under one projection, each
+    broadcast model's ``project_prototypes`` is computed once and serves
+    the round's eval and the next round's clients.
 
     Returns the final global model and one record per round. Configuration
     errors surface before round 1; channel corruption never aborts a run.
@@ -405,15 +424,20 @@ def run_training(
     if strategy.kind == "subsample":
         # The last round and client give the largest stream key.
         strat.subsample_stream_key(cfg.rounds - 1, cfg.num_clients - 1)
-    # Held once: the clients' rows, and the train-loss eval unless given
-    # queries, read this matrix. The encoder's output is already C-ordered
-    # float64, so this copies nothing.
-    train_hvs = np.ascontiguousarray(train_hvs, dtype=np.float64)
-    if train_queries is None:
-        train_queries = train_hvs
+    phi = None
+    if isinstance(train_hvs, ProjectedQueries):
+        phi = train_hvs.projection
+    else:
+        # Held once: the clients' rows and the train-loss eval read this
+        # matrix. The encoder's output is already C-ordered float64, so
+        # this copies nothing.
+        train_hvs = np.ascontiguousarray(train_hvs, dtype=np.float64)
     clients = _client_states(train_hvs, train_labels, partition)
     hd_dim = train_hvs.shape[1]
     global_model = ClassPrototypes.zeros(num_classes, hd_dim)
+    # V P of the broadcast model, when the training split is projected.
+    projected = project_prototypes(global_model.vectors, phi) if phi is not None else None
+    test_shares = isinstance(test_hvs, ProjectedQueries) and test_hvs.projection is phi
     participation = 1.0 if strategy.kind == "binary_diff" else cfg.participation
     uplink = _UPLINKS[strategy.kind](strategy, channel.codec, cfg.seed)
     records: list[RoundRecord] = []
@@ -424,7 +448,7 @@ def run_training(
         total = uplink.start(global_model, partition.weights[participants])
         uplink_bytes = 0
         for cid in participants:
-            local = local_update(clients[cid], global_model, cfg, t)
+            local = local_update(clients[cid], global_model, cfg, t, projected)
             sent, frame = uplink.encode(local, global_model, t, int(cid))
             uplink_bytes += strat.wire_bytes(frame, strategy, channel.codec)
             chan_rng = None  # the ideal channel draws nothing, so it gets no stream
@@ -441,12 +465,18 @@ def run_training(
             uplink.fold(total, received)
             del received
         global_model = uplink.finish(total, global_model)
+        if phi is not None:
+            projected = project_prototypes(global_model.vectors, phi)
         records.append(
             RoundRecord(
                 round_index=t,
                 participants=tuple(int(c) for c in participants),
-                test_accuracy=accuracy(global_model, test_hvs, test_labels),
-                train_loss=multiclass_margin_loss(global_model, train_queries, train_labels),
+                test_accuracy=accuracy(
+                    global_model, test_hvs, test_labels, projected if test_shares else None
+                ),
+                train_loss=multiclass_margin_loss(
+                    global_model, train_hvs, train_labels, projected
+                ),
                 uplink_bytes=uplink_bytes,
                 downlink_bytes=downlink_frame * cfg.num_clients,
                 wall_ms=(time.perf_counter() - tic) * 1000.0,

@@ -2,8 +2,9 @@
 
 Sits between the config layer and the library: builds datasets per the data
 spec, encodes them, partitions, runs the federated loop, and writes the
-metrics file. Only the training split is encoded: the eval scores a linear
-encoding from the raw features. The CLI's ``encode`` and ``eval`` load and
+metrics file. A linear encoding is never built: clients retrain on it and
+the eval scores it from the raw features; only the sign encoding is
+encoded. The CLI's ``encode`` and ``eval`` load and
 encode through the same ``load_dataset``, ``encode_features`` and
 ``eval_queries``. The metrics file has the fixed header
 
@@ -87,9 +88,10 @@ def encode_features(spec: EncoderSpec, dataset: dio.Dataset) -> np.ndarray:
 def eval_queries(
     spec: EncoderSpec, phi: ProjectionMatrix, dataset: dio.Dataset
 ) -> np.ndarray | ProjectedQueries:
-    """The dataset as the eval scores it. The linear encoding h = P x is
-    scored from the raw features, so its (n, d) rows are never built; the
-    sign encoding is not linear and is encoded."""
+    """The dataset as the eval scores it and, for the training split, as
+    clients retrain on it. The linear encoding h = P x is read from the raw
+    features, so its (n, d) rows are never built; the sign encoding is not
+    linear and is encoded."""
     if spec.quantize:
         return encode_batch(phi, dataset.features, True)
     return ProjectedQueries(dataset.features, phi)
@@ -97,18 +99,16 @@ def eval_queries(
 
 def encode_datasets(
     config: ExperimentConfig, train: dio.Dataset, test: dio.Dataset
-) -> tuple[np.ndarray, np.ndarray | ProjectedQueries, np.ndarray | ProjectedQueries]:
-    """The training rows that clients retrain on, then the train-loss and
-    test queries of the eval. Already-encoded features pass through."""
+) -> tuple[np.ndarray | ProjectedQueries, np.ndarray | ProjectedQueries]:
+    """The training split, which clients retrain on and the train loss
+    scores, then the test queries. Already-encoded features pass through."""
     if config.data.encoded:
         if train.input_dim != test.input_dim:
             raise ConfigError("encoded train/test dimensions differ")
-        return train.features, train.features, test.features
+        return train.features, test.features
     spec = config.encoder
     phi = encoder_projection(spec, train)
-    train_hvs = encode_batch(phi, train.features, spec.quantize)
-    train_queries = train_hvs if spec.quantize else eval_queries(spec, phi, train)
-    return train_hvs, train_queries, eval_queries(spec, phi, test)
+    return eval_queries(spec, phi, train), eval_queries(spec, phi, test)
 
 
 def build_partition(config: ExperimentConfig, train: dio.Dataset) -> Partition:
@@ -124,10 +124,10 @@ def build_partition(config: ExperimentConfig, train: dio.Dataset) -> Partition:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     train, test = load_datasets(config)
-    train_hvs, train_queries, test_queries = encode_datasets(config, train, test)
+    train_queries, test_queries = encode_datasets(config, train, test)
     partition = build_partition(config, train)
     model, records = run_training(
-        train_hvs,
+        train_queries,
         train.labels,
         test_queries,
         test.labels,
@@ -136,7 +136,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         config.round,
         config.channel,
         config.strategy,
-        train_queries=train_queries,
     )
     return ExperimentResult(model, records)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,6 +63,13 @@ class ProjectionMatrix:
     @property
     def hd_dim(self) -> int:
         return self.rows.shape[0]
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """The (m, m) Gram matrix G = P^T P, so that h . h' = x . G x' for
+        h = P x. Built once per projection by a fixed-order einsum, so its
+        bytes do not depend on the BLAS thread count."""
+        return np.einsum("dm,dn->mn", self.rows, self.rows, optimize=False)
 
 
 @dataclass
@@ -140,7 +148,8 @@ class ProjectedQueries:
     """The encodings h = P x of n samples, held as their raw (n, m) features
     x and the ``ProjectionMatrix`` P: the (n, d) rows are never built. The
     eval scores them as (V P) x (see ``_similarity_matrix``), which equals
-    V (P x) up to rounding. ``shape`` is that of the encoded rows."""
+    V (P x) up to rounding, and ``retrain_epoch`` decides in feature space
+    too. ``shape`` is that of the encoded rows."""
 
     __slots__ = ("features", "projection")
 
@@ -202,19 +211,43 @@ def _prototype_norms(vectors: np.ndarray) -> np.ndarray:
     return np.linalg.norm(vectors, axis=1)
 
 
+def project_prototypes(vectors: np.ndarray, projection: ProjectionMatrix) -> np.ndarray:
+    """The (K, m) feature-space weights V P of (K, d) prototype vectors: row
+    k scores a linear encoding as v_k . (P x) = (v_k P) . x. One fixed-order
+    einsum, no BLAS, so the bytes do not depend on the thread count. The
+    eval and ``retrain_epoch`` take it as ``projected``, so that one
+    product serves every scoring of one model."""
+    return np.einsum("kd,dm->km", vectors, projection.rows, optimize=False)
+
+
+def _feature_weights(
+    vectors: np.ndarray, projection: ProjectionMatrix, projected: np.ndarray | None
+) -> np.ndarray:
+    """``projected`` when given, else ``project_prototypes(vectors, projection)``."""
+    if projected is None:
+        return project_prototypes(vectors, projection)
+    if projected.shape != (vectors.shape[0], projection.input_dim):
+        raise DimensionError(f"projected weights of shape {projected.shape} do not fit")
+    return projected
+
+
 def _similarity_matrix(
-    vectors: np.ndarray, norms: np.ndarray, queries: np.ndarray | ProjectedQueries
+    vectors: np.ndarray,
+    norms: np.ndarray,
+    queries: np.ndarray | ProjectedQueries,
+    projected: np.ndarray | None = None,
 ) -> np.ndarray:
     """Class-major (K, n) scores <v, h> / ||v||, 0 for a zero-norm class.
 
     ``ProjectedQueries`` are scored as (V P) x with the d-space norms: two
     fixed-order einsum products of K x d x m and K x m x n, no BLAS, so
-    their bytes do not depend on the thread count. A (n, d) matrix is
-    scored by one gemm, which at K=10 takes about half the time of the
-    (n, K) one. Its rows are read C-ordered: a Fortran-ordered matrix takes
-    another gemm kernel, whose sums can differ in the last bit."""
+    their bytes do not depend on the thread count; ``projected`` is V P if
+    already computed. A (n, d) matrix is scored by one gemm, which at K=10
+    takes about half the time of the (n, K) one. Its rows are read
+    C-ordered: a Fortran-ordered matrix takes another gemm kernel, whose
+    sums can differ in the last bit."""
     if isinstance(queries, ProjectedQueries):
-        weights = np.einsum("kd,dm->km", vectors, queries.projection.rows, optimize=False)
+        weights = _feature_weights(vectors, queries.projection, projected)
         sims = np.einsum("km,nm->kn", weights, queries.features, optimize=False)
     else:
         sims = vectors @ np.ascontiguousarray(queries).T
@@ -225,7 +258,9 @@ def _similarity_matrix(
 
 
 def _class_scores(
-    prototypes: ClassPrototypes, queries: np.ndarray | ProjectedQueries
+    prototypes: ClassPrototypes,
+    queries: np.ndarray | ProjectedQueries,
+    projected: np.ndarray | None = None,
 ) -> np.ndarray:
     """(K, n) scores of (n, d) encoded rows or of ``ProjectedQueries``."""
     if not isinstance(queries, ProjectedQueries):
@@ -234,7 +269,8 @@ def _class_scores(
         raise DimensionError(
             f"expected (n, {prototypes.hd_dim}) queries, got shape {queries.shape}"
         )
-    return _similarity_matrix(prototypes.vectors, _prototype_norms(prototypes.vectors), queries)
+    norms = _prototype_norms(prototypes.vectors)
+    return _similarity_matrix(prototypes.vectors, norms, queries, projected)
 
 
 def predict_batch(
@@ -245,14 +281,23 @@ def predict_batch(
 
 
 def accuracy(
-    prototypes: ClassPrototypes, hs: np.ndarray | ProjectedQueries, labels: np.ndarray
+    prototypes: ClassPrototypes,
+    hs: np.ndarray | ProjectedQueries,
+    labels: np.ndarray,
+    projected: np.ndarray | None = None,
 ) -> float:
-    preds = predict_batch(prototypes, hs)
+    """Share of rows whose most-similar class is the label. ``projected``
+    is ``project_prototypes`` of the model under the queries' projection,
+    if already computed; encoded rows ignore it."""
+    preds = np.argmax(_class_scores(prototypes, hs, projected), axis=0)
     return float(np.mean(preds == np.asarray(labels)))
 
 
 def multiclass_margin_loss(
-    prototypes: ClassPrototypes, hs: np.ndarray | ProjectedQueries, labels: np.ndarray
+    prototypes: ClassPrototypes,
+    hs: np.ndarray | ProjectedQueries,
+    labels: np.ndarray,
+    projected: np.ndarray | None = None,
 ) -> float:
     """Mean hinge gap between the best wrong class and the true class.
 
@@ -260,7 +305,7 @@ def multiclass_margin_loss(
     from the favorable side) all other similarities.
     """
     labels = np.asarray(labels)
-    sims = _class_scores(prototypes, hs)
+    sims = _class_scores(prototypes, hs, projected)
     cols = np.arange(sims.shape[1])
     true = sims[labels, cols]
     sims[labels, cols] = -np.inf
@@ -270,16 +315,20 @@ def multiclass_margin_loss(
 
 def retrain_epoch(
     prototypes: ClassPrototypes,
-    hvs: np.ndarray | SampleRows,
+    hvs: np.ndarray | SampleRows | ProjectedQueries,
     labels: np.ndarray,
     alpha: float,
     order: np.ndarray | None = None,
+    projected: np.ndarray | None = None,
 ) -> tuple[ClassPrototypes, int]:
     """One correction pass over the samples, in ``order`` if given.
 
     Each mispredicted sample is added (scaled by alpha) to its true class
     prototype and subtracted from the predicted one. Counts are untouched.
-    ``hvs`` is an (n, d) matrix or a ``SampleRows`` of n rows.
+    ``hvs`` is an (n, d) matrix, a ``SampleRows`` of n rows, or the
+    ``ProjectedQueries`` of n samples, whose pass is decided in feature
+    space (see ``_retrain_projected``); ``projected`` is then
+    ``project_prototypes`` of the model, if already computed.
     ``order`` is a permutation of ``range(len(hvs))`` naming the sample to
     visit at each step; the pass reads rows of ``hvs`` in place, so
     ``retrain_epoch(p, hvs, labels, a, order)`` equals
@@ -291,15 +340,19 @@ def retrain_epoch(
     """
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    if isinstance(hvs, SampleRows):
-        hvs, rows = hvs.matrix, hvs.index  # checked where built
+    rows = None
+    if isinstance(hvs, ProjectedQueries):
+        samples, shape = hvs.features, hvs.shape
+    elif isinstance(hvs, SampleRows):
+        samples, rows = hvs.matrix, hvs.index  # checked where built
+        shape = (len(rows), samples.shape[1])
     else:
-        hvs = np.ascontiguousarray(hvs, dtype=np.float64)  # rows score like a gathered copy's
-        rows = None
+        samples = np.ascontiguousarray(hvs, dtype=np.float64)  # rows score like a gathered copy's
+        shape = samples.shape
     labels = np.asarray(labels)
-    if hvs.ndim != 2 or hvs.shape[1] != prototypes.hd_dim:
+    if len(shape) != 2 or shape[1] != prototypes.hd_dim:
         raise DimensionError("sample dimension does not match prototypes")
-    n = hvs.shape[0] if rows is None else rows.shape[0]
+    n = shape[0]
     if labels.shape != (n,):
         raise DimensionError("labels must align with samples")
     k = prototypes.num_classes
@@ -311,9 +364,19 @@ def retrain_epoch(
         order = np.asarray(order)
         if order.shape != (n,) or not np.array_equal(np.sort(order), np.arange(n)):
             raise ValueError(f"order must be a permutation of range({n})")
-    # Each step names the matrix row to read and its label.
+    # Each step names the sample row to read and its label.
     steps = zip((order if rows is None else rows[order]).tolist(), labels[order].tolist())
     vectors = prototypes.vectors.copy()
+    if isinstance(hvs, ProjectedQueries):
+        mistakes = _retrain_projected(vectors, hvs, steps, alpha, projected)
+    else:
+        mistakes = _retrain_rows(vectors, samples, steps, alpha)
+    return ClassPrototypes(vectors, prototypes.counts.copy()), mistakes
+
+
+def _retrain_rows(vectors: np.ndarray, hvs: np.ndarray, steps, alpha: float) -> int:
+    """The pass over encoded (n, d) rows: scores each step's row against
+    ``vectors`` and corrects them in place. Returns the mistake count."""
     # Divisors and the zero-norm mask are built once and refreshed only for
     # the two classes a mistake changes. The refresh uses the dot product
     # that np.linalg.norm computes for a 1-D vector, so every score is the
@@ -322,7 +385,8 @@ def retrain_epoch(
     zero = norms == 0.0
     safe = np.where(zero, 1.0, norms)
     any_zero = bool(zero.any())
-    sims = np.empty(k)  # one score buffer: np.dot(out=) is the same gemv as vectors @ h
+    # One score buffer: np.dot(out=) is the same gemv as vectors @ h.
+    sims = np.empty(vectors.shape[0])
     mistakes = 0
     for i, label in steps:
         h = hvs[i]
@@ -342,5 +406,71 @@ def retrain_epoch(
                 safe[c] = 1.0 if norm == 0.0 else norm
             any_zero = bool(zero.any())
             mistakes += 1
-    return ClassPrototypes(vectors, prototypes.counts.copy()), mistakes
+    return mistakes
 
+
+def _retrain_projected(
+    vectors: np.ndarray,
+    queries: ProjectedQueries,
+    steps,
+    alpha: float,
+    projected: np.ndarray | None,
+) -> int:
+    """The pass over ``ProjectedQueries``, decided in feature space and
+    replayed in d-space from its mistakes. Returns the mistake count.
+
+    With h = P x, prototype v scores v . h = (v P) . x. The pass scores each
+    step's x against A = V P (K x m) with the d-space norms, zero mask and
+    argmax of ``_retrain_rows``. A mistake moves two rows of A by
+    +/- alpha G x (G = P^T P) and their squared norms by
+    +/- 2 alpha (v . h) + alpha^2 x . G x, and is recorded. The mistake rows
+    are then encoded by one ``encode_batch`` call and applied to
+    ``vectors`` in place with the float operations of ``_retrain_rows``,
+    in its order. So the model equals that of the d-space pass over the
+    encoded split when every decision agrees, which holds unless a top-two
+    gap is within rounding, and when ``encode_batch`` gives each row the
+    bytes it has among all of the split's rows. That depends on the BLAS
+    gemm: OpenBLAS 0.3.31 on AVX-512 gave equal rows for every subset of
+    >= 2 rows when d is a multiple of 8 and d >= 800 or m < 32, but not
+    for other shapes. A lone row would go to a gemv, so it is padded.
+    """
+    phi, xs = queries.projection, queries.features
+    gram = phi.gram
+    weights = _feature_weights(vectors, phi, projected).copy()
+    norms = _prototype_norms(vectors)  # the divisors of _retrain_rows' first step
+    squares = np.einsum("kd,kd->k", vectors, vectors, optimize=False)
+    zero = norms == 0.0
+    safe = np.where(zero, 1.0, norms)
+    any_zero = bool(zero.any())
+    raw = np.empty(vectors.shape[0])  # v . h per class, before the division
+    sims = np.empty(vectors.shape[0])
+    log = []
+    for i, label in steps:
+        x = xs[i]
+        np.dot(weights, x, out=raw)
+        np.divide(raw, safe, out=sims)
+        if any_zero:
+            sims[zero] = 0.0
+        pred = int(sims.argmax())
+        if pred != label:
+            gx = gram @ x
+            step = alpha * gx
+            weights[label] += step
+            weights[pred] -= step
+            hh = alpha * alpha * float(x @ gx)
+            for c, sign in ((label, 2.0 * alpha), (pred, -2.0 * alpha)):
+                # A class that a mistake empties can round to just below 0.
+                squares[c] = max(squares[c] + sign * raw[c] + hh, 0.0)
+                norm = math.sqrt(squares[c])
+                zero[c] = norm == 0.0
+                safe[c] = 1.0 if norm == 0.0 else norm
+            any_zero = bool(zero.any())
+            log.append((i, label, pred))
+    if log:
+        index = np.array([i for i, _, _ in log])
+        hs = encode_batch(phi, xs[index if index.size > 1 else np.repeat(index, 2)])
+        for h, (_, label, pred) in zip(hs, log):
+            step = alpha * h
+            vectors[label] += step
+            vectors[pred] -= step
+    return len(log)

@@ -562,12 +562,14 @@ class TestDeterminism:
             outputs.append(([r.rsplit(",", 1)[0] for r in rows], model.read_bytes()))
         assert outputs[0] == outputs[1]
 
-    def test_linear_encoder_eval_is_bitwise_blas_thread_invariant(self, tmp_path):
+    def test_linear_encoder_run_is_bitwise_blas_thread_invariant(self, tmp_path):
         """With a linear encoder the eval scores the raw features by fixed-order
         products, so every record's train_loss and test_accuracy floats, not
         only their printed digits, match with 1 and 2 BLAS threads. At K=10,
         d=2000 and 3000 test rows, scoring the encoded rows with a gemm gave
-        a train_loss that differed in the last bit."""
+        a train_loss that differed in the last bit. Clients retrain in
+        feature space from fixed-order products and replay their mistakes
+        on encoded rows, so the float64 model's bytes match too."""
         cfg = write_config(
             tmp_path,
             BASE_CONFIG.replace("encoder.dim = 256", "encoder.dim = 2000")
@@ -583,8 +585,11 @@ class TestDeterminism:
             "import sys\n"
             "from hdfed.config import load_config\n"
             "from hdfed.harness import run_experiment\n"
-            "for r in run_experiment(load_config(sys.argv[1])).records:\n"
+            "import hashlib\n"
+            "result = run_experiment(load_config(sys.argv[1]))\n"
+            "for r in result.records:\n"
             "    print(repr(r.train_loss), repr(r.test_accuracy))\n"
+            "print(hashlib.sha256(result.model.vectors.tobytes()).hexdigest())\n"
         )
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         outputs = []
@@ -596,5 +601,5 @@ class TestDeterminism:
                 env=env, check=True, capture_output=True, text=True, timeout=120,
             )
             outputs.append(done.stdout.splitlines())
-        assert len(outputs[0]) == 3
+        assert len(outputs[0]) == 4
         assert outputs[0] == outputs[1]

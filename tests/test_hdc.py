@@ -20,6 +20,7 @@ from hdfed.hdc import (
     make_projection,
     multiclass_margin_loss,
     predict_batch,
+    project_prototypes,
     retrain_epoch,
 )
 from reference import binary_retrain, fisher_direction, one_shot_train, perceptron_loss, reconstruct
@@ -694,6 +695,155 @@ class TestProjectedScoring:
             predict_batch(model, ProjectedQueries(np.ones((5, 3)), phi))
         with pytest.raises(DimensionError):
             multiclass_margin_loss(model, ProjectedQueries(np.ones((5, 3)), phi), np.zeros(5, int))
+
+
+@st.composite
+def projected_retrain_cases(draw, exact):
+    """A client's rows of a split of N >= 2 samples, to retrain on in
+    feature space and on the encoded split's rows: K in 2..12; one row,
+    some or all of the split, some of them duplicates; a zero, random,
+    one-zero-class or duplicated-class start; 1 to 3 epochs in random
+    orders. ``exact`` draws small integers for P, the features and the
+    start and a power-of-two alpha, so every product and sum is exact
+    and ties are exact too. Otherwise P is the encoder's at d = 2000 and
+    the data gaussian, a duplicated sample keeping its label. Exact ties
+    are left out there, as rounding breaks them, differently in the two
+    spaces: no duplicated class (the d-space gemv sums a row past the
+    last multiple of 4 in another order, so at K = 5 a copy of class 0
+    in class 4 scores apart from it), and m >= 2 (at m = 1 every encoding
+    is collinear, so every class scores +/- ||h||)."""
+    k, m = draw(st.integers(2, 12)), draw(st.integers(1, 12) if exact else st.integers(2, 40))
+    split = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if exact:
+        d = draw(st.integers(m, 120))
+        phi = ProjectionMatrix(rng.integers(-3, 4, size=(d, m)).astype(np.float64))
+        xs = rng.integers(-3, 4, size=(split, m)).astype(np.float64)
+        vectors = rng.integers(-20, 21, size=(k, d)).astype(np.float64)
+        alpha = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    else:
+        phi = make_projection(m, 2000, draw(st.integers(0, 2**16)))
+        xs = rng.standard_normal((split, m))
+        vectors = rng.standard_normal((k, 2000)) * draw(st.sampled_from([1e-3, 1.0, 30.0]))
+        alpha = draw(st.sampled_from([1.0, 0.3, 2.5]))
+    labels = rng.integers(0, k, size=split)
+    copies = rng.integers(0, split, size=draw(st.integers(0, split // 2)))
+    xs[: copies.size], labels[: copies.size] = xs[copies], labels[copies]
+    starts = ["zero", "random", "one_zero_class"] + (["duplicate_class"] if exact else [])
+    start = draw(st.sampled_from(starts))
+    if start == "zero":
+        vectors[:] = 0.0
+    elif start == "one_zero_class":
+        vectors[draw(st.integers(0, k - 1))] = 0.0
+    elif start == "duplicate_class":
+        vectors[draw(st.integers(1, k - 1))] = vectors[0]
+    n = draw(st.sampled_from([1, split, int(rng.integers(1, split + 1))]))
+    index = rng.choice(split, size=n, replace=False)
+    orders = [rng.permutation(n) for _ in range(draw(st.integers(1, 3)))]
+    model = ClassPrototypes(vectors, np.ones(k, dtype=np.int64))
+    return model, phi, xs, labels, index, alpha, orders
+
+
+class TestProjectedRetrain:
+    """A pass over ``ProjectedQueries`` decides in feature space and replays
+    its mistakes on the encoded rows: the model and the mistake count are
+    those of the pass over the split's encoded rows, bit for bit."""
+
+    @staticmethod
+    def check(case):
+        model, phi, xs, labels, index, alpha, orders = case
+        before = [model.vectors.tobytes(), xs.tobytes()]
+        client = ProjectedQueries(xs[index], phi)
+        rows = SampleRows(encode_batch(phi, xs), index)
+        got = want = model
+        for epoch, order in enumerate(orders):
+            projected = project_prototypes(got.vectors, phi) if epoch == 0 else None
+            got, mistakes = retrain_epoch(got, client, labels[index], alpha, order, projected)
+            want, ref_mistakes = retrain_epoch(want, rows, labels[index], alpha, order)
+            assert mistakes == ref_mistakes
+            assert np.array_equal(got.vectors.view(np.uint64), want.vectors.view(np.uint64))
+            assert np.array_equal(got.counts, want.counts)
+        assert [model.vectors.tobytes(), xs.tobytes()] == before
+
+    @settings(max_examples=300, deadline=None)
+    @given(projected_retrain_cases(exact=True))
+    def test_exact_arithmetic_pass_equals_the_encoded_pass(self, case):
+        self.check(case)
+
+    @settings(max_examples=100, deadline=None)
+    @given(projected_retrain_cases(exact=False))
+    def test_encoder_pass_equals_the_encoded_pass(self, case):
+        # Rounding differs between the two spaces, so the decisions agree
+        # unless a top-two gap is within it, which gaussian data does not
+        # produce; the replayed rows have the split's bytes by
+        # test_encoding_a_row_does_not_depend_on_the_other_rows.
+        self.check(case)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([2000, 10000]),
+        st.integers(2, 300),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    def test_encoding_a_row_does_not_depend_on_the_other_rows(self, d, n, seed, repeats):
+        # The replay encodes only a pass's mistake rows. At m = 32 with the
+        # benchmark's d = 2000 and the default d = 10000, a gemm of any >= 2
+        # rows gives each row the bytes it gets among all n.
+        phi = make_projection(32, d, seed=seed % 97)
+        rng = np.random.default_rng(seed)
+        xs = rng.standard_normal((n, 32))
+        full = encode_batch(phi, xs)
+        for size in {2, int(rng.integers(2, n + 1)), n}:
+            index = rng.choice(n, size=size, replace=repeats)
+            got = encode_batch(phi, xs[index])
+            assert np.array_equal(got.view(np.uint64), full[index].view(np.uint64))
+
+    def test_class_emptied_by_a_conflicting_copy_scores_zero(self):
+        # The copy of x with another label undoes the first correction, so
+        # classes 0 and 1 are exactly 0 again. Their squared norms, kept by
+        # recurrence, round to about 0, below it for this x; held at 0, the
+        # classes score 0 against the third sample, as in d-space.
+        phi = make_projection(4, 64, seed=0)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal(4)
+        xs, labels = np.stack([x, x, rng.standard_normal(4)]), np.array([1, 0, 2])
+        model = ClassPrototypes.zeros(3, 64)
+        got = retrain_epoch(model, ProjectedQueries(xs, phi), labels, 0.3)
+        want = retrain_epoch(model, encode_batch(phi, xs), labels, 0.3)
+        TestRetrainEquivalence.assert_same(got, want)
+        assert got[1] == 3
+
+    def test_projected_weights_are_the_scoring_product(self):
+        phi = make_projection(6, 64, seed=2)
+        vectors = np.random.default_rng(3).standard_normal((4, 64))
+        want = np.einsum("kd,dm->km", vectors, phi.rows, optimize=False)
+        assert np.array_equal(project_prototypes(vectors, phi), want)
+        assert np.array_equal(phi.gram, np.einsum("dm,dn->mn", phi.rows, phi.rows, optimize=False))
+        assert phi.gram is phi.gram  # built once per projection
+
+    def test_shared_weights_score_like_their_own(self):
+        phi = make_projection(6, 64, seed=2)
+        rng = np.random.default_rng(4)
+        model = ClassPrototypes(rng.standard_normal((4, 64)), np.ones(4, dtype=np.int64))
+        queries = ProjectedQueries(rng.standard_normal((30, 6)), phi)
+        labels = rng.integers(0, 4, 30)
+        projected = project_prototypes(model.vectors, phi)
+        assert accuracy(model, queries, labels, projected) == accuracy(model, queries, labels)
+        loss = multiclass_margin_loss(model, queries, labels, projected)
+        assert loss == multiclass_margin_loss(model, queries, labels)
+        got = retrain_epoch(model, queries, labels, 0.5, None, projected)
+        TestRetrainEquivalence.assert_same(got, retrain_epoch(model, queries, labels, 0.5))
+        with pytest.raises(DimensionError):
+            accuracy(model, queries, labels, projected[:, :5])
+        with pytest.raises(DimensionError):
+            retrain_epoch(model, queries, labels, 0.5, None, projected[:3])
+
+    def test_dimension_mismatch_rejected(self):
+        phi = make_projection(3, 50, seed=4)
+        model = ClassPrototypes(np.ones((2, 60)), np.ones(2, dtype=np.int64))
+        with pytest.raises(DimensionError):
+            retrain_epoch(model, ProjectedQueries(np.ones((5, 3)), phi), np.zeros(5, int), 1.0)
 
 
 class TestBinaryRetrain:
