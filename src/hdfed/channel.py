@@ -9,7 +9,7 @@ One function per corruption concept:
 * corrupt_frame: the one bit channel, on serialized frames. bsc flips
   independent bits; packet_loss erases whole packets with zero-fill.
 * quantize_segments: the one scale-up / truncate quantizer, a gain per
-  segment; the receiver scales down by dividing by the gain. It bounds how
+  segment; every parser divides it out again with scale_down. It bounds how
   much a single bit flip can move a parameter relative to its original
   value.
 
@@ -249,6 +249,15 @@ def quantize_segments(
     return ints, gains
 
 
+def scale_down(values: np.ndarray, gains: np.ndarray | float) -> np.ndarray:
+    """Quantized integers divided by their gain. A legal gain can be tiny, so a
+    corrupted integer may overflow; it becomes zero, words_to_values' rule."""
+    with np.errstate(over="ignore"):
+        values = values / gains
+    values[np.isinf(values)] = 0.0
+    return values
+
+
 # ---------------------------------------------------------------------------
 # Frames and the bit channels
 
@@ -457,7 +466,7 @@ def read_model_bytes(blob: bytes) -> tuple[ClassPrototypes, CodecConfig]:
     payload = np.frombuffer(blob, dtype=np.uint8, offset=offset)
     values = decode_values(payload, codec, k * d).reshape(k, d)
     if quantized:
-        values = values / gains[:, None]
+        values = scale_down(values, gains[:, None])
     return ClassPrototypes(values, np.zeros(k, dtype=np.int64)), codec
 
 

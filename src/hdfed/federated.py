@@ -18,7 +18,7 @@ schedules produce identical results.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -380,8 +380,10 @@ class _Sparse(_Uplink):
         return received
 
     def perturb(self, sparse, channel, rng):
-        values = [corrupt_values(v, channel, rng) for v in sparse.values]
-        return strat.SparseClassModel(sparse.indices, values, sparse.shape, sparse.counts)
+        # One corrupt_values call per class keeps awgn's per-class SNR.
+        blocks = np.split(sparse.values, np.cumsum(sparse.lengths)[:-1])
+        values = np.concatenate([corrupt_values(v, channel, rng) for v in blocks])
+        return replace(sparse, values=values)
 
     def fold(self, total, sparse):
         aggregate_weighted(total, strat.csc_decompress(sparse))

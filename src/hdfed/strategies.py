@@ -13,7 +13,9 @@ bytes counted on the uplink and the server parses what arrives:
   regenerates the index set.
 * sparsify: the smallest-magnitude fraction of each class row is zeroed and
   the survivors ship as gap-encoded (index distance, value) pairs; only the
-  value bits of the pairs are exposed.
+  value bits of the pairs are exposed. Every stage reads and writes one
+  flat layout, SparseClassModel, whose constructor is the one check of a
+  sparse model's layout; the frame parser checks only the frame structure.
 
 Strategy none sends the HDFM model frame (channel.write_model_bytes).
 Payload frames reuse the HDFM header (magic, version, K, d, tag byte) with
@@ -39,6 +41,7 @@ from .channel import (
     pack_words,
     parse_frame_header,
     quantize_segments,
+    scale_down,
     unpack_words,
     value_words,
     words_to_values,
@@ -97,12 +100,33 @@ class SubsamplePayload:
 
 @dataclass
 class SparseClassModel:
-    """Per-class surviving (index, value) pairs for a (K, d) model."""
+    """Surviving (index, value) pairs of a (K, d) model in one CSR layout:
+    class r holds the lengths[r] pairs after the first r classes'. The
+    constructor is the one layout check: it raises SparseFormatError, naming
+    the first bad class, unless lengths holds one non-negative length per
+    class, indices and values are both lengths.sum() long, and each class's
+    indices are strictly increasing within [0, d)."""
 
-    indices: list[np.ndarray]  # strictly increasing per class
-    values: list[np.ndarray]
+    indices: np.ndarray  # int64, flat
+    values: np.ndarray  # float64, flat
+    lengths: np.ndarray  # pairs per class
     shape: tuple[int, int]
     counts: np.ndarray  # prototype sample counts, carried through
+
+    def __post_init__(self) -> None:
+        k, d = self.shape
+        if self.lengths.shape != (k,):
+            raise SparseFormatError(f"{self.lengths.size} pair lengths for {k} classes")
+        held = min(self.indices.size, self.values.size)
+        short = np.flatnonzero((self.lengths < 0) | (np.cumsum(self.lengths) > held))
+        if short.size or not self.indices.shape == self.values.shape == (self.lengths.sum(),):
+            raise SparseFormatError(f"class {short[0] if short.size else k - 1}: wrong pair count")
+        rows = np.repeat(np.arange(k), self.lengths)
+        bad = (self.indices < 0) | (self.indices >= d)
+        bad[1:] |= (np.diff(self.indices) <= 0) & (rows[1:] == rows[:-1])
+        if bad.any():
+            row = rows[bad.argmax()]
+            raise SparseFormatError(f"class {row}: index outside [0, {d}) or not increasing")
 
 
 # ---------------------------------------------------------------------------
@@ -223,43 +247,19 @@ def sparsify(model: ClassPrototypes, sparsity: float) -> SparseClassModel:
             zeroed[crowded] = below[crowded] | (ties[crowded] & first)
         keep &= ~zeroed
     flat = np.flatnonzero(keep)
-    ends = np.cumsum(keep.sum(axis=1))
     values = model.vectors.reshape(-1)[flat]
-    return SparseClassModel(
-        _by_class(flat % d, ends), _by_class(values, ends), (k, d), model.counts.copy()
-    )
-
-
-def _by_class(flat: np.ndarray, ends: np.ndarray) -> list[np.ndarray]:
-    """Views of a class-ordered flat array, cut at the class ends."""
-    ends = ends.tolist()
-    return [flat[start:end] for start, end in zip([0, *ends[:-1]], ends)]
+    return SparseClassModel(flat % d, values, keep.sum(axis=1), (k, d), model.counts.copy())
 
 
 def csc_decompress(sparse: SparseClassModel) -> ClassPrototypes:
     """Rebuild the dense post-sparsification model, bit for bit, with one
-    scatter through the flat positions row * d + index.
-
-    Raises SparseFormatError, naming the first bad class, on an index/value
-    length mismatch, an index outside [0, d) or a non-increasing index list.
+    scatter through the flat positions row * d + index. The pairs need no
+    check here: SparseClassModel validated its layout when it was built.
     """
     k, d = sparse.shape
-    pairs = list(zip(sparse.indices, sparse.values))
-    counts = np.array([idx.size for idx, _ in pairs], dtype=np.int64)
-    mismatched = counts != np.array([val.size for _, val in pairs], dtype=np.int64)
-    indices = np.concatenate([np.zeros(0, dtype=np.int64), *(idx for idx, _ in pairs if idx.size)])
-    rows = np.repeat(np.arange(counts.size), counts)
-    bad = (indices < 0) | (indices >= d)
-    bad[1:] |= (np.diff(indices) <= 0) & (rows[1:] == rows[:-1])
-    misordered = np.zeros(counts.size, dtype=bool)
-    misordered[rows[bad]] = True
-    failed = np.flatnonzero(mismatched | misordered)
-    if failed.size:
-        row = failed[0]
-        problem = "index/value length mismatch" if mismatched[row] else "corrupt index ordering"
-        raise SparseFormatError(f"class {row}: {problem}")
     vectors = np.zeros((k, d))
-    vectors.reshape(-1)[rows * d + indices] = np.concatenate([np.zeros(0), *(v for _, v in pairs)])
+    rows = np.repeat(np.arange(k), sparse.lengths)
+    vectors.reshape(-1)[rows * d + sparse.indices] = sparse.values
     return ClassPrototypes(vectors, sparse.counts.copy())
 
 
@@ -321,7 +321,7 @@ def deserialize_subsample(blob: bytes, codec: CodecConfig, seed: int) -> Subsamp
         raise SparseFormatError(f"subsample frame: bad count {count} or gain {gain}")
     values = decode_values(np.frombuffer(blob, dtype=np.uint8, offset=offset), codec, count)
     if quantized:
-        values = values / gain
+        values = scale_down(values, gain)
     rng = derived_rng(seed, STREAM_STRATEGY, key >> 20, key & (2**20 - 1))
     return SubsamplePayload(key, _subsample_indices(k * d, count, rng), values, (k, d))
 
@@ -337,31 +337,27 @@ def serialize_sparse(sparse: SparseClassModel, codec: CodecConfig) -> Frame:
     value bits of its pairs.
     """
     k, d = sparse.shape
-    counts = np.array([idx.size for idx in sparse.indices], dtype=np.int64)
-    if [v.size for v in sparse.values] != counts.tolist():
-        raise SparseFormatError("index/value length mismatch")
-    indices = np.concatenate([*sparse.indices, np.zeros(0, dtype=np.int64)])
-    values = np.concatenate([*sparse.values, np.zeros(0)])
+    lengths, indices, values = sparse.lengths, sparse.indices, sparse.values
     quantized = codec.representation == "quantized_int"
-    gains = np.ones(counts.size)
+    gains = np.ones(lengths.size)
     if quantized:
-        values, gains = quantize_segments(values, counts, codec.bitwidth)
+        values, gains = quantize_segments(values, lengths, codec.bitwidth)
     gaps = np.diff(indices, prepend=-1) - 1
-    firsts = (np.cumsum(counts) - counts)[counts > 0]
+    firsts = (np.cumsum(lengths) - lengths)[lengths > 0]
     gaps[firsts] = indices[firsts]
     words = value_words(values, codec).astype(np.uint64)
     width = 32 + codec.value_bits
-    blocks = pack_words(gaps.astype(np.uint64) | (words << np.uint64(32)), width, counts)
-    sizes = -(-counts * width // 8)
+    blocks = pack_words(gaps.astype(np.uint64) | (words << np.uint64(32)), width, lengths)
+    sizes = -(-lengths * width // 8)
     ends = np.cumsum(sizes).tolist()
     out = [frame_header(k, d, TAG_SPARSE)]
-    for count, gain, end, size in zip(counts.tolist(), gains.tolist(), ends, sizes.tolist()):
+    for count, gain, end, size in zip(lengths.tolist(), gains.tolist(), ends, sizes.tolist()):
         out.append(struct.pack("<I", count))
         if count and quantized:
             out.append(struct.pack("<d", gain))
         out.append(blocks[end - size : end].tobytes())
-    starts = HEADER_BYTES + np.cumsum(4 + 8 * (quantized & (counts > 0)) + sizes) - sizes
-    return Frame(b"".join(out), _block_positions(starts, sizes), counts, width, codec.value_bits)
+    starts = HEADER_BYTES + np.cumsum(4 + 8 * (quantized & (lengths > 0)) + sizes) - sizes
+    return Frame(b"".join(out), _block_positions(starts, sizes), lengths, width, codec.value_bits)
 
 
 def _block_positions(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -372,10 +368,10 @@ def _block_positions(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 def deserialize_sparse(blob: bytes, codec: CodecConfig) -> SparseClassModel:
     """Parse a sparse frame back into indices and values (counts are zero).
 
-    Raises SparseFormatError on a truncated frame, a count above d, a
-    non-positive or non-finite gain, or an index outside [0, d), before
-    allocating anything the blob cannot hold. All classes are unpacked in
-    one pass.
+    Raises SparseFormatError on a truncated frame, a count above d or a
+    non-positive or non-finite gain, before allocating anything the blob
+    cannot hold; an index the gaps carry outside [0, d) fails the
+    SparseClassModel layout check. All classes are unpacked in one pass.
     """
     k, d, _ = parse_frame_header(blob, SparseFormatError, TAG_SPARSE)
     if len(blob) < HEADER_BYTES + 4 * k:
@@ -404,21 +400,13 @@ def deserialize_sparse(blob: bytes, codec: CodecConfig) -> SparseClassModel:
     positions = _block_positions(np.array(starts, dtype=np.int64), -(-counts * width // 8))
     payload = np.frombuffer(blob, dtype=np.uint8)[positions]
     pairs = unpack_words(payload, int(counts.sum()), width, counts)
-    ends = np.cumsum(counts)
     steps = np.cumsum((pairs & np.uint64(0xFFFFFFFF)).astype(np.int64) + 1)
-    before = np.concatenate([[0], steps])[ends - counts]
+    before = np.concatenate([[0], steps])[np.cumsum(counts) - counts]
     indices = steps - np.repeat(before, counts) - 1
-    filled = np.flatnonzero(counts)
-    outside = filled[indices[ends[filled] - 1] >= d]
-    if outside.size:
-        row = outside[0]
-        raise SparseFormatError(f"class {row}: stored index {indices[ends[row] - 1]} outside d={d}")
     values = words_to_values(pairs >> np.uint64(32), codec)
     if codec.representation == "quantized_int":
-        values = values / np.repeat(gains, counts)
-    return SparseClassModel(
-        _by_class(indices, ends), _by_class(values, ends), (k, d), np.zeros(k, dtype=np.int64)
-    )
+        values = scale_down(values, np.repeat(gains, counts))
+    return SparseClassModel(indices, values, counts, (k, d), np.zeros(k, dtype=np.int64))
 
 
 _FRAME_TAGS = dict(binary_diff=TAG_BINARY_DIFF, subsample=TAG_SUBSAMPLE, sparsify=TAG_SPARSE)

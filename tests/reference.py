@@ -4,8 +4,9 @@ None of this runs in the system. The acceptance criteria and unit tests
 compare the trainer, the encoder and the uplink codec against these:
 perceptron-style binary retraining and its explicit loss (the SGD
 equivalence), the linear-discriminant direction, reconstruction from noisy
-encodings, one-shot prototype bundling, a shared dimension mask, and the
-unpacked 0/1-bit view of the codec payload.
+encodings, one-shot prototype bundling, a shared dimension mask, the
+unpacked 0/1-bit view of the codec payload, and the per-class view of a
+sparse model.
 """
 
 from __future__ import annotations
@@ -146,3 +147,10 @@ def deserialize_bits(bits: np.ndarray, codec: CodecConfig, shape: tuple[int, ...
     if bits.size != count * codec.value_bits:
         raise DimensionError(f"{bits.size} bits do not hold {shape} at {codec.value_bits} bits")
     return decode_values(np.packbits(bits, bitorder="little"), codec, count).reshape(shape)
+
+
+def by_class(sparse) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """A SparseClassModel's flat indices and values, cut into one array per
+    class by its lengths."""
+    cuts = np.cumsum(sparse.lengths)[:-1]
+    return np.split(sparse.indices, cuts), np.split(sparse.values, cuts)

@@ -34,6 +34,7 @@ from hdfed.strategies import (
     subsample_fold,
     wire_bytes,
 )
+from reference import by_class
 
 
 def model_of(values, counts=None):
@@ -231,7 +232,7 @@ class TestSparsify:
         rng = np.random.default_rng(0)
         m = model_of(rng.standard_normal((3, 10000)))
         sparse = sparsify(m, 0.9)
-        for idx in sparse.indices:
+        for idx in by_class(sparse)[0]:
             assert idx.size == 1000
 
     def test_round_trip_bit_exact(self):
@@ -245,7 +246,7 @@ class TestSparsify:
     def test_all_zero_class_stores_nothing(self):
         m = model_of([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
         sparse = sparsify(m, 0.0)
-        assert sparse.indices[0].size == 0
+        assert by_class(sparse)[0][0].size == 0
         assert np.array_equal(csc_decompress(sparse).vectors[0], np.zeros(3))
 
     def test_dense_model_compression_overhead(self):
@@ -259,17 +260,10 @@ class TestSparsify:
         assert wire_bytes(frame, StrategyConfig(kind="sparsify", sparsity=0.0), codec) >= dense_bytes
 
     def test_corrupt_index_ordering_rejected(self):
-        sparse = SparseClassModel(
-            indices=[np.array([3, 1])],
-            values=[np.array([1.0, 2.0])],
-            shape=(1, 4),
-            counts=np.zeros(1, dtype=np.int64),
-        )
-        sparse.shape = (2, 4)
-        sparse.indices.append(np.array([0]))
-        sparse.values.append(np.array([5.0]))
-        with pytest.raises(SparseFormatError):
-            csc_decompress(sparse)
+        layout = dict(values=np.array([1.0, 2.0, 5.0]), lengths=np.array([2, 1]), shape=(2, 4))
+        SparseClassModel(np.array([1, 3, 0]), counts=np.zeros(2), **layout)  # across classes
+        with pytest.raises(SparseFormatError, match="^class 0: "):
+            SparseClassModel(np.array([3, 1, 0]), counts=np.zeros(2), **layout)
 
     @given(seed=st.integers(min_value=0, max_value=2**16), sparsity=st.floats(min_value=0.0, max_value=0.95))
     @settings(max_examples=40, deadline=None)
@@ -333,10 +327,9 @@ class TestWireBytes:
         blob = serialize_sparse(sparse, codec)
         back = deserialize_sparse(blob, codec)
         assert back.shape == sparse.shape
-        for a, b in zip(back.indices, sparse.indices):
-            assert np.array_equal(a, b)
-        for a, b in zip(back.values, sparse.values):
-            assert np.array_equal(a, b)
+        assert np.array_equal(back.lengths, sparse.lengths)
+        assert np.array_equal(back.indices, sparse.indices)
+        assert np.array_equal(back.values, sparse.values)
 
     def test_sparse_frame_quantized_codec(self):
         # scaled-integer value blocks carry their gain and survive within one
@@ -346,7 +339,7 @@ class TestWireBytes:
         sparse = sparsify(m, 0.5)
         codec = CodecConfig("quantized_int", bitwidth=16)
         back = deserialize_sparse(serialize_sparse(sparse, codec), codec)
-        for a, b in zip(back.values, sparse.values):
+        for a, b in zip(by_class(back)[1], by_class(sparse)[1]):
             step = np.abs(b).max() / (2**15 - 1)
             assert np.max(np.abs(a - b)) <= step + 1e-12
 
@@ -379,7 +372,7 @@ class TestChannelComposition:
             if cfg.kind in ("ideal", "awgn"):  # raw values
                 assert corrupt_signs(signs, cfg, rng).shape == signs.shape
                 assert corrupt_values(val, cfg, rng).shape == val.shape
-                for v in sparse.values:
+                for v in by_class(sparse)[1]:
                     assert corrupt_values(v, cfg, rng).shape == v.shape
                 continue
             frame = serialize_sign_matrix(signs)
@@ -388,4 +381,4 @@ class TestChannelComposition:
             assert deserialize_subsample(corrupt_frame(frame, cfg, rng), codec, 0).values.shape == val.shape
             frame = serialize_sparse(sparse, codec)
             back = deserialize_sparse(corrupt_frame(frame, cfg, rng), codec)
-            assert [v.shape for v in back.values] == [v.shape for v in sparse.values]
+            assert np.array_equal(back.lengths, sparse.lengths)

@@ -13,12 +13,12 @@
 * Frame parsers fail closed with their module's own error type.
 """
 
-import re
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hdfed import federated, strategies
@@ -60,7 +60,7 @@ from hdfed.strategies import (
     subsample_stream_key,
     wire_bytes,
 )
-from reference import deserialize_bits, serialize_bits
+from reference import by_class, deserialize_bits, serialize_bits
 
 CODECS = st.one_of(
     st.just(CodecConfig("float32")),
@@ -280,9 +280,9 @@ def reference_quantize_block(values, bitwidth):
 
 
 def reference_sparsify(model, sparsity):
-    """The per-row stable-argsort selection that sparsify replaced."""
-    k, d = model.vectors.shape
-    n_zero = int(round(sparsity * d))
+    """The per-row stable-argsort selection that sparsify replaced, as
+    per-class index and value lists."""
+    n_zero = int(round(sparsity * model.vectors.shape[1]))
     indices, values = [], []
     for row in model.vectors:
         order = np.argsort(np.abs(row), kind="stable")
@@ -291,28 +291,50 @@ def reference_sparsify(model, sparsity):
         nz = np.flatnonzero(dense)
         indices.append(nz.astype(np.int64))
         values.append(dense[nz])
-    return SparseClassModel(indices, values, (k, d), model.counts.copy())
+    return indices, values
 
 
 def reference_csc_decompress(sparse):
     """The per-class loop that the one-scatter csc_decompress replaced."""
-    k, d = sparse.shape
-    vectors = np.zeros((k, d))
-    for row, (idx, val) in enumerate(zip(sparse.indices, sparse.values)):
-        if idx.size != val.size:
-            raise SparseFormatError(f"class {row}: index/value length mismatch")
-        if idx.size:
-            if idx[0] < 0 or idx[-1] >= d or np.any(np.diff(idx) <= 0):
-                raise SparseFormatError(f"class {row}: corrupt index ordering")
-            vectors[row, idx] = val
+    vectors = np.zeros(sparse.shape)
+    for row, (idx, val) in enumerate(zip(*by_class(sparse))):
+        vectors[row, idx] = val
     return ClassPrototypes(vectors, sparse.counts.copy())
+
+
+def random_layout(rng, k, d, row=0):
+    """Flat indices, values and lengths of a valid (k, d) sparse model, with
+    empty classes and -0.0 values; class `row` holds at least min(d, 2) pairs."""
+    lengths = rng.integers(0, d + 1, size=k)
+    lengths[rng.random(k) < 0.3] = 0  # empty classes
+    lengths[row] = max(lengths[row], min(d, 2))
+    indices = np.concatenate([np.sort(rng.choice(d, size=n, replace=False)) for n in lengths])
+    values = np.where(rng.random(indices.size) < 0.3, -0.0, rng.standard_normal(indices.size))
+    return indices, values, lengths
+
+
+# Faults of the sparse layout: in the lengths, in the flat arrays' sizes, or
+# in one class's indices.
+LENGTH_FAULTS = ["negative", "fewer_indices", "more_indices", "fewer_values", "more_values"]
+LAYOUT_FAULTS = ["lengths", *LENGTH_FAULTS, "low", "at_d", "above_d", "repeat", "swap"]
+
+
+def first_short_class(lengths, held):
+    """The first class with a negative length or with pairs past the `held`
+    pairs of the flat arrays; the last class when the arrays hold more."""
+    end = 0
+    for row, n in enumerate(lengths):
+        end += n
+        if n < 0 or end > held:
+            return row
+    return len(lengths) - 1
 
 
 def reference_sparse_frame(sparse, codec):
     """The sparse frame written one class at a time from unpacked bits."""
     k, d = sparse.shape
     out = bytearray(frame_header(k, d, TAG_SPARSE))
-    for idx, val in zip(sparse.indices, sparse.values):
+    for idx, val in zip(*by_class(sparse)):
         out += struct.pack("<I", idx.size)
         if not idx.size:
             continue
@@ -330,8 +352,8 @@ def reference_sparse_frame(sparse, codec):
 def reference_sparse_uplink(sparse, cfg, rng):
     """Each class's values through the unpacked reference in turn, the
     per-class loop that the frame path replaced."""
-    values = [reference_value_block(v, cfg, rng) for v in sparse.values]
-    return csc_decompress(SparseClassModel(sparse.indices, values, sparse.shape, sparse.counts))
+    values = [reference_value_block(v, cfg, rng) for v in by_class(sparse)[1]]
+    return reference_csc_decompress(replace(sparse, values=np.concatenate(values)))
 
 
 def value_bit_mask(frame, codec):
@@ -393,19 +415,21 @@ class TestSparseUplink:
     @settings(max_examples=300, deadline=None)
     def test_sparsify_matches_stable_argsort_reference(self, seed, sparsity, kind, k, d):
         model = sparse_input(np.random.default_rng(seed), CodecConfig(), k, d, kind)
-        got, expected = sparsify(model, sparsity), reference_sparsify(model, sparsity)
-        assert got.shape == expected.shape
-        assert np.array_equal(got.counts, expected.counts)
-        for gi, ei, gv, ev in zip(got.indices, expected.indices, got.values, expected.values):
+        got = sparsify(model, sparsity)
+        assert got.shape == model.vectors.shape
+        assert np.array_equal(got.counts, model.counts)
+        got_indices, got_values = by_class(got)
+        indices, values = reference_sparsify(model, sparsity)
+        for gi, ei, gv, ev in zip(got_indices, indices, got_values, values):
             assert gi.dtype == ei.dtype and np.array_equal(gi, ei)
             assert same_bits(gv, ev)
-        assert len(got.indices) == len(got.values) == k
+        assert len(got_indices) == len(got_values) == k
 
     def test_sparsify_all_tied_rows_zero_lowest_indices_first(self):
         model = ClassPrototypes(np.array([[2.0, -2.0, 2.0, -2.0, 2.0], [0.0] * 5]), np.zeros(2))
-        got = sparsify(model, 0.6)
-        assert got.indices[0].tolist() == [3, 4] and got.values[0].tolist() == [-2.0, 2.0]
-        assert got.indices[1].size == 0
+        indices, values = by_class(sparsify(model, 0.6))
+        assert indices[0].tolist() == [3, 4] and values[0].tolist() == [-2.0, 2.0]
+        assert indices[1].size == 0
 
     @given(
         codec=CODECS,
@@ -421,8 +445,8 @@ class TestSparseUplink:
         frame = serialize_sparse(sparse, codec)
         assert frame == reference_sparse_frame(sparse, codec)
         back = deserialize_sparse(frame, codec)
-        for gi, ei in zip(back.indices, sparse.indices):
-            assert np.array_equal(gi, ei)
+        assert np.array_equal(back.lengths, sparse.lengths)
+        assert np.array_equal(back.indices, sparse.indices)
 
     @given(
         codec=CODECS,
@@ -445,41 +469,57 @@ class TestSparseUplink:
         expected = reference_sparse_uplink(sparse, cfg, np.random.default_rng(seed + 1))
         assert same_bits(csc_decompress(received).vectors, expected.vectors)
 
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        k=st.integers(2, 5),
-        d=st.integers(1, 30),
-        faults=st.lists(
-            st.tuples(st.sampled_from(["length", "low", "high", "repeat", "swap"]), st.integers(0, 4)),
-            max_size=2,
-        ),
-    )
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 5), d=st.integers(1, 30))
     @settings(max_examples=300, deadline=None)
-    def test_csc_decompress_matches_per_class_reference(self, seed, k, d, faults):
+    def test_csc_decompress_matches_per_class_reference(self, seed, k, d):
         rng = np.random.default_rng(seed)
-        counts = rng.integers(0, d + 1, size=k)
-        counts[rng.random(k) < 0.3] = 0  # empty classes
-        indices = [np.sort(rng.choice(d, size=n, replace=False)) for n in counts]
-        values = [np.where(rng.random(n) < 0.3, -0.0, rng.standard_normal(n)) for n in counts]
-        for fault, row in faults:
-            row %= k
-            idx = indices[row]
-            if fault == "length":
-                values[row] = np.append(values[row], 1.0)
-            elif idx.size and fault in ("low", "high"):
-                idx[0 if fault == "low" else -1] = -1 if fault == "low" else d
-            elif idx.size > 1 and fault in ("repeat", "swap"):
-                idx[:2] = [idx[1], idx[1]] if fault == "repeat" else idx[1::-1]
-        sparse = SparseClassModel(indices, values, (k, d), rng.integers(0, 9, size=k))
-        try:
-            expected = reference_csc_decompress(sparse)
-        except SparseFormatError as error:
-            with pytest.raises(SparseFormatError, match=f"^{re.escape(str(error))}$"):
-                csc_decompress(sparse)
-            return
-        got = csc_decompress(sparse)
+        sparse = SparseClassModel(*random_layout(rng, k, d), (k, d), rng.integers(0, 9, size=k))
+        got, expected = csc_decompress(sparse), reference_csc_decompress(sparse)
         assert same_bits(got.vectors, expected.vectors)
         assert np.array_equal(got.counts, expected.counts)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 5),
+        d=st.integers(1, 30),
+        row=st.integers(0, 4),
+        fault=st.sampled_from([None, *LAYOUT_FAULTS]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_sparse_layout_is_checked_on_construction(self, seed, k, d, row, fault):
+        rng = np.random.default_rng(seed)
+        row %= k
+        indices, values, lengths = random_layout(rng, k, d, row)
+        start, end = lengths[:row].sum(), lengths[: row + 1].sum()
+        if fault in ("repeat", "swap"):
+            assume(d >= 2)
+        if fault == "negative":
+            lengths[row] = -1
+        elif fault == "lengths":
+            lengths = np.append(lengths, 0) if rng.random() < 0.5 else lengths[1:]
+        elif fault in ("fewer_indices", "more_indices"):
+            indices = indices[:-1] if fault == "fewer_indices" else np.append(indices, d - 1)
+        elif fault in ("fewer_values", "more_values"):
+            values = values[:-1] if fault == "fewer_values" else np.append(values, 1.0)
+        elif fault == "low":
+            indices[start] = -1
+        elif fault in ("at_d", "above_d"):
+            indices[end - 1] = d if fault == "at_d" else d + rng.integers(1, 2**40)
+        elif fault == "repeat":
+            indices[start + 1] = indices[start]
+        elif fault == "swap":
+            indices[start : start + 2] = indices[start + 1], indices[start]
+        if fault is None:  # indices may fall across a class boundary
+            SparseClassModel(indices, values, lengths, (k, d), np.zeros(k))
+            return
+        if fault == "lengths":
+            bad = f"{lengths.size} pair lengths for {k} classes$"
+        elif fault in LENGTH_FAULTS:
+            bad = f"class {first_short_class(lengths, min(indices.size, values.size))}: "
+        else:
+            bad = f"class {row}: "
+        with pytest.raises(SparseFormatError, match=f"^{bad}"):
+            SparseClassModel(indices, values, lengths, (k, d), np.zeros(k))
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -529,9 +569,9 @@ class TestSparseUplink:
         ids=["flip_all", "drop_all"],
     )
     def test_only_value_bits_are_hit(self, codec, chan):
-        sparse = sparsify(sparse_input(np.random.default_rng(5), codec, 4, 23, "continuous"), 0.6)
-        sparse.indices[1], sparse.values[1] = np.zeros(0, dtype=np.int64), np.zeros(0)
-        sent = serialize_sparse(sparse, codec)
+        model = sparse_input(np.random.default_rng(5), codec, 4, 23, "continuous")
+        model.vectors[1] = 0.0  # an empty class
+        sent = serialize_sparse(sparsify(model, 0.6), codec)
         cfg = ChannelConfig(codec=codec, **chan)
         received = corrupt_frame(sent, cfg, np.random.default_rng(0))
         exposed = value_bit_mask(sent, codec)
@@ -745,7 +785,7 @@ class TestParsersFailClosed:
     def test_sparse_index_beyond_d_rejected(self, index):
         codec = CodecConfig("float32")
         sparse = SparseClassModel(
-            [np.array([index]), np.array([2])], [np.ones(1), np.ones(1)], (2, 2000), np.zeros(2)
+            np.array([index, 2]), np.ones(2), np.array([1, 1]), (2, 2000), np.zeros(2)
         )
         blob = serialize_sparse(sparse, codec)
         shrunk = frame_header(2, 10, TAG_SPARSE) + blob[HEADER_BYTES:]
@@ -755,7 +795,7 @@ class TestParsersFailClosed:
     def test_sparse_count_above_d_rejected(self):
         codec = CodecConfig("float32")
         sparse = SparseClassModel(
-            [np.arange(5), np.arange(1)], [np.ones(5), np.ones(1)], (2, 10), np.zeros(2)
+            np.r_[np.arange(5), 0], np.ones(6), np.array([5, 1]), (2, 10), np.zeros(2)
         )
         blob = serialize_sparse(sparse, codec)
         with pytest.raises(SparseFormatError):
@@ -776,6 +816,70 @@ class TestParsersFailClosed:
         struct.pack_into("<d", blob, HEADER_BYTES + 8, gain)  # second class gain
         with pytest.raises(CodecError):
             read_model_bytes(bytes(blob))
+
+    def test_model_frame_overflow_decodes_as_zero(self):
+        codec = CodecConfig("quantized_int", bitwidth=16)
+        model = ClassPrototypes(np.random.default_rng(3).standard_normal((3, 7)), np.zeros(3))
+        blob = bytearray(write_model_bytes(model, codec))
+        sent, _ = read_model_bytes(bytes(blob))
+        struct.pack_into("<d", blob, HEADER_BYTES, 1e-310)  # first class gain
+        got, _ = read_model_bytes(bytes(blob))
+        assert same_bits(got.vectors[0], np.zeros(7))
+        assert same_bits(got.vectors[1:], sent.vectors[1:])
+        # A gain that small is legal: the quantizer writes it for a row near float max.
+        tiny = ClassPrototypes(np.array([[1.7e308, -1.0], [1.0, 2.0]]), np.zeros(2))
+        got, _ = read_model_bytes(write_model_bytes(tiny, CodecConfig("quantized_int", bitwidth=2)))
+        assert got.vectors[0, 0] == pytest.approx(1.7e308, rel=1e-12) and got.vectors[0, 1] == 0.0
+
+    def test_subsample_overflow_decodes_as_zero(self):
+        codec = CodecConfig("quantized_int", bitwidth=16)
+        blob = bytearray(self.subsample_frame(codec))
+        struct.pack_into("<d", blob, HEADER_BYTES + 12, 1e-310)
+        assert same_bits(deserialize_subsample(bytes(blob), codec, seed=0).values, np.zeros(36))
+
+    def test_sparse_overflow_decodes_as_zero(self):
+        codec = CodecConfig("quantized_int", bitwidth=16)
+        blob = bytearray(self.sparse_frame(codec))
+        sent = deserialize_sparse(bytes(blob), codec)
+        struct.pack_into("<d", blob, HEADER_BYTES + 4, 1e-310)  # first class gain
+        got = by_class(deserialize_sparse(bytes(blob), codec))[1]
+        assert same_bits(got[0], np.zeros(15))
+        assert same_bits(np.concatenate(got[1:]), np.concatenate(by_class(sent)[1][1:]))
+
+    @given(
+        codec=st.sampled_from(CODEC_CASES),
+        seed=st.integers(0, 2**32 - 1),
+        mutations=st.lists(
+            st.tuples(
+                st.sampled_from(["set", "truncate", "append"]),
+                st.one_of(st.integers(0, 48), st.integers(0, 2**16)),  # headers and gains first
+                st.integers(0, 255),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    @example(  # zeroes the top byte of the first class gain
+        codec=CodecConfig("quantized_int", bitwidth=16),
+        seed=1,
+        mutations=[("set", HEADER_BYTES + 4 + 7, 0)],
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_sparse_frames_raise_or_parse_finite(self, codec, seed, mutations):
+        model = sparse_input(np.random.default_rng(seed), codec, 3, 20, "continuous")
+        blob = bytearray(serialize_sparse(sparsify(model, 0.5), codec))
+        for kind, pos, byte in mutations:
+            if kind == "set" and blob:
+                blob[pos % len(blob)] = byte
+            elif kind == "truncate":
+                del blob[pos % (len(blob) + 1) :]
+            elif kind == "append":
+                blob += bytes([byte]) * (1 + pos % 8)
+        try:
+            parsed = deserialize_sparse(bytes(blob), codec)
+        except SparseFormatError:
+            return
+        assert np.all(np.isfinite(parsed.values))
 
     def test_huge_declared_model_rejected_before_allocation(self):
         blob = frame_header(4_000_000_000, 10, 128 + 16) + bytes(100)
