@@ -40,8 +40,11 @@ from .hdc import (
     SampleRows,
     accuracy,
     encode_batch,
+    feature_state,
+    lockstep_epoch,
     multiclass_margin_loss,
     project_prototypes,
+    replay_mistakes,
     retrain_epoch,
 )
 from .seeding import (
@@ -186,31 +189,33 @@ def _batched_order(
     return order[order < n]  # the last batch is partial when batch does not divide n
 
 
+def _epoch_orders(
+    n: int, cfg: RoundConfig, round_index: int, client_id: int
+) -> list[np.ndarray]:
+    """A client's sample order in each local epoch, drawn in turn from its
+    (seed, round, client) stream. ``local_update`` and the lockstep retrain
+    of a linear split both take their orders from here."""
+    rng = derived_rng(cfg.seed, STREAM_LOCAL, round_index, client_id)
+    return [_batched_order(n, cfg.local_batch, rng) for _ in range(cfg.local_epochs)]
+
+
 def local_update(
     client: ClientState,
     global_model: ClassPrototypes,
     cfg: RoundConfig,
     round_index: int,
-    projected: np.ndarray | None = None,
 ) -> ClassPrototypes:
     """Copy the broadcast model and retrain for the configured local epochs.
 
     Batch order is drawn from the (seed, round, client) stream. A client with
-    no data returns a copy of the global model. ``projected`` is
-    ``project_prototypes`` of the broadcast model, which the first epoch
-    over ``ProjectedQueries`` reads instead of computing it.
+    no data returns a copy of the global model.
     """
     n = len(client.hvs)
     if n == 0 or cfg.local_epochs == 0:
         return global_model.copy()
-    rng = derived_rng(cfg.seed, STREAM_LOCAL, round_index, client.client_id)
     model = global_model  # retrain_epoch returns a new model; the broadcast is never written
-    for _ in range(cfg.local_epochs):
-        order = _batched_order(n, cfg.local_batch, rng)
-        model, _ = retrain_epoch(
-            model, client.hvs, client.labels, cfg.learning_rate, order, projected
-        )
-        projected = None  # later epochs start from the client's own model
+    for order in _epoch_orders(n, cfg, round_index, client.client_id):
+        model, _ = retrain_epoch(model, client.hvs, client.labels, cfg.learning_rate, order)
     return model
 
 
@@ -265,23 +270,72 @@ def aggregate_weighted(total: WeightedSum, model: ClassPrototypes) -> None:
 def _client_states(
     hvs: np.ndarray | ProjectedQueries, labels: np.ndarray, partition: Partition
 ) -> list[ClientState]:
-    """Each client's rows, in assignment order. Under a linear encoder a
-    client holds its own rows of the raw features (m floats a sample);
-    encoded rows are row views of the one C-ordered float64 training
-    matrix, so only the labels are gathered."""
+    """Each client's rows, in assignment order, as row views of the one
+    C-ordered float64 training matrix, so only the labels are gathered.
+    ``ProjectedQueries`` are encoded first: ``run_training`` passes them
+    only for a one-row split, whose one row is a gemv that the padded
+    gemm of ``replay_mistakes`` does not reproduce."""
     if isinstance(hvs, ProjectedQueries):
-        if len(hvs) > 1:
-            return [
-                ClientState(cid, ProjectedQueries(hvs.features[idx], hvs.projection), labels[idx])
-                for cid, idx in enumerate(partition.assignments)
-            ]
-        # One row alone is encoded by a gemv, which the padded gemm that a
-        # feature-space retrain encodes its mistakes with does not reproduce.
         hvs = encode_batch(hvs.projection, hvs.features)
     return [
         ClientState(cid, SampleRows(hvs, idx), labels[idx])
         for cid, idx in enumerate(partition.assignments)
     ]
+
+
+def _lockstep_mistakes(
+    train: ProjectedQueries,
+    labels: np.ndarray,
+    partition: Partition,
+    participants: np.ndarray,
+    global_model: ClassPrototypes,
+    projected: np.ndarray,
+    cfg: RoundConfig,
+    round_index: int,
+) -> list[list[list[tuple[int, int, int]]]]:
+    """Each participant's mistake logs, one per local epoch: what
+    ``local_update`` over its ``ProjectedQueries`` decides, for the whole
+    cohort at once by ``lockstep_epoch``. Clients visit rows of the one
+    training matrix through their assignments, in the orders that
+    ``local_update`` draws. Each later epoch starts from the client's own
+    model: its logs so far are replayed, one client at a time, for the
+    ``feature_state`` of that model, which is then dropped. With the
+    replay on the uplink, a client of E epochs thus replays E(E+1)/2 logs
+    a round, where ``local_update`` would replay E."""
+    alpha, phi = cfg.learning_rate, train.projection
+    visits = []  # per participant, its rows of the training matrix in each epoch's order
+    for cid in participants:
+        idx = partition.assignments[cid]
+        orders = _epoch_orders(len(idx), cfg, round_index, int(cid))
+        visits.append([idx[order] for order in orders])
+    logs: list[list[list[tuple[int, int, int]]]] = [[] for _ in participants]
+    for epoch in range(cfg.local_epochs):
+        if epoch == 0:
+            starts = [feature_state(global_model.vectors, phi, projected)] * len(visits)
+        else:
+            starts = [
+                feature_state(_replayed(global_model, train, past, alpha).vectors, phi)
+                for past in logs
+            ]
+        state = (np.stack(a) for a in zip(*starts))
+        rows = [v[epoch] for v in visits]
+        decided = lockstep_epoch(
+            train.features, phi, rows, [labels[r] for r in rows], *state, alpha
+        )
+        for past, log in zip(logs, decided):
+            past.append(log)
+    return logs
+
+
+def _replayed(
+    global_model: ClassPrototypes, train: ProjectedQueries, logs, alpha: float
+) -> ClassPrototypes:
+    """A client's local model: its mistake logs replayed, epoch by epoch,
+    on a copy of the broadcast model."""
+    vectors = global_model.vectors.copy()
+    for log in logs:
+        replay_mistakes(vectors, train.features, train.projection, log, alpha)
+    return ClassPrototypes(vectors, global_model.counts.copy())
 
 
 class _Uplink:
@@ -408,7 +462,10 @@ def run_training(
     Clients retrain on the rows of ``train_hvs``, and each round scores the
     train loss on them and the test accuracy on ``test_hvs``. Either may be
     ``ProjectedQueries`` of a linear encoder, which are retrained on and
-    scored without their encoded rows. Under one projection, each
+    scored without their encoded rows: a round's clients then retrain in
+    lockstep (``_lockstep_mistakes``), and each one's local model is
+    replayed from its mistakes when its turn on the uplink comes, so a
+    round holds one client's model at a time. Under one projection, each
     broadcast model's ``project_prototypes`` is computed once and serves
     the round's eval and the next round's clients.
 
@@ -426,7 +483,7 @@ def run_training(
     if strategy.kind == "subsample":
         # The last round and client give the largest stream key.
         strat.subsample_stream_key(cfg.rounds - 1, cfg.num_clients - 1)
-    phi = None
+    phi = clients = None
     if isinstance(train_hvs, ProjectedQueries):
         phi = train_hvs.projection
     else:
@@ -434,7 +491,10 @@ def run_training(
         # matrix. The encoder's output is already C-ordered float64, so
         # this copies nothing.
         train_hvs = np.ascontiguousarray(train_hvs, dtype=np.float64)
-    clients = _client_states(train_hvs, train_labels, partition)
+    if phi is None or len(train_hvs) == 1:
+        # Encoded rows and a lone linear row (see _client_states) retrain
+        # client by client; any other linear split retrains in lockstep.
+        clients = _client_states(train_hvs, train_labels, partition)
     hd_dim = train_hvs.shape[1]
     global_model = ClassPrototypes.zeros(num_classes, hd_dim)
     # V P of the broadcast model, when the training split is projected.
@@ -449,8 +509,15 @@ def run_training(
         participants = sample_clients(cfg.num_clients, participation, t, cfg.seed)
         total = uplink.start(global_model, partition.weights[participants])
         uplink_bytes = 0
-        for cid in participants:
-            local = local_update(clients[cid], global_model, cfg, t, projected)
+        if clients is None:
+            logs = _lockstep_mistakes(
+                train_hvs, train_labels, partition, participants, global_model, projected, cfg, t
+            )
+        for i, cid in enumerate(participants):
+            if clients is None:
+                local = _replayed(global_model, train_hvs, logs[i], cfg.learning_rate)
+            else:
+                local = local_update(clients[cid], global_model, cfg, t)
             sent, frame = uplink.encode(local, global_model, t, int(cid))
             uplink_bytes += strat.wire_bytes(frame, strategy, channel.codec)
             chan_rng = None  # the ideal channel draws nothing, so it gets no stream

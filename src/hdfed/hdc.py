@@ -215,8 +215,9 @@ def project_prototypes(vectors: np.ndarray, projection: ProjectionMatrix) -> np.
     """The (K, m) feature-space weights V P of (K, d) prototype vectors: row
     k scores a linear encoding as v_k . (P x) = (v_k P) . x. One fixed-order
     einsum, no BLAS, so the bytes do not depend on the thread count. The
-    eval and ``retrain_epoch`` take it as ``projected``, so that one
-    product serves every scoring of one model."""
+    eval and ``feature_state`` (for a round's first lockstep epoch) take it
+    as ``projected``, so that one product serves every scoring of one
+    model."""
     return np.einsum("kd,dm->km", vectors, projection.rows, optimize=False)
 
 
@@ -276,7 +277,11 @@ def _class_scores(
 def predict_batch(
     prototypes: ClassPrototypes, hs: np.ndarray | ProjectedQueries
 ) -> np.ndarray:
-    """Most-similar class per row; ties resolve to the lowest class index."""
+    """Most-similar class per row. Among classes whose scores are equal
+    floats the lowest index wins. Over ``ProjectedQueries`` every class is
+    scored by the same fixed-order einsum, so a class and its exact copy
+    tie; over encoded (n, d) rows the BLAS gemm may score them apart in the
+    last bit, by where they fall in its blocks of rows."""
     return np.argmax(_class_scores(prototypes, hs), axis=0)
 
 
@@ -319,24 +324,26 @@ def retrain_epoch(
     labels: np.ndarray,
     alpha: float,
     order: np.ndarray | None = None,
-    projected: np.ndarray | None = None,
 ) -> tuple[ClassPrototypes, int]:
     """One correction pass over the samples, in ``order`` if given.
 
     Each mispredicted sample is added (scaled by alpha) to its true class
     prototype and subtracted from the predicted one. Counts are untouched.
     ``hvs`` is an (n, d) matrix, a ``SampleRows`` of n rows, or the
-    ``ProjectedQueries`` of n samples, whose pass is decided in feature
-    space (see ``_retrain_projected``); ``projected`` is then
-    ``project_prototypes`` of the model, if already computed.
+    ``ProjectedQueries`` of n samples. Over ``ProjectedQueries`` the pass
+    is ``lockstep_epoch`` for one client, whose mistakes
+    ``replay_mistakes`` then applies to the model.
     ``order`` is a permutation of ``range(len(hvs))`` naming the sample to
     visit at each step; the pass reads rows of ``hvs`` in place, so
     ``retrain_epoch(p, hvs, labels, a, order)`` equals
     ``retrain_epoch(p, hvs[order], labels[order], a)`` bit for bit without
     the copy, and ``SampleRows(m, idx)`` equals the gathered ``m[idx]``.
     ``None`` visits the samples as stored. Labels must lie in
-    ``[0, K)``. Returns the updated prototypes and the number of
-    corrections made.
+    ``[0, K)``. Among classes whose scores are equal floats the lowest
+    index is predicted, but over encoded rows the gemv may score a class
+    and its exact copy apart in the last bit, and so may the feature-space
+    gemv (see ``predict_batch``). Returns the updated prototypes and the
+    number of corrections made.
     """
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -364,12 +371,16 @@ def retrain_epoch(
         order = np.asarray(order)
         if order.shape != (n,) or not np.array_equal(np.sort(order), np.arange(n)):
             raise ValueError(f"order must be a permutation of range({n})")
-    # Each step names the sample row to read and its label.
-    steps = zip((order if rows is None else rows[order]).tolist(), labels[order].tolist())
     vectors = prototypes.vectors.copy()
     if isinstance(hvs, ProjectedQueries):
-        mistakes = _retrain_projected(vectors, hvs, steps, alpha, projected)
+        phi = hvs.projection
+        state = (a[np.newaxis] for a in feature_state(vectors, phi))
+        [log] = lockstep_epoch(samples, phi, [order], [labels[order]], *state, alpha)
+        replay_mistakes(vectors, samples, phi, log, alpha)
+        mistakes = len(log)
     else:
+        # Each step names the sample row to read and its label.
+        steps = zip((order if rows is None else rows[order]).tolist(), labels[order].tolist())
         mistakes = _retrain_rows(vectors, samples, steps, alpha)
     return ClassPrototypes(vectors, prototypes.counts.copy()), mistakes
 
@@ -409,68 +420,142 @@ def _retrain_rows(vectors: np.ndarray, hvs: np.ndarray, steps, alpha: float) -> 
     return mistakes
 
 
-def _retrain_projected(
-    vectors: np.ndarray,
-    queries: ProjectedQueries,
-    steps,
-    alpha: float,
-    projected: np.ndarray | None,
-) -> int:
-    """The pass over ``ProjectedQueries``, decided in feature space and
-    replayed in d-space from its mistakes. Returns the mistake count.
+def feature_state(
+    vectors: np.ndarray, projection: ProjectionMatrix, projected: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What a feature-space pass over the model ``vectors`` (K, d) starts
+    from: the (K, m) weights V P (``projected``, if already computed), the
+    d-space norms that divide its first scores, as ``_retrain_rows``
+    builds them, and the squared norms that its mistakes update."""
+    return (
+        _feature_weights(vectors, projection, projected),
+        _prototype_norms(vectors),
+        np.einsum("kd,kd->k", vectors, vectors, optimize=False),
+    )
 
-    With h = P x, prototype v scores v . h = (v P) . x. The pass scores each
-    step's x against A = V P (K x m) with the d-space norms, zero mask and
-    argmax of ``_retrain_rows``. A mistake moves two rows of A by
-    +/- alpha G x (G = P^T P) and their squared norms by
-    +/- 2 alpha (v . h) + alpha^2 x . G x, and is recorded. The mistake rows
-    are then encoded by one ``encode_batch`` call and applied to
-    ``vectors`` in place with the float operations of ``_retrain_rows``,
-    in its order. So the model equals that of the d-space pass over the
-    encoded split when every decision agrees, which holds unless a top-two
-    gap is within rounding, and when ``encode_batch`` gives each row the
-    bytes it has among all of the split's rows. That depends on the BLAS
-    gemm: OpenBLAS 0.3.31 on AVX-512 gave equal rows for every subset of
-    >= 2 rows when d is a multiple of 8 and d >= 800 or m < 32, but not
-    for other shapes. A lone row would go to a gemv, so it is padded.
+
+def lockstep_epoch(
+    features: np.ndarray,
+    projection: ProjectionMatrix,
+    visits: list[np.ndarray],
+    labels: list[np.ndarray],
+    weights: np.ndarray,
+    norms: np.ndarray,
+    squares: np.ndarray,
+    alpha: float,
+) -> list[list[tuple[int, int, int]]]:
+    """One feature-space retrain pass for each of C clients, decided in
+    lockstep. Returns each client's mistakes (row, label, pred) in its
+    visiting order; ``replay_mistakes`` applies them to its model.
+
+    Client c visits the rows ``visits[c]`` of the one (n, m) ``features``
+    matrix, whose labels are ``labels[c]``, from the ``feature_state`` of
+    its model: ``weights[c]`` (K, m), ``norms[c]`` and ``squares[c]``
+    (K,). The inputs are not written.
+
+    With h = P x, prototype v scores v . h = (v P) . x. Each step gathers
+    the next row of every client still running into one (C, m) buffer and
+    scores them all by one stacked ``np.matmul``, which runs per client the
+    gemv of ``np.dot(A, x)`` and gives its bytes. Scores are divided by the
+    class norms, a zero-norm class scores 0, and the argmax is the
+    prediction, as in ``_retrain_rows``. A mistake moves two rows of its
+    client's weights by +/- alpha G x (G = P^T P) and their squared norms
+    by +/- 2 alpha (v . h) + alpha^2 x . G x, one client at a time. The
+    clients are stepped longest first, so the ones whose rows have not run
+    out are the first ``active[s]`` of the stack at step s.
     """
-    phi, xs = queries.projection, queries.features
-    gram = phi.gram
-    weights = _feature_weights(vectors, phi, projected).copy()
-    norms = _prototype_norms(vectors)  # the divisors of _retrain_rows' first step
-    squares = np.einsum("kd,kd->k", vectors, vectors, optimize=False)
-    zero = norms == 0.0
-    safe = np.where(zero, 1.0, norms)
+    count = len(visits)
+    if len(labels) != count:
+        raise DimensionError("need one label array per client")
+    if features.ndim != 2 or features.dtype != np.float64:
+        raise DimensionError(f"lockstep needs an (n, m) float64 matrix, got {features.dtype}")
+    m = projection.input_dim
+    if weights.ndim != 3 or weights.shape[::2] != (count, m) or features.shape[1] != m:
+        raise DimensionError(f"weights of shape {weights.shape} do not fit")
+    k = weights.shape[1]
+    if norms.shape != (count, k) or squares.shape != (count, k):
+        raise DimensionError("need (C, K) norms and squared norms")
+    lengths = np.array([len(v) for v in visits], dtype=np.intp)
+    by_length = np.argsort(-lengths, kind="stable")
+    steps = int(lengths.max(initial=0))
+    # Step s reads row rows[s, j] with label wanted[s, j] for the j-th
+    # longest client; the padding (row 0, label 0) is never read.
+    rows = np.zeros((steps, count), dtype=np.intp)
+    wanted = np.zeros((steps, count), dtype=np.intp)
+    for j, c in enumerate(by_length.tolist()):
+        if labels[c].shape != visits[c].shape or visits[c].ndim != 1:
+            raise DimensionError("labels must align with visits")
+        rows[: lengths[c], j] = visits[c]
+        wanted[: lengths[c], j] = labels[c]
+    if rows.size and (rows.min() < 0 or rows.max() >= features.shape[0]):
+        raise ValueError(f"visited rows must lie in [0, {features.shape[0]})")
+    if wanted.size and (wanted.min() < 0 or wanted.max() >= k):
+        raise ValueError(f"labels must lie in [0, {k})")
+    active = np.count_nonzero(np.arange(steps)[:, None] < lengths, axis=1).tolist()
+    gram = projection.gram
+    weights, squares = weights[by_length], squares[by_length]  # copies, stepped in place
+    zero = norms[by_length] == 0.0
+    safe = np.where(zero, 1.0, norms[by_length])
     any_zero = bool(zero.any())
-    raw = np.empty(vectors.shape[0])  # v . h per class, before the division
-    sims = np.empty(vectors.shape[0])
-    log = []
-    for i, label in steps:
-        x = xs[i]
-        np.dot(weights, x, out=raw)
-        np.divide(raw, safe, out=sims)
+    xs = np.empty((count, m))
+    raw = np.empty((count, k))  # v . h per client and class, before the division
+    sims = np.empty((count, k))
+    logs: list[list[tuple[int, int, int]]] = [[] for _ in range(count)]
+    for s, a in enumerate(active):
+        x, r, sim = xs[:a], raw[:a], sims[:a]
+        features.take(rows[s, :a], axis=0, out=x, mode="clip")  # checked above
+        np.matmul(weights[:a], x[:, :, None], out=r[:, :, None])
+        np.divide(r, safe[:a], out=sim)
         if any_zero:
-            sims[zero] = 0.0
-        pred = int(sims.argmax())
-        if pred != label:
-            gx = gram @ x
+            sim[zero[:a]] = 0.0
+        preds = sim.argmax(axis=1)
+        wrong = (preds != wanted[s, :a]).nonzero()[0]
+        if not wrong.size:
+            continue
+        for j in wrong.tolist():
+            label, pred = int(wanted[s, j]), int(preds[j])
+            gx = gram @ x[j]
             step = alpha * gx
-            weights[label] += step
-            weights[pred] -= step
-            hh = alpha * alpha * float(x @ gx)
+            weights[j, label] += step
+            weights[j, pred] -= step
+            hh = alpha * alpha * float(x[j] @ gx)
             for c, sign in ((label, 2.0 * alpha), (pred, -2.0 * alpha)):
                 # A class that a mistake empties can round to just below 0.
-                squares[c] = max(squares[c] + sign * raw[c] + hh, 0.0)
-                norm = math.sqrt(squares[c])
-                zero[c] = norm == 0.0
-                safe[c] = 1.0 if norm == 0.0 else norm
-            any_zero = bool(zero.any())
-            log.append((i, label, pred))
-    if log:
-        index = np.array([i for i, _, _ in log])
-        hs = encode_batch(phi, xs[index if index.size > 1 else np.repeat(index, 2)])
-        for h, (_, label, pred) in zip(hs, log):
-            step = alpha * h
-            vectors[label] += step
-            vectors[pred] -= step
-    return len(log)
+                squares[j, c] = max(squares[j, c] + sign * r[j, c] + hh, 0.0)
+                norm = math.sqrt(squares[j, c])
+                zero[j, c] = norm == 0.0
+                safe[j, c] = 1.0 if norm == 0.0 else norm
+            logs[j].append((int(rows[s, j]), label, pred))
+        any_zero = bool(zero.any())
+    return [logs[j] for j in np.argsort(by_length).tolist()]  # back in client order
+
+
+def replay_mistakes(
+    vectors: np.ndarray,
+    features: np.ndarray,
+    projection: ProjectionMatrix,
+    log: list[tuple[int, int, int]],
+    alpha: float,
+) -> None:
+    """Apply one pass's mistakes (row, label, pred), in order, to the
+    (K, d) ``vectors`` in place, with the float operations of
+    ``_retrain_rows``: the mistaken rows of ``features`` are encoded by one
+    ``encode_batch`` call, and each is added (scaled by alpha) to its
+    label's prototype and subtracted from the predicted one.
+
+    So the model equals that of the d-space pass over the encoded split
+    when every decision agrees, which holds unless a top-two gap is within
+    rounding, and when ``encode_batch`` gives each row the bytes it has
+    among all of the split's rows. That depends on the BLAS gemm: OpenBLAS
+    0.3.31 on AVX-512 gave equal rows for every subset of >= 2 rows when d
+    is a multiple of 8 and d >= 800 or m < 32, but not for other shapes. A
+    lone row would go to a gemv, so it is padded.
+    """
+    if not log:
+        return
+    index = np.array([i for i, _, _ in log])
+    hs = encode_batch(projection, features[index if index.size > 1 else np.repeat(index, 2)])
+    for h, (_, label, pred) in zip(hs, log):
+        step = alpha * h
+        vectors[label] += step
+        vectors[pred] -= step

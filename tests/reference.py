@@ -5,16 +5,19 @@ compare the trainer, the encoder and the uplink codec against these:
 perceptron-style binary retraining and its explicit loss (the SGD
 equivalence), the linear-discriminant direction, reconstruction from noisy
 encodings, one-shot prototype bundling, a shared dimension mask, the
-unpacked 0/1-bit view of the codec payload, and the per-class view of a
-sparse model.
+unpacked 0/1-bit view of the codec payload, the per-class view of a
+sparse model, and one client's feature-space retrain pass, one sample at a
+time.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from hdfed.channel import CodecConfig, decode_values, encode_values
-from hdfed.hdc import ClassPrototypes, DimensionError, ProjectionMatrix
+from hdfed.hdc import ClassPrototypes, DimensionError, ProjectionMatrix, project_prototypes
 
 
 def one_shot_train(hvs: np.ndarray, labels: np.ndarray, num_classes: int) -> ClassPrototypes:
@@ -154,3 +157,41 @@ def by_class(sparse) -> tuple[list[np.ndarray], list[np.ndarray]]:
     class by its lengths."""
     cuts = np.cumsum(sparse.lengths)[:-1]
     return np.split(sparse.indices, cuts), np.split(sparse.values, cuts)
+
+
+def feature_space_pass(
+    vectors: np.ndarray,
+    features: np.ndarray,
+    projection: ProjectionMatrix,
+    rows: np.ndarray,
+    labels: np.ndarray,
+    alpha: float,
+) -> list[tuple[int, int, int]]:
+    """One client's retrain pass over ``rows`` of ``features``, decided in
+    feature space one sample at a time: each step scores x against
+    A = V P by its own ``np.dot`` gemv, divides by the d-space norms
+    (0 for a zero-norm class) and takes the argmax; a mistake moves two
+    rows of A by +/- alpha G x and their squared norms by
+    +/- 2 alpha (v . h) + alpha^2 x . G x. Returns the mistakes
+    (row, label, pred) in visiting order; ``vectors`` is not written."""
+    gram = projection.gram
+    weights = project_prototypes(vectors, projection)
+    norms = np.linalg.norm(vectors, axis=1)
+    squares = np.einsum("kd,kd->k", vectors, vectors, optimize=False)
+    log = []
+    for i, label in zip(np.asarray(rows).tolist(), np.asarray(labels).tolist()):
+        x = np.ascontiguousarray(features[i])
+        raw = np.dot(weights, x)
+        sims = raw / np.where(norms == 0.0, 1.0, norms)
+        sims[norms == 0.0] = 0.0
+        pred = int(sims.argmax())
+        if pred != label:
+            gx = gram @ x
+            weights[label] += alpha * gx
+            weights[pred] -= alpha * gx
+            hh = alpha * alpha * float(x @ gx)
+            for c, sign in ((label, 2.0 * alpha), (pred, -2.0 * alpha)):
+                squares[c] = max(squares[c] + sign * raw[c] + hh, 0.0)
+                norms[c] = math.sqrt(squares[c])
+            log.append((i, label, pred))
+    return log

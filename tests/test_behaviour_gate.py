@@ -7,7 +7,12 @@ The table was recorded before the four strategies shared one
 encode/corrupt/decode path, so it pins that refactor (and any later one)
 to the same numbers.
 
-Print the table for the current code with:
+A second table pins the linear encoder's path, where clients retrain in
+feature space on ``ProjectedQueries``: unequal noniid clients, half of
+them a round, one and three local epochs, batches of 10 and full batches.
+It was recorded before a round's clients were retrained in lockstep.
+
+Print both tables for the current code with:
 
     PYTHONPATH=src python tests/test_behaviour_gate.py
 """
@@ -19,8 +24,9 @@ import numpy as np
 import pytest
 
 from hdfed.channel import ChannelConfig, CodecConfig, write_model_bytes
-from hdfed.federated import RoundConfig, partition_iid, run_training
+from hdfed.federated import RoundConfig, partition_iid, partition_noniid, run_training
 from hdfed.harness import format_metrics
+from hdfed.hdc import ProjectedQueries, make_projection
 from hdfed.strategies import StrategyConfig
 
 STRATEGIES = {
@@ -63,6 +69,10 @@ def digest(strategy, chan, codec):
         train_hvs, train_labels, test_hvs, test_labels, 3,
         partition_iid(90, 3, seed=1), cfg, channel, STRATEGIES[strategy],
     )
+    return run_digest(model, records)
+
+
+def run_digest(model, records):
     csv = "".join(line.rsplit(",", 1)[0] + "\n" for line in format_metrics(records).splitlines())
     h = hashlib.sha256(csv.encode())
     h.update(write_model_bytes(model, CodecConfig("float32")))
@@ -146,6 +156,97 @@ def test_results_match_recorded_digest(strategy, chan, codec):
     assert digest(strategy, chan, codec) == EXPECTED[strategy, chan, codec]
 
 
+LINEAR_UPLINKS = {
+    "none-ideal": (StrategyConfig(), ChannelConfig()),
+    "none-bsc-q16": (
+        StrategyConfig(),
+        ChannelConfig(kind="bsc", bit_error_rate=0.01, codec=CODECS["q16"]),
+    ),
+    "sparsify-bsc": (
+        StrategyConfig(kind="sparsify", sparsity=0.7),
+        ChannelConfig(kind="bsc", bit_error_rate=0.01, codec=CODECS["q16"]),
+    ),
+    "subsample-awgn": (
+        StrategyConfig(kind="subsample", rate=0.3),
+        ChannelConfig(kind="awgn", snr_db=10.0),
+    ),
+}
+
+
+def linear_task(m):
+    """Four overlapping gaussian classes in m features, 155 training rows.
+    Twelve noniid shards of 12 rows leave a remainder of 11 for the last
+    shard, so one of the six clients holds 35 rows and the others 24."""
+    rng = np.random.default_rng(m)
+    centers = 3.0 / np.sqrt(2 * m) * rng.standard_normal((4, m))
+    labels = rng.integers(0, 4, size=195)
+    xs = centers[labels] + rng.standard_normal((195, m))
+    phi = make_projection(m, 800, seed=3)
+    train = ProjectedQueries(xs[:155], phi)
+    return train, labels[:155], ProjectedQueries(xs[155:], phi), labels[155:]
+
+
+def linear_digest(m, epochs, batch, uplink):
+    train, train_labels, test, test_labels = linear_task(m)
+    cfg = RoundConfig(
+        num_clients=6, participation=0.5, local_epochs=epochs, local_batch=batch,
+        learning_rate=0.7, rounds=3, seed=8,
+    )
+    strategy, channel = LINEAR_UPLINKS[uplink]
+    model, records = run_training(
+        train, train_labels, test, test_labels, 4,
+        partition_noniid(train_labels, 6, 2, seed=2), cfg, channel, strategy,
+    )
+    return run_digest(model, records)
+
+
+LINEAR_CASES = list(itertools.product((8, 32), (1, 3), (10, None), LINEAR_UPLINKS))
+
+LINEAR_EXPECTED = {
+    (8, 1, 10, 'none-ideal'): '2f2aafba5f7e1568bcd093fff2a529381d50ae0ea0ffe03c401081b3832ef4fe',
+    (8, 1, 10, 'none-bsc-q16'): 'e3d0032dd8b8fe7b3ce01289db91ee144960b5c74636b7e1ab2573730e7bafdb',
+    (8, 1, 10, 'sparsify-bsc'): 'dc39096deadf3506679c966d7fdf7e523062d43e1de69d235b932ab364462960',
+    (8, 1, 10, 'subsample-awgn'): '2edd7db9da649f3fef3f799d7b903c5094ca1411c3aa17c0ce57422a33423160',
+    (8, 1, None, 'none-ideal'): '28d1337fbf2fc8ff8ee1f064a17c0b0800c0e55d2595fa4d69d3fe34f83223c5',
+    (8, 1, None, 'none-bsc-q16'): '8cb0779e9721b7ce440898300b1dca6352ca0a0070ce3a11340d47d12bf1dfef',
+    (8, 1, None, 'sparsify-bsc'): '3cacd75258d7e1147b247896a429768452e7daaa2e6461669cf51c2be9d6b680',
+    (8, 1, None, 'subsample-awgn'): 'f0b888aac0615ac926448aeff0c26d0216d9067308148c803e735b11a8a0c56e',
+    (8, 3, 10, 'none-ideal'): 'aa95c0cdb46500203913ccca01eacda67d8c4f6b458c627d04eab32d26d49de2',
+    (8, 3, 10, 'none-bsc-q16'): 'bd724a9269f045158f2989b547a9f8dd90db8a8fe81c77443cc91930b7dfef5c',
+    (8, 3, 10, 'sparsify-bsc'): '503c83717918c693aafe1b871e7e92561fa27a1d5384bf994e850a601a4599eb',
+    (8, 3, 10, 'subsample-awgn'): 'f5a98a0cc4b20ad9330790939a4a297325de822ab30c31829e4ffd7e48933d73',
+    (8, 3, None, 'none-ideal'): '26e38fa87c6f0b2fad9ad029dd6c388040680958b496ef91849db9deec5990e7',
+    (8, 3, None, 'none-bsc-q16'): 'be0fad68433f0122375096757e6a6fd165b6949ca353ec448f4bceebc81cf41c',
+    (8, 3, None, 'sparsify-bsc'): 'c5a2669e38fcf19bd757f05aab168eb9769204c74d57fa33978347d124f87cfd',
+    (8, 3, None, 'subsample-awgn'): 'a8ee2d741a660435314ec09d3b23adf1bfb057c75805c847c1fd3218bf17cf49',
+    (32, 1, 10, 'none-ideal'): '3e5882f3a7034ac267335c31ab5c47b6ffbd1e6bb726f266ef6908139fe4a3a6',
+    (32, 1, 10, 'none-bsc-q16'): '3e171f316bdb86bf8a980836adb33063475dd194f2af642db5fe583cde0c0f5b',
+    (32, 1, 10, 'sparsify-bsc'): '5d769c3218a67885e16e1462a2b4c8d6a770cf0d9916f8e85c76148fed3391f8',
+    (32, 1, 10, 'subsample-awgn'): '3e0df7bef990867c60e0244769bbe5d7803b673883d80ca3ba5e9e296f0a18db',
+    (32, 1, None, 'none-ideal'): 'c34e21d5b26e5e4e70b68c179fccece51701edaa2aa10664aa77462d94a72716',
+    (32, 1, None, 'none-bsc-q16'): 'e1fe11c1078070f635c9c2f44b4761efd36c4e326a53c1957ae12077bd5c46d9',
+    (32, 1, None, 'sparsify-bsc'): 'a437c7dbbd61015a1bfcd7df00eb2ef68011bf84c51660d0263a3ab3c6c5b809',
+    (32, 1, None, 'subsample-awgn'): 'a1fbd6d2ac2fafad287bdf4bb2a135a5745b8e7a7b35608dd61256e6ba353a44',
+    (32, 3, 10, 'none-ideal'): '080349273dfe17b1340d6a38b497b3b75eabc1da28d0311f043194445d639039',
+    (32, 3, 10, 'none-bsc-q16'): '6983dc9a781c564aaa957f16b69c0caecbd300851808fce0cd7e46ebbf7f3262',
+    (32, 3, 10, 'sparsify-bsc'): '3f2cd1a10d71b2467a0f77174ccf5040ddfa4e2fa82c598b69ce12dcb548fa60',
+    (32, 3, 10, 'subsample-awgn'): '100c3bafa6aaa79f1ecfb67c52788ab8d91e8204a257c508b9749bb638874d6b',
+    (32, 3, None, 'none-ideal'): 'c594ddd03af1b838bff7a1cf235eddcfdb50947e953a7006b783540d2e70af2a',
+    (32, 3, None, 'none-bsc-q16'): '8b90551a56c3a226326c435d845a8e7c2ba062dfe9a70c783de1316008722b39',
+    (32, 3, None, 'sparsify-bsc'): 'a053ec0e93dab6b45289f4ac1e66129e77f40e54bb22cfb411d7965c99c45264',
+    (32, 3, None, 'subsample-awgn'): 'cf4808a789c4b41afe980f6c28a6f89fc3b04aa4a1ba2018803839f91a84e65d',
+}
+
+
+@pytest.mark.parametrize(
+    "m,epochs,batch,uplink", LINEAR_CASES, ids=["-".join(map(str, c)) for c in LINEAR_CASES]
+)
+def test_linear_results_match_recorded_digest(m, epochs, batch, uplink):
+    assert linear_digest(m, epochs, batch, uplink) == LINEAR_EXPECTED[m, epochs, batch, uplink]
+
+
 if __name__ == "__main__":
     for case in CASES:
         print(f"    {case!r}: {digest(*case)!r},")
+    for case in LINEAR_CASES:
+        print(f"    {case!r}: {linear_digest(*case)!r},")

@@ -562,6 +562,40 @@ class TestDeterminism:
             outputs.append(([r.rsplit(",", 1)[0] for r in rows], model.read_bytes()))
         assert outputs[0] == outputs[1]
 
+    def test_linear_noniid_epochs_run_is_blas_thread_invariant(self, tmp_path):
+        """The linear path with unequal noniid clients, half of them a round,
+        and two local epochs: the lockstep retrain, the replay of each
+        client's mistakes and the later epoch's start from the client's own
+        model give the same metrics (wall_ms aside) and model frame with 1
+        and 2 BLAS threads. 410 rows in 20 shards of 20 leave one client 50."""
+        cfg = write_config(
+            tmp_path,
+            BASE_CONFIG.replace("encoder.dim = 256", "encoder.dim = 2000")
+            .replace("classes = 3", "classes = 10")
+            .replace("features = 8", "features = 32")
+            .replace("train_per_class = 30", "train_per_class = 41")
+            .replace("separation = 4.0", "separation = 3.0")
+            .replace("round.clients = 4", "round.clients = 10")
+            .replace("round.participation = 1.0", "round.participation = 0.5")
+            .replace("round.epochs = 1", "round.epochs = 2")
+            + "partition.kind = noniid\n",
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        outputs = []
+        for threads in ("1", "2"):
+            metrics, model = tmp_path / f"m{threads}.csv", tmp_path / f"m{threads}.hdfm"
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            env.pop("OMP_NUM_THREADS", None)
+            subprocess.run(
+                [sys.executable, "-m", "hdfed.cli", "train", "--config", cfg,
+                 "--set", f"output.metrics={metrics}", "--set", f"output.model={model}"],
+                env=env, check=True, capture_output=True, timeout=120,
+            )
+            rows = metrics.read_text().splitlines()
+            assert rows[0].endswith(",wall_ms")
+            outputs.append(([r.rsplit(",", 1)[0] for r in rows], model.read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_linear_encoder_run_is_bitwise_blas_thread_invariant(self, tmp_path):
         """With a linear encoder the eval scores the raw features by fixed-order
         products, so every record's train_loss and test_accuracy floats, not

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdfed import federated
 from hdfed.channel import ChannelConfig, CodecConfig
@@ -14,6 +16,8 @@ from hdfed.federated import (
     WeightedSum,
     _batched_order,
     _client_states,
+    _lockstep_mistakes,
+    _replayed,
     aggregate_weighted,
     local_update,
     normalized_weights,
@@ -29,12 +33,13 @@ from hdfed.hdc import (
     accuracy,
     encode_batch,
     make_projection,
+    project_prototypes,
     retrain_epoch,
 )
 from hdfed.harness import run_experiment
 from hdfed.seeding import STREAM_LOCAL, derived_rng
 from hdfed.strategies import StrategyConfig
-from reference import one_shot_train
+from reference import feature_space_pass, one_shot_train
 
 
 class TestPartitionIid:
@@ -135,17 +140,37 @@ class TestClientStates:
                 assert np.shares_memory(client.hvs[j], hvs)  # a view, not a copy
             assert np.array_equal(client.labels, labels[idx])
 
-    def test_projected_clients_hold_their_feature_rows(self):
+    def test_projected_clients_hold_their_feature_rows(self, monkeypatch):
+        # Under a linear encoder a client's rows are its assignment into the
+        # one training matrix: the lockstep step gathers them from it, and
+        # no client states or per-client feature copies are built.
         rng = np.random.default_rng(0)
         phi = make_projection(3, 40, seed=1)
         train, labels = ProjectedQueries(rng.standard_normal((7, 3)), phi), rng.integers(0, 3, 7)
         assignments = [np.array([4, 0, 6]), np.array([5]), np.array([2, 1, 3])]
-        clients = _client_states(train, labels, Partition(assignments, np.full(3, 1 / 3)))
-        for client, idx in zip(clients, assignments):
-            assert isinstance(client.hvs, ProjectedQueries)
-            assert client.hvs.projection is phi
-            assert np.array_equal(client.hvs.features, train.features[idx])
-            assert np.array_equal(client.labels, labels[idx])
+        part = Partition(assignments, np.array([3, 1, 3]) / 7)
+        seen = []
+
+        def lockstep(features, projection, visits, visit_labels, *rest):
+            seen.append((features, [v.copy() for v in visits], visit_labels))
+            return real(features, projection, visits, visit_labels, *rest)
+
+        def no_states(*args):
+            raise AssertionError("client states built for a linear split")
+
+        real = federated.lockstep_epoch
+        monkeypatch.setattr(federated, "lockstep_epoch", lockstep)
+        monkeypatch.setattr(federated, "_client_states", no_states)
+        cfg = RoundConfig(
+            num_clients=3, participation=1.0, local_epochs=2, local_batch=1, rounds=1
+        )
+        run_training(train, labels, train, labels, 3, part, cfg)
+        assert len(seen) == 2  # one lockstep step per epoch
+        for features, visits, visit_labels in seen:
+            assert features is train.features
+            for visit, idx, got in zip(visits, assignments, visit_labels):
+                assert sorted(visit) == sorted(idx)
+                assert np.array_equal(got, labels[visit])
 
     def test_one_row_split_is_encoded(self):
         # One row alone is encoded by a gemv, whose bytes the replay of a
@@ -252,6 +277,75 @@ class TestLocalUpdate:
         assert not hasattr(client, "model")
 
 
+@st.composite
+def cohort_cases(draw):
+    """A round's cohort over one linear split: unequal and empty clients,
+    1-3 epochs, a broadcast model with zero and duplicate classes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k, m = draw(st.integers(2, 12)), draw(st.integers(1, 64))
+    d = draw(st.sampled_from([8, 64, 200]))
+    sizes = draw(st.lists(st.integers(0, 30), min_size=1, max_size=7))
+    n = sum(sizes)
+    features, labels = rng.standard_normal((n, m)), rng.integers(0, k, n)
+    cut = np.cumsum(sizes)[:-1]
+    part = Partition(np.split(rng.permutation(n), cut), np.ones(len(sizes)) / len(sizes))
+    vectors = rng.standard_normal((k, d)) * draw(st.sampled_from([0.0, 0.5, 3.0]))
+    zeros = draw(st.integers(0, k - 1))
+    vectors[rng.choice(k, zeros, replace=False)] = 0.0
+    for _ in range(draw(st.integers(0, 2))):
+        vectors[rng.integers(k)] = vectors[rng.integers(k)]
+    cfg = RoundConfig(
+        num_clients=len(sizes), participation=1.0, local_epochs=draw(st.integers(1, 3)),
+        local_batch=draw(st.sampled_from([None, 1, 4, 10])),
+        learning_rate=draw(st.sampled_from([1.0, 0.3])), rounds=5, seed=3,
+    )
+    participants = np.sort(rng.choice(len(sizes), draw(st.integers(1, len(sizes))), replace=False))
+    phi = make_projection(m, d, seed=int(rng.integers(100)))
+    model = ClassPrototypes(vectors, rng.integers(0, 5, k))
+    return ProjectedQueries(features, phi), labels, part, participants, model, cfg
+
+
+class TestLockstepRetrain:
+    """A round's cohort retrained in lockstep, then replayed client by
+    client, gives each client the model and the mistakes of its own
+    retrain_epoch passes, bit for bit, and the decisions of a pass that
+    scores one sample at a time by its own gemv."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cohort_cases())
+    def test_lockstep_equals_per_client_passes(self, case):
+        train, labels, part, participants, model, cfg = case
+        before = model.vectors.tobytes()
+        projected = project_prototypes(model.vectors, train.projection)
+        logs = _lockstep_mistakes(train, labels, part, participants, model, projected, cfg, 2)
+        assert len(logs) == len(participants)
+        for cid, epochs in zip(participants, logs):
+            idx = part.assignments[cid]
+            rows = ProjectedQueries(train.features[idx], train.projection)
+            client = ClientState(int(cid), rows, labels[idx])
+            rng = derived_rng(cfg.seed, STREAM_LOCAL, 2, int(cid))
+            want = model
+            for log in epochs:
+                order = _batched_order(len(idx), cfg.local_batch, rng)
+                # The pass one sample at a time, each scored by its own gemv.
+                oracle = feature_space_pass(
+                    want.vectors, train.features, train.projection, idx[order],
+                    labels[idx[order]], cfg.learning_rate,
+                )
+                assert log == oracle
+                want, count = retrain_epoch(
+                    want, client.hvs, client.labels, cfg.learning_rate, order
+                )
+                assert count == len(log)
+            got = _replayed(model, train, epochs, cfg.learning_rate)
+            assert len(epochs) == cfg.local_epochs
+            assert np.array_equal(got.vectors.view(np.uint64), want.vectors.view(np.uint64))
+            assert np.array_equal(got.counts, model.counts)
+            update = local_update(client, model, cfg, 2)
+            assert np.array_equal(update.vectors.view(np.uint64), got.vectors.view(np.uint64))
+        assert model.vectors.tobytes() == before
+
+
 def fold_weighted(models, weights):
     """A round's weighted average, folded one model at a time as run_training does."""
     total = WeightedSum(weights, *models[0].vectors.shape)
@@ -345,6 +439,27 @@ def encoded_task(seed=0, classes=3, separation=4.0, d=512, n_train=90, n_test=60
         test.labels,
         classes,
     )
+
+
+MEMORY_CHANNELS = {"ideal": ChannelConfig(), "bsc": ChannelConfig(kind="bsc", bit_error_rate=1e-3)}
+MEMORY_STRATEGIES = [
+    StrategyConfig(),
+    StrategyConfig(kind="binary_diff"),
+    StrategyConfig(kind="subsample", rate=0.5),
+    StrategyConfig(kind="sparsify", sparsity=0.5),
+]
+MEMORY_CASES = [
+    (strategy, channel, linear)
+    for linear in (False, True)
+    for channel in MEMORY_CHANNELS.values()
+    for strategy in MEMORY_STRATEGIES
+]
+MEMORY_IDS = [
+    "-".join([strategy.kind, name] + ["linear"] * linear)
+    for linear in (False, True)
+    for name in MEMORY_CHANNELS
+    for strategy in MEMORY_STRATEGIES
+]
 
 
 class TestRunTraining:
@@ -522,29 +637,21 @@ class TestRunTraining:
             tracemalloc.stop()
         assert peak < train_hvs.nbytes / 4
 
-    @pytest.mark.parametrize(
-        "channel",
-        [ChannelConfig(), ChannelConfig(kind="bsc", bit_error_rate=1e-3)],
-        ids=["ideal", "bsc"],
-    )
-    @pytest.mark.parametrize(
-        "strategy",
-        [
-            StrategyConfig(),
-            StrategyConfig(kind="binary_diff"),
-            StrategyConfig(kind="subsample", rate=0.5),
-            StrategyConfig(kind="sparsify", sparsity=0.5),
-        ],
-        ids=lambda s: s.kind,
-    )
-    def test_round_memory_does_not_grow_with_the_cohort(self, strategy, channel):
+    @pytest.mark.parametrize("strategy, channel, linear", MEMORY_CASES, ids=MEMORY_IDS)
+    def test_round_memory_does_not_grow_with_the_cohort(self, strategy, channel, linear):
         # The server folds each client's update into the round's total as it
         # arrives, so a cohort of 32 holds no more than a cohort of 8; a
         # round that kept every update would hold 24 more, each about a model.
+        # A linear split retrains the cohort in lockstep on its (K, m)
+        # weights; holding each client's (K, d) model there would show too.
         k, d, n = 4, 20000, 64
         rng = np.random.default_rng(0)
         train_hvs, train_labels = rng.standard_normal((n, d)), rng.integers(0, k, n)
         test_hvs, test_labels = rng.standard_normal((8, d)), rng.integers(0, k, 8)
+        if linear:
+            phi = make_projection(16, d, seed=0)
+            train_hvs = ProjectedQueries(rng.standard_normal((n, 16)), phi)
+            test_hvs = ProjectedQueries(rng.standard_normal((8, 16)), phi)
 
         def peak(clients):
             cfg = RoundConfig(num_clients=clients, participation=1.0, rounds=1, seed=0)

@@ -17,6 +17,8 @@ from hdfed.hdc import (
     _similarity_matrix,
     accuracy,
     encode_batch,
+    feature_state,
+    lockstep_epoch,
     make_projection,
     multiclass_margin_loss,
     predict_batch,
@@ -756,9 +758,8 @@ class TestProjectedRetrain:
         client = ProjectedQueries(xs[index], phi)
         rows = SampleRows(encode_batch(phi, xs), index)
         got = want = model
-        for epoch, order in enumerate(orders):
-            projected = project_prototypes(got.vectors, phi) if epoch == 0 else None
-            got, mistakes = retrain_epoch(got, client, labels[index], alpha, order, projected)
+        for order in orders:
+            got, mistakes = retrain_epoch(got, client, labels[index], alpha, order)
             want, ref_mistakes = retrain_epoch(want, rows, labels[index], alpha, order)
             assert mistakes == ref_mistakes
             assert np.array_equal(got.vectors.view(np.uint64), want.vectors.view(np.uint64))
@@ -832,12 +833,49 @@ class TestProjectedRetrain:
         assert accuracy(model, queries, labels, projected) == accuracy(model, queries, labels)
         loss = multiclass_margin_loss(model, queries, labels, projected)
         assert loss == multiclass_margin_loss(model, queries, labels)
-        got = retrain_epoch(model, queries, labels, 0.5, None, projected)
-        TestRetrainEquivalence.assert_same(got, retrain_epoch(model, queries, labels, 0.5))
+        shared = feature_state(model.vectors, phi, projected)
+        assert shared[0] is projected
+        own = feature_state(model.vectors, phi)
+        for a, b in zip(shared, own):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
         with pytest.raises(DimensionError):
             accuracy(model, queries, labels, projected[:, :5])
         with pytest.raises(DimensionError):
-            retrain_epoch(model, queries, labels, 0.5, None, projected[:3])
+            feature_state(model.vectors, phi, projected[:3])
+
+    @pytest.mark.parametrize(
+        "k, m", [(2, 3), (10, 32), (12, 40), (5, 784), (10, 784), (3, 1), (7, 17)], ids=str
+    )
+    def test_stacked_scores_are_the_per_client_gemv(self, k, m):
+        # lockstep_epoch scores the clients still running by one stacked
+        # matmul into a prefix of its buffer; each client's scores must be
+        # the bytes of its own np.dot(A, x), which a lone pass computes.
+        rng = np.random.default_rng(k * m)
+        for count in (1, 2, 20, 33):
+            weights, xs = rng.standard_normal((count, k, m)), rng.standard_normal((count, m))
+            want = np.stack([np.dot(w, x) for w, x in zip(weights, xs)])
+            for active in {count, max(1, count - 1)}:
+                raw = np.empty((count, k))
+                np.matmul(weights[:active], xs[:active, :, None], out=raw[:active, :, None])
+                assert np.array_equal(raw[:active].view(np.uint64), want[:active].view(np.uint64))
+
+    def test_lockstep_rejects_inputs_that_do_not_fit(self):
+        phi = make_projection(3, 20, seed=0)
+        features = np.random.default_rng(0).standard_normal((5, 3))
+        state = [a[np.newaxis] for a in feature_state(np.ones((2, 20)), phi)]
+        visits, labels = [np.array([0, 4])], [np.array([1, 0])]
+        # The two equal classes tie, so row 0, labelled 1, goes to class 0.
+        assert lockstep_epoch(features, phi, visits, labels, *state, 1.0)[0][0] == (0, 1, 0)
+        with pytest.raises(ValueError, match="rows"):
+            lockstep_epoch(features, phi, [np.array([0, 5])], labels, *state, 1.0)
+        with pytest.raises(ValueError, match="labels"):
+            lockstep_epoch(features, phi, visits, [np.array([1, 2])], *state, 1.0)
+        with pytest.raises(DimensionError):
+            lockstep_epoch(features, phi, visits, [np.array([1])], *state, 1.0)
+        with pytest.raises(DimensionError):
+            lockstep_epoch(features, phi, visits * 2, labels * 2, *state, 1.0)
+        with pytest.raises(DimensionError):
+            lockstep_epoch(features.astype(np.float32), phi, visits, labels, *state, 1.0)
 
     def test_dimension_mismatch_rejected(self):
         phi = make_projection(3, 50, seed=4)
