@@ -21,6 +21,9 @@ within the payload are little-endian: least-significant bit of the first
 byte first, values packed back to back at the codec width. encode_values
 and decode_values are that payload codec; the unpacked 0/1-bit view that
 the tests' reference channels act on is built from them in the tests.
+Values that fill a numpy type (value_type: float32, 8-, 16- and 32-bit
+integers) are written and read as records of that type, in the same bytes
+as the bit packer (pack_words) writes; other widths go through the packer.
 
 Every serializer returns a Frame: the bytes counted on the uplink plus the
 bits a bit channel may hit in them. corrupt_frame hits only those bits, and
@@ -112,31 +115,43 @@ class ChannelConfig:
 
 
 def value_words(values: np.ndarray, codec: CodecConfig) -> np.ndarray:
-    """Codec bit patterns of a flat value array as unsigned words: float32
-    bits, or the low two's-complement bits of an integer. Integer codecs
-    raise on non-integral, non-finite or out-of-range values."""
-    flat = np.asarray(values, dtype=np.float64).reshape(-1)
+    """Codec bit patterns of a flat value array as unsigned words (uint64, or
+    the unsigned type of a value_type's width): float32 bits, or the low
+    two's-complement bits of an integer. Integer codecs take integer arrays
+    as they are and raise on non-integral, non-finite or out-of-range values."""
+    flat = np.asarray(values).reshape(-1)
     if codec.representation == "float32":
-        return flat.astype("<f4").view("<u4")
-    if not np.all(np.isfinite(flat)) or np.any(flat != np.trunc(flat)):
+        return flat.astype(np.float64, copy=False).astype("<f4").view("<u4")
+    if flat.dtype.kind == "f" and (not np.all(np.isfinite(flat)) or np.any(flat != np.trunc(flat))):
         raise CodecError("integer codecs require integral finite values")
     width = codec.value_bits
     if flat.size and (flat.min() < -(2 ** (width - 1)) or flat.max() >= 2 ** (width - 1)):
         raise CodecError(f"value overflow for {width}-bit integers")
-    return flat.astype(np.int64).astype(np.uint64) & np.uint64((1 << width) - 1)
+    words = flat.astype(np.int64, copy=False)
+    if value_type(codec):
+        return words.astype(f"<u{width // 8}")  # the cast keeps the low bits
+    return words.view(np.uint64) & np.uint64((1 << width) - 1)
+
+
+def value_type(codec: CodecConfig) -> str | None:
+    """The numpy type that a codec value fills exactly, if there is one."""
+    if codec.representation == "float32":
+        return "<f4"
+    return f"<i{codec.value_bits // 8}" if codec.value_bits in (8, 16, 32) else None
 
 
 def words_to_values(words: np.ndarray, codec: CodecConfig) -> np.ndarray:
-    """Invert value_words. Float32 patterns that decode to NaN or infinity
-    become zero; corrupted streams must never poison server-side arithmetic."""
-    if codec.representation == "float32":
-        # Corrupted patterns may form signaling NaNs; the widening cast then
-        # raises FE_INVALID, which is exactly the case nan_to_num cleans up.
-        with np.errstate(invalid="ignore"):
-            values = words.astype("<u4").view("<f4").astype(np.float64)
-        return np.nan_to_num(values, nan=0.0, posinf=0.0, neginf=0.0)
-    shift = 64 - codec.value_bits  # sign-extend from the top of an int64
-    return ((words.astype(np.int64) << shift) >> shift).astype(np.float64)
+    """Invert value_words, from its uint64 words or from values read in their
+    value_type. Float32 patterns that decode to NaN or infinity become zero;
+    corrupted streams must never poison server-side arithmetic."""
+    if words.dtype.kind == "u":
+        shift = 64 - codec.value_bits  # sign-extend from the top of an int64
+        return ((words.astype(np.int64) << shift) >> shift).astype(np.float64)
+    # Corrupted patterns may form signaling NaNs; the widening cast then
+    # raises FE_INVALID, which is exactly the case nan_to_num cleans up.
+    with np.errstate(invalid="ignore"):
+        values = words.astype(np.float64)
+    return values if words.dtype.kind == "i" else np.nan_to_num(values, posinf=0.0, neginf=0.0)
 
 
 def pack_words(words: np.ndarray, width: int, lengths: np.ndarray | None = None) -> np.ndarray:
@@ -144,10 +159,6 @@ def pack_words(words: np.ndarray, width: int, lengths: np.ndarray | None = None)
     least-significant bit first, into bytes. With `lengths`, the words form
     consecutive segments of those sizes and each segment ends on a byte
     boundary, zero-padded."""
-    if width in (8, 16, 32, 64):
-        return words.astype(f"<u{width // 8}").view(np.uint8)
-    if width % 8 == 0:
-        return words.astype("<u8").view(np.uint8).reshape(-1, 8)[:, : width // 8].reshape(-1)
     bits = np.unpackbits(words.astype("<u8").view(np.uint8), bitorder="little")
     bits = bits.reshape(-1, 64)[:, :width].reshape(-1)
     data = None if lengths is None else _data_bits(lengths, width)
@@ -164,12 +175,6 @@ def unpack_words(
     """The first `count` words of `width` bits in a 1-D uint8 payload, as
     uint64; with `lengths`, read across the padding pack_words puts after
     each segment."""
-    if width in (8, 16, 32, 64):
-        return payload[: count * width // 8].view(f"<u{width // 8}").astype(np.uint64)
-    if width % 8 == 0:
-        words = np.zeros((count, 8), dtype=np.uint8)
-        words[:, : width // 8] = payload[: count * width // 8].reshape(count, width // 8)
-        return words.view("<u8").reshape(count).astype(np.uint64, copy=False)
     data = None if lengths is None else _data_bits(lengths, width)
     if data is None:
         bits = np.unpackbits(payload, count=count * width, bitorder="little")
@@ -192,12 +197,15 @@ def _data_bits(lengths: np.ndarray, width: int) -> np.ndarray | None:
 
 def encode_values(values: np.ndarray, codec: CodecConfig) -> np.ndarray:
     """Packed codec payload of a value array, row-major."""
-    return pack_words(value_words(values, codec), codec.value_bits)
+    words = value_words(values, codec)
+    return words.view(np.uint8) if value_type(codec) else pack_words(words, codec.value_bits)
 
 
 def decode_values(payload: np.ndarray, codec: CodecConfig, count: int) -> np.ndarray:
     """The first `count` values of a packed codec payload."""
-    return words_to_values(unpack_words(payload, count, codec.value_bits), codec)
+    kind, bits = value_type(codec), codec.value_bits
+    words = payload[: count * bits // 8].view(kind) if kind else unpack_words(payload, count, bits)
+    return words_to_values(words, codec)
 
 
 def packet_error_probability(p_e: float, packet_bits: int) -> float:
@@ -240,13 +248,21 @@ def quantize_segments(
         gains = top / max_abs
     live = np.isfinite(gains)
     gains[~live] = 1.0
-    ints = np.trunc(values * np.repeat(gains, lengths)).astype(np.int64)
+    ceilings = np.where(live, max_abs, np.nan)
+    if lengths.size and (lengths == lengths[0]).all():  # equal segments: broadcast per row
+        values, magnitudes = (a.reshape(lengths.size, lengths[0]) for a in (values, magnitudes))
+        gains_at, ceilings = gains[:, None], ceilings[:, None]
+    else:
+        gains_at, ceilings = np.repeat(gains, lengths), np.repeat(ceilings, lengths)
+    # The products are cast as they are written, truncating toward zero.
+    ints = np.multiply(values, gains_at, out=np.empty(values.shape, np.int64), casting="unsafe")
     # Float rounding in values * gain must not push the extreme element off
     # the exact ceiling.
-    extremes = magnitudes == np.repeat(np.where(live, max_abs, np.nan), lengths)
+    extremes = magnitudes == ceilings
     ints[extremes] = np.where(values[extremes] >= 0, top, -top)
-    np.clip(ints, -top, top, out=ints)
-    return ints, gains
+    if not np.isfinite(max_abs).all():  # only a NaN or infinity casts out of range
+        np.clip(ints, -top, top, out=ints)
+    return ints.reshape(-1), gains
 
 
 def scale_down(values: np.ndarray, gains: np.ndarray | float) -> np.ndarray:
@@ -265,16 +281,16 @@ def scale_down(values: np.ndarray, gains: np.ndarray | float) -> np.ndarray:
 class Frame(bytes):
     """The bytes of one serialized frame, plus the bits a bit channel may hit.
 
-    The exposed bits are the top `value_bits` of each `width`-bit word in a
-    stream of byte-padded segments of `lengths` words, as pack_words(words,
-    width, lengths) writes it, at byte positions `payload` (a slice or an
-    index array) of the frame. Every other bit (header, counts, gains,
-    index gaps, padding) rides the reliable side of the link.
+    The exposed bits are the top `value_bits` of each `width`-bit word in
+    segments of `lengths` words, each packed as pack_words(words, width)
+    writes it and padded to a whole byte; segment r starts at byte
+    `starts[r]` of the frame. Every other bit (header, counts, gains, index
+    gaps, padding) rides the reliable side of the link.
     """
 
-    def __new__(cls, data, payload, lengths, width: int, value_bits: int | None = None):
+    def __new__(cls, data, starts, lengths, width: int, value_bits: int | None = None):
         frame = super().__new__(cls, data)
-        frame.payload = payload
+        frame.starts = np.asarray(starts, dtype=np.int64)
         frame.lengths = np.asarray(lengths, dtype=np.int64)
         frame.width = width
         frame.value_bits = width if value_bits is None else value_bits
@@ -283,7 +299,7 @@ class Frame(bytes):
     @classmethod
     def tail(cls, data: bytes, count: int, width: int) -> "Frame":
         """A frame ending in `count` packed `width`-bit words, all bits exposed."""
-        return cls(data, slice(len(data) - -(-count * width // 8), None), [count], width)
+        return cls(data, [len(data) - -(-count * width // 8)], [count], width)
 
 
 # Uniforms a bsc draw holds at once. A multiple of 8, so every chunk but the
@@ -335,18 +351,23 @@ def corrupt_frame(frame: Frame, cfg: ChannelConfig, rng: np.random.Generator) ->
     drops. Every other byte arrives as sent.
     """
     hits = _channel_hits(frame.lengths * frame.value_bits, cfg, rng)
-    if frame.width != frame.value_bits or frame.lengths.size > 1:
-        # Move the hits to the top value_bits of each word; pad every segment.
-        words = unpack_words(hits, int(frame.lengths.sum()), frame.value_bits)
-        words <<= np.uint64(frame.width - frame.value_bits)
-        hits = pack_words(words, frame.width, frame.lengths)
+    lengths, n, w = frame.lengths, frame.value_bits // 8, frame.width // 8
+    if frame.value_bits not in (8, 16, 32):
+        if frame.width != frame.value_bits or lengths.size > 1:
+            # Move the hits to the top value_bits of each word; pad every segment.
+            words = unpack_words(hits, int(lengths.sum()), frame.value_bits)
+            words <<= np.uint64(frame.width - frame.value_bits)
+            hits = pack_words(words, frame.width, lengths)
+        lengths, n, w = -(-lengths * frame.width // 8), 1, 1  # the padded segments' bytes
+    # Whole value bytes, the top n of each w-byte word: the mask is already
+    # in value-byte order, so each segment's values take their slice of it.
+    hits = hits.view(f"<u{n}")
+    hit, hits = (np.bitwise_xor, hits) if cfg.kind == "bsc" else (np.bitwise_and, ~hits)
     data = np.frombuffer(bytearray(frame), dtype=np.uint8)
-    payload = data[frame.payload]
-    if cfg.kind == "bsc":
-        payload ^= hits
-    else:
-        payload &= ~hits
-    data[frame.payload] = payload
+    for start, count, end in zip(frame.starts.tolist(), lengths.tolist(), lengths.cumsum().tolist()):
+        if count:  # an empty segment may end the frame, where no view can start
+            values = np.ndarray(count, hits.dtype, data, start + w - n, (w,))
+            hit(values, hits[end - count : end], out=values)
     return data.tobytes()
 
 

@@ -348,11 +348,11 @@ class _Uplink:
     values that were sent instead. The server keeps one running total a
     round: start opens it, fold adds each contribution as it arrives, and
     finish turns it into the next global model; by default the total is
-    the weighted average.
+    the weighted average. `shape` is the global model's (K, d).
     """
 
-    def __init__(self, strategy: strat.StrategyConfig, codec: CodecConfig, seed: int):
-        self.strategy, self.codec, self.seed = strategy, codec, seed
+    def __init__(self, strategy: strat.StrategyConfig, codec: CodecConfig, seed: int, shape):
+        self.strategy, self.codec, self.seed, self.shape = strategy, codec, seed, shape
 
     def start(self, global_model, weights):
         return WeightedSum(weights, *global_model.vectors.shape)
@@ -429,7 +429,7 @@ class _Sparse(_Uplink):
         return sparse, strat.serialize_sparse(sparse, self.codec)
 
     def decode(self, blob, counts):
-        received = strat.deserialize_sparse(blob, self.codec)
+        received = strat.deserialize_sparse(blob, self.codec, self.shape)
         received.counts = counts
         return received
 
@@ -501,7 +501,7 @@ def run_training(
     projected = project_prototypes(global_model.vectors, phi) if phi is not None else None
     test_shares = isinstance(test_hvs, ProjectedQueries) and test_hvs.projection is phi
     participation = 1.0 if strategy.kind == "binary_diff" else cfg.participation
-    uplink = _UPLINKS[strategy.kind](strategy, channel.codec, cfg.seed)
+    uplink = _UPLINKS[strategy.kind](strategy, channel.codec, cfg.seed, global_model.vectors.shape)
     records: list[RoundRecord] = []
     downlink_frame = len(write_model_bytes(global_model, CodecConfig("float32")))
     for t in range(cfg.rounds):

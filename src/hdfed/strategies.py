@@ -43,6 +43,7 @@ from .channel import (
     quantize_segments,
     scale_down,
     unpack_words,
+    value_type,
     value_words,
     words_to_values,
 )
@@ -118,14 +119,15 @@ class SparseClassModel:
         if self.lengths.shape != (k,):
             raise SparseFormatError(f"{self.lengths.size} pair lengths for {k} classes")
         held = min(self.indices.size, self.values.size)
-        short = np.flatnonzero((self.lengths < 0) | (np.cumsum(self.lengths) > held))
+        ends = np.cumsum(self.lengths)
+        short = np.flatnonzero((self.lengths < 0) | (ends > held))
         if short.size or not self.indices.shape == self.values.shape == (self.lengths.sum(),):
             raise SparseFormatError(f"class {short[0] if short.size else k - 1}: wrong pair count")
-        rows = np.repeat(np.arange(k), self.lengths)
-        bad = (self.indices < 0) | (self.indices >= d)
-        bad[1:] |= (np.diff(self.indices) <= 0) & (rows[1:] == rows[:-1])
+        floor = np.concatenate([[-1], self.indices[:-1]])
+        floor[(ends - self.lengths)[self.lengths > 0]] = -1
+        bad = (self.indices <= floor) | (self.indices >= d)
         if bad.any():
-            row = rows[bad.argmax()]
+            row = np.searchsorted(ends, bad.argmax(), side="right")
             raise SparseFormatError(f"class {row}: index outside [0, {d}) or not increasing")
 
 
@@ -233,22 +235,24 @@ def sparsify(model: ClassPrototypes, sparsity: float) -> SparseClassModel:
         raise StrategyConfigError(f"sparsity must be in [0, 1), got {sparsity}")
     k, d = model.vectors.shape
     n_zero = int(round(sparsity * d))
-    keep = model.vectors != 0.0
+    magnitudes = np.abs(model.vectors)
+    threshold = np.zeros(k)  # without n_zero, every non-zero entry survives
     if n_zero:
-        magnitudes = np.abs(model.vectors)
-        threshold = np.partition(magnitudes, n_zero - 1, axis=1)[:, n_zero - 1 : n_zero]
-        below = magnitudes < threshold
-        ties = magnitudes == threshold
-        room = n_zero - below.sum(axis=1, keepdims=True)
-        zeroed = below | ties
-        crowded = np.flatnonzero(ties.sum(axis=1) > room[:, 0])
-        if crowded.size:  # more ties than room: zero only the lowest-index ones
-            first = np.cumsum(ties[crowded], axis=1) <= room[crowded]
-            zeroed[crowded] = below[crowded] | (ties[crowded] & first)
-        keep &= ~zeroed
+        threshold = np.partition(magnitudes, n_zero - 1, axis=1)[:, n_zero - 1]
+    keep = magnitudes > threshold[:, None]
     flat = np.flatnonzero(keep)
+    lengths = np.diff(np.searchsorted(flat, np.arange(k + 1) * d))
+    # More ties at a non-zero threshold than room: the lowest-index ones go.
+    crowded = np.flatnonzero((lengths < d - n_zero) & (threshold > 0.0))
+    if crowded.size:
+        rows, level = magnitudes[crowded], threshold[crowded, None]
+        ties = rows == level
+        room = n_zero - np.count_nonzero(rows < level, axis=1, keepdims=True)
+        keep[crowded] |= ties & (np.cumsum(ties, axis=1) > room)
+        flat, lengths = np.flatnonzero(keep), np.count_nonzero(keep, axis=1)
     values = model.vectors.reshape(-1)[flat]
-    return SparseClassModel(flat % d, values, keep.sum(axis=1), (k, d), model.counts.copy())
+    indices = flat - np.repeat(np.arange(k) * d, lengths)
+    return SparseClassModel(indices, values, lengths, (k, d), model.counts.copy())
 
 
 def csc_decompress(sparse: SparseClassModel) -> ClassPrototypes:
@@ -258,8 +262,7 @@ def csc_decompress(sparse: SparseClassModel) -> ClassPrototypes:
     """
     k, d = sparse.shape
     vectors = np.zeros((k, d))
-    rows = np.repeat(np.arange(k), sparse.lengths)
-    vectors.reshape(-1)[rows * d + sparse.indices] = sparse.values
+    vectors.reshape(-1)[np.repeat(np.arange(k) * d, sparse.lengths) + sparse.indices] = sparse.values
     return ClassPrototypes(vectors, sparse.counts.copy())
 
 
@@ -333,8 +336,8 @@ def serialize_sparse(sparse: SparseClassModel, codec: CodecConfig) -> Frame:
     as 32 bits; the value follows at the codec width. Pairs are packed back
     to back and each class block pads to a byte boundary. Scaled-integer
     codecs prefix each non-empty class block with its 8-byte gain. All
-    classes are quantized and packed in one pass; the frame exposes the
-    value bits of its pairs.
+    classes are quantized and packed in one pass, values with a value_type
+    as (gap, value) records; the frame exposes the value bits of its pairs.
     """
     k, d = sparse.shape
     lengths, indices, values = sparse.lengths, sparse.indices, sparse.values
@@ -342,42 +345,45 @@ def serialize_sparse(sparse: SparseClassModel, codec: CodecConfig) -> Frame:
     gains = np.ones(lengths.size)
     if quantized:
         values, gains = quantize_segments(values, lengths, codec.bitwidth)
-    gaps = np.diff(indices, prepend=-1) - 1
+    gaps = indices - 1
+    gaps[1:] -= indices[:-1]
     firsts = (np.cumsum(lengths) - lengths)[lengths > 0]
     gaps[firsts] = indices[firsts]
-    words = value_words(values, codec).astype(np.uint64)
+    words = value_words(values, codec)
     width = 32 + codec.value_bits
-    blocks = pack_words(gaps.astype(np.uint64) | (words << np.uint64(32)), width, lengths)
+    if value_type(codec) is None:
+        blocks = pack_words(gaps.astype(np.uint64) | (words << np.uint64(32)), width, lengths)
+    else:
+        pairs = np.empty(gaps.size, [("gap", "<u4"), ("value", f"<u{codec.value_bits // 8}")])
+        pairs["gap"], pairs["value"] = gaps, words
+        blocks = pairs.view(np.uint8)
     sizes = -(-lengths * width // 8)
     ends = np.cumsum(sizes).tolist()
     out = [frame_header(k, d, TAG_SPARSE)]
     for count, gain, end, size in zip(lengths.tolist(), gains.tolist(), ends, sizes.tolist()):
-        out.append(struct.pack("<I", count))
-        if count and quantized:
-            out.append(struct.pack("<d", gain))
-        out.append(blocks[end - size : end].tobytes())
+        head = struct.pack("<Id", count, gain)  # the gain goes only before quantized pairs
+        out += [head if count and quantized else head[:4], blocks[end - size : end]]
     starts = HEADER_BYTES + np.cumsum(4 + 8 * (quantized & (lengths > 0)) + sizes) - sizes
-    return Frame(b"".join(out), _block_positions(starts, sizes), lengths, width, codec.value_bits)
+    return Frame(b"".join(out), starts, lengths, width, codec.value_bits)
 
 
-def _block_positions(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Byte positions of blocks of these sizes at these offsets, in order."""
-    return np.arange(sizes.sum()) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+def deserialize_sparse(blob: bytes, codec: CodecConfig, shape: tuple[int, int]) -> SparseClassModel:
+    """Parse a sparse frame of a `shape` (K, d) model into indices and values.
 
-
-def deserialize_sparse(blob: bytes, codec: CodecConfig) -> SparseClassModel:
-    """Parse a sparse frame back into indices and values (counts are zero).
-
-    Raises SparseFormatError on a truncated frame, a count above d or a
-    non-positive or non-finite gain, before allocating anything the blob
-    cannot hold; an index the gaps carry outside [0, d) fails the
-    SparseClassModel layout check. All classes are unpacked in one pass.
+    Counts are zero. Raises SparseFormatError on a frame that declares
+    another shape, a truncated frame, a count above d or a non-positive or
+    non-finite gain, before allocating anything the blob cannot hold; an
+    index the gaps carry outside [0, d) fails the SparseClassModel layout
+    check. Values with a value_type are read as (gap, value) records.
     """
     k, d, _ = parse_frame_header(blob, SparseFormatError, TAG_SPARSE)
+    if (k, d) != tuple(shape):
+        raise SparseFormatError(f"sparse frame declares {k} x {d}, expected {shape[0]} x {shape[1]}")
     if len(blob) < HEADER_BYTES + 4 * k:
         raise SparseFormatError(f"sparse frame of {len(blob)} bytes cannot hold {k} classes")
     width = 32 + codec.value_bits
-    counts, gains, starts = [], [], []
+    kind = value_type(codec)
+    counts, gains, blocks = [], [], []
     offset = HEADER_BYTES
     try:
         for row in range(k):
@@ -387,23 +393,24 @@ def deserialize_sparse(blob: bytes, codec: CodecConfig) -> SparseClassModel:
                 (gain,) = struct.unpack_from("<d", blob, offset)
                 offset += 8
             n_bytes = -(-count * width // 8)
-            bad_gain = not (gain > 0.0 and np.isfinite(gain))
+            bad_gain = not 0.0 < gain < np.inf  # NaN fails too
             if count > d or bad_gain or len(blob) < offset + n_bytes:
                 raise SparseFormatError(f"class {row}: bad count {count} or gain {gain}")
             counts.append(count)
             gains.append(gain)
-            starts.append(offset)
+            blocks.append(np.frombuffer(blob, np.uint8, n_bytes, offset))
             offset += n_bytes
     except struct.error:
         raise SparseFormatError(f"sparse frame truncated at byte {offset}") from None
     counts = np.array(counts, dtype=np.int64)
-    positions = _block_positions(np.array(starts, dtype=np.int64), -(-counts * width // 8))
-    payload = np.frombuffer(blob, dtype=np.uint8)[positions]
-    pairs = unpack_words(payload, int(counts.sum()), width, counts)
-    steps = np.cumsum((pairs & np.uint64(0xFFFFFFFF)).astype(np.int64) + 1)
+    pairs = np.concatenate(blocks or [np.empty(0, np.uint8)])
+    if kind is None:  # as uint64 words: the gap in the low 32 bits, then the value
+        pairs, kind = unpack_words(pairs, int(counts.sum()), width, counts), "<u4"
+    pairs = pairs.view([("gap", "<u4"), ("value", kind)])
+    steps = np.cumsum(pairs["gap"].astype(np.int64) + 1)
     before = np.concatenate([[0], steps])[np.cumsum(counts) - counts]
     indices = steps - np.repeat(before, counts) - 1
-    values = words_to_values(pairs >> np.uint64(32), codec)
+    values = words_to_values(pairs["value"], codec)
     if codec.representation == "quantized_int":
         values = scale_down(values, np.repeat(gains, counts))
     return SparseClassModel(indices, values, counts, (k, d), np.zeros(k, dtype=np.int64))

@@ -12,7 +12,12 @@ feature space on ``ProjectedQueries``: unequal noniid clients, half of
 them a round, one and three local epochs, batches of 10 and full batches.
 It was recorded before a round's clients were retrained in lockstep.
 
-Print both tables for the current code with:
+A third table runs the codecs whose frames are written through byte-wide
+records (8- and 32-bit model words, 40- and 64-bit sparse pairs) over both
+bit channels. It was recorded before those frames stopped going through the
+generic bit packer.
+
+Print the tables for the current code with:
 
     PYTHONPATH=src python tests/test_behaviour_gate.py
 """
@@ -59,12 +64,18 @@ def task():
     return hvs[:90], labels[:90], hvs[90:], labels[90:]
 
 
+RECORD_CODECS = {
+    "q8": CodecConfig("quantized_int", bitwidth=8),
+    "q32": CodecConfig("quantized_int", bitwidth=32),
+}
+
+
 def digest(strategy, chan, codec):
     train_hvs, train_labels, test_hvs, test_labels = task()
     # From round 2 on, averaged models are not integral: int32 runs one round.
     rounds = 1 if codec == "int32" else 3
     cfg = RoundConfig(num_clients=3, participation=0.67, rounds=rounds, seed=4)
-    channel = ChannelConfig(codec=CODECS[codec], **CHANNELS[chan])
+    channel = ChannelConfig(codec={**CODECS, **RECORD_CODECS}[codec], **CHANNELS[chan])
     model, records = run_training(
         train_hvs, train_labels, test_hvs, test_labels, 3,
         partition_iid(90, 3, seed=1), cfg, channel, STRATEGIES[strategy],
@@ -154,6 +165,25 @@ EXPECTED = {
 @pytest.mark.parametrize("strategy,chan,codec", CASES, ids=["-".join(c) for c in CASES])
 def test_results_match_recorded_digest(strategy, chan, codec):
     assert digest(strategy, chan, codec) == EXPECTED[strategy, chan, codec]
+
+
+RECORD_CASES = list(itertools.product(("none", "sparsify"), ("bsc", "packet_loss"), RECORD_CODECS))
+
+RECORD_EXPECTED = {
+    ('none', 'bsc', 'q8'): '53c6e416d7facbf75106944717751d063edd82cc5a2075eb533f5212c544472e',
+    ('none', 'bsc', 'q32'): 'c1ee1035450a0d4fe4e0f2b666814d94512f922132fc8931977cad7f0d5337ae',
+    ('none', 'packet_loss', 'q8'): '78c6bc2ffec61b8b5092b6830118c2ab0c2b479070e2ecd046d5ca4a624bd1d5',
+    ('none', 'packet_loss', 'q32'): '5d46527fa1e5eb072d489740607e07871653694eb0ba4dcc48e751deeb539cc1',
+    ('sparsify', 'bsc', 'q8'): '299cfb8a806d1de21229187dbe5eb4e5e0a5c567b639d689247a6557255adde1',
+    ('sparsify', 'bsc', 'q32'): 'd877bcc359a7d7747bdd875175f9762ff6d14cea7b912fe278edeee357d241b1',
+    ('sparsify', 'packet_loss', 'q8'): 'ddf4d034e2dbb3e26c02a82610f32cc0426492ba84b9ca253e5a8404baed1ec4',
+    ('sparsify', 'packet_loss', 'q32'): 'a98812b3426460ab117b6eae086584c84df804142161e46a37b9c3d8b2d93f17',
+}
+
+
+@pytest.mark.parametrize("strategy,chan,codec", RECORD_CASES, ids=["-".join(c) for c in RECORD_CASES])
+def test_record_codec_results_match_recorded_digest(strategy, chan, codec):
+    assert digest(strategy, chan, codec) == RECORD_EXPECTED[strategy, chan, codec]
 
 
 LINEAR_UPLINKS = {
@@ -247,6 +277,8 @@ def test_linear_results_match_recorded_digest(m, epochs, batch, uplink):
 
 if __name__ == "__main__":
     for case in CASES:
+        print(f"    {case!r}: {digest(*case)!r},")
+    for case in RECORD_CASES:
         print(f"    {case!r}: {digest(*case)!r},")
     for case in LINEAR_CASES:
         print(f"    {case!r}: {linear_digest(*case)!r},")

@@ -19,6 +19,7 @@ from hdfed.channel import (
     packet_error_probability,
     quantize_segments,
     read_model_bytes,
+    value_words,
     write_model_bytes,
 )
 from hdfed.hdc import ClassPrototypes
@@ -159,6 +160,29 @@ class TestBitCodec:
         back = deserialize_bits(bits, codec, (4,))
         assert np.array_equal(back, [0.0, 0.0, 0.0, 2.0])
 
+    @pytest.mark.parametrize(
+        "codec",
+        [CodecConfig("float32"), CodecConfig("int32")]
+        + [CodecConfig("quantized_int", bitwidth=w) for w in range(2, 33)],
+        ids=lambda c: f"{c.representation}{c.bitwidth}",
+    )
+    def test_integer_arrays_give_the_words_of_their_floats(self, codec):
+        top = 2 ** (codec.value_bits - 1)
+        rng = np.random.default_rng(codec.value_bits)
+        ints = np.concatenate([[-top, top - 1, 0, -1], rng.integers(-top, top, size=50)])
+        words = value_words(ints, codec)
+        assert np.array_equal(words, value_words(ints.astype(np.float64), codec))
+        assert words.dtype == value_words(ints.astype(np.float64), codec).dtype
+        if codec.representation == "float32":
+            return
+        for bad in ([top], [-top - 1]):  # out of range, as integers and as floats
+            for values in (np.array(bad, dtype=np.int64), np.array(bad, dtype=np.float64)):
+                with pytest.raises(CodecError, match="overflow"):
+                    value_words(values, codec)
+        for bad in (0.5, np.inf, np.nan):
+            with pytest.raises(CodecError, match="integral finite"):
+                value_words(np.array([1.0, bad]), codec)
+
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_int32_round_trip_property(self, seed):
@@ -271,6 +295,18 @@ class TestQuantizer:
         with np.errstate(all="raise"):
             ints, gain = quantize(np.array([5e-324, -5e-324, 0.0]), 16)
         assert ints.tolist() == [0, 0, 0] and gain == 1.0
+
+    @pytest.mark.parametrize("lengths", [[3, 3], [2, 4]], ids=["equal", "unequal"])
+    @pytest.mark.parametrize("bitwidth", [2, 8, 16, 32])
+    def test_non_finite_values_stay_in_range(self, lengths, bitwidth):
+        # A NaN or infinite value must not abort the uplink: every integer
+        # stays within the codec's range, and infinities sit at the ceiling.
+        values = np.array([np.inf, 1.0, -np.inf, 2.0, np.nan, np.nan])
+        with np.errstate(all="ignore"):
+            ints, _ = quantize_segments(values, lengths, bitwidth)
+        top = 2 ** (bitwidth - 1) - 1
+        assert np.all(np.abs(ints) <= top)
+        assert ints[0] == top and ints[2] == -top
 
     @pytest.mark.parametrize(
         "chan",

@@ -325,7 +325,7 @@ class TestWireBytes:
         sparse = sparsify(m, 0.6)
         codec = CodecConfig("float32")
         blob = serialize_sparse(sparse, codec)
-        back = deserialize_sparse(blob, codec)
+        back = deserialize_sparse(blob, codec, sparse.shape)
         assert back.shape == sparse.shape
         assert np.array_equal(back.lengths, sparse.lengths)
         assert np.array_equal(back.indices, sparse.indices)
@@ -338,7 +338,7 @@ class TestWireBytes:
         m = model_of(rng.standard_normal((3, 40)))
         sparse = sparsify(m, 0.5)
         codec = CodecConfig("quantized_int", bitwidth=16)
-        back = deserialize_sparse(serialize_sparse(sparse, codec), codec)
+        back = deserialize_sparse(serialize_sparse(sparse, codec), codec, sparse.shape)
         for a, b in zip(by_class(back)[1], by_class(sparse)[1]):
             step = np.abs(b).max() / (2**15 - 1)
             assert np.max(np.abs(a - b)) <= step + 1e-12
@@ -380,5 +380,5 @@ class TestChannelComposition:
             frame = serialize_subsample(SubsamplePayload(3, idx, val, (3, 64)), codec)
             assert deserialize_subsample(corrupt_frame(frame, cfg, rng), codec, 0).values.shape == val.shape
             frame = serialize_sparse(sparse, codec)
-            back = deserialize_sparse(corrupt_frame(frame, cfg, rng), codec)
+            back = deserialize_sparse(corrupt_frame(frame, cfg, rng), codec, sparse.shape)
             assert np.array_equal(back.lengths, sparse.lengths)

@@ -14,6 +14,7 @@
 """
 
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -128,6 +129,19 @@ def reference_bits(values, codec):
     return ((unsigned[:, None] >> np.arange(width)) & 1).reshape(-1).astype(np.uint8)
 
 
+def reference_values(bits, codec):
+    """Values of unpacked codec bits, decoded independently; float32
+    patterns of NaN or infinity decode to zero."""
+    width = codec.value_bits
+    words = (bits.reshape(-1, width).astype(np.int64) << np.arange(width)).sum(axis=1)
+    if codec.representation == "float32":
+        with np.errstate(invalid="ignore"):  # signalling-NaN patterns widen with FE_INVALID
+            floats = words.astype("<u4").view("<f4").astype(np.float64)
+        return np.nan_to_num(floats, nan=0.0, posinf=0.0, neginf=0.0)
+    half = 1 << (width - 1)
+    return np.where(words >= half, words - 2 * half, words).astype(np.float64)
+
+
 def reference_channel(bits, cfg, rng):
     if cfg.kind == "bsc":
         return bsc_flip(bits, cfg.bit_error_rate, rng)
@@ -189,16 +203,7 @@ class TestPackedCodec:
     def test_any_bit_pattern_decodes_like_the_reference(self, codec, seed, n):
         bits = np.random.default_rng(seed).integers(0, 2, size=n * codec.value_bits)
         got = deserialize_bits(bits.astype(np.uint8), codec, (n,))
-        width = codec.value_bits
-        words = (bits.reshape(n, width).astype(np.int64) << np.arange(width)).sum(axis=1)
-        if codec.representation == "float32":
-            with np.errstate(invalid="ignore"):  # signalling-NaN patterns widen with FE_INVALID
-                floats = words.astype("<u4").view("<f4").astype(np.float64)
-            expected = np.nan_to_num(floats, nan=0.0, posinf=0.0, neginf=0.0)
-        else:
-            half = 1 << (width - 1)
-            expected = np.where(words >= half, words - 2 * half, words).astype(np.float64)
-        assert same_bits(got, expected)
+        assert same_bits(got, reference_values(bits, codec))
 
     @given(codec=CODECS, seed=st.integers(0, 2**32 - 1), k=st.integers(2, 4), d=st.integers(1, 40))
     @settings(max_examples=100, deadline=None)
@@ -377,21 +382,34 @@ def frame_bits(frame):
     return np.unpackbits(np.frombuffer(frame, dtype=np.uint8), bitorder="little")
 
 
+# Every value width that frames write as byte records (8, 16 and 32 bits, so
+# 40-, 48- and 64-bit sparse pairs), and one that they pack bit by bit.
 CODEC_CASES = [
     CodecConfig("float32"),
     CodecConfig("int32"),
     CodecConfig("quantized_int", bitwidth=16),
     CodecConfig("quantized_int", bitwidth=7),
+    CodecConfig("quantized_int", bitwidth=8),
+    CodecConfig("quantized_int", bitwidth=32),
 ]
 SPARSITIES = st.one_of(st.sampled_from([0.0, 0.5, 0.9, 0.99]), st.floats(0.0, 0.999))
 # Continuous values, or small integers: many ties at the threshold and
 # incidental zeros.
 VALUE_KINDS = st.sampled_from(["continuous", "integers"])
-SPARSE_CHANNELS = st.sampled_from(
+SPARSE_CHANNEL_CASES = (
     [dict(kind="bsc", bit_error_rate=p) for p in (0.0, 1e-3, 0.5, 1.0)]
     + [dict(kind="packet_loss", packet_bits=b, packet_loss_prob=0.3) for b in (1, 7, 13, 100)]
     + [dict(kind="packet_loss", packet_bits=13, bit_error_rate=0.02)]
 )
+SPARSE_CHANNELS = st.sampled_from(SPARSE_CHANNEL_CASES)
+
+
+def codec_id(codec):
+    return f"{codec.representation}{codec.bitwidth}"
+
+
+def channel_id(chan):
+    return "-".join(str(v) for v in chan.values())
 
 
 def sparse_input(rng, codec, k, d, kind):
@@ -444,7 +462,7 @@ class TestSparseUplink:
         sparse = sparsify(sparse_input(np.random.default_rng(seed), codec, k, d, kind), sparsity)
         frame = serialize_sparse(sparse, codec)
         assert frame == reference_sparse_frame(sparse, codec)
-        back = deserialize_sparse(frame, codec)
+        back = deserialize_sparse(frame, codec, sparse.shape)
         assert np.array_equal(back.lengths, sparse.lengths)
         assert np.array_equal(back.indices, sparse.indices)
 
@@ -465,8 +483,22 @@ class TestSparseUplink:
         sparse = sparsify(sparse_input(np.random.default_rng(seed), codec, k, d, kind), sparsity)
         frame = serialize_sparse(sparse, codec)
         arrived = corrupt_frame(frame, cfg, np.random.default_rng(seed + 1))
-        received = deserialize_sparse(arrived, codec)
+        received = deserialize_sparse(arrived, codec, sparse.shape)
         expected = reference_sparse_uplink(sparse, cfg, np.random.default_rng(seed + 1))
+        assert same_bits(csc_decompress(received).vectors, expected.vectors)
+
+    @pytest.mark.parametrize("codec", CODEC_CASES, ids=codec_id)
+    @pytest.mark.parametrize("chan", SPARSE_CHANNEL_CASES, ids=channel_id)
+    def test_codec_cases_match_per_class_reference_on_every_channel(self, codec, chan):
+        cfg = ChannelConfig(codec=codec, **chan)
+        model = sparse_input(np.random.default_rng(6), codec, 4, 37, "continuous")
+        model.vectors[1] = 0.0  # an empty class
+        sparse = sparsify(model, 0.6)
+        frame = serialize_sparse(sparse, codec)
+        assert frame == reference_sparse_frame(sparse, codec)
+        arrived = corrupt_frame(frame, cfg, np.random.default_rng(3))
+        received = deserialize_sparse(arrived, codec, sparse.shape)
+        expected = reference_sparse_uplink(sparse, cfg, np.random.default_rng(3))
         assert same_bits(csc_decompress(received).vectors, expected.vectors)
 
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 5), d=st.integers(1, 30))
@@ -651,6 +683,24 @@ class TestCountedBytesAreCorrupted:
         received = received_frame(model, cfg)
         assert len(received) == wire_bytes(write_model_bytes(model, codec), StrategyConfig(), codec)
 
+    @pytest.mark.parametrize("codec", CODEC_CASES, ids=codec_id)
+    @pytest.mark.parametrize("chan", SPARSE_CHANNEL_CASES, ids=channel_id)
+    def test_codec_cases_match_unpacked_reference_on_every_channel(self, codec, chan):
+        cfg = ChannelConfig(codec=codec, **chan)
+        k, d = 3, 21
+        model = model_for(np.random.default_rng(8), codec, k, d)
+        tag = {"float32": 0, "int32": 1}.get(codec.representation, 128 + codec.bitwidth)
+        expected_frame, values, gains = frame_header(k, d, tag), model.vectors, np.ones(k)
+        if codec.representation == "quantized_int":
+            values, gains = quantize_segments(values, np.full(k, d), codec.bitwidth)
+            expected_frame += gains.astype("<f8").tobytes()
+        bits = reference_bits(values, codec)
+        sent = write_model_bytes(model, codec)
+        assert sent == expected_frame + np.packbits(bits, bitorder="little").tobytes()
+        got, _ = read_model_bytes(corrupt_frame(sent, cfg, np.random.default_rng(3)))
+        arrived = reference_channel(bits, cfg, np.random.default_rng(3))
+        assert same_bits(got.vectors, reference_values(arrived, codec).reshape(k, d) / gains[:, None])
+
     @pytest.mark.parametrize("codec", CODEC_CASES, ids=lambda c: f"{c.representation}{c.bitwidth}")
     def test_rate_one_flips_every_payload_bit_and_nothing_else(self, codec):
         k, d = 3, 11
@@ -776,10 +826,10 @@ class TestParsersFailClosed:
     )
     def test_every_truncation_of_a_sparse_frame(self, codec):
         blob = self.sparse_frame(codec)
-        deserialize_sparse(blob, codec)
+        deserialize_sparse(blob, codec, (3, 30))
         for cut in range(len(blob)):
             with pytest.raises(SparseFormatError):
-                deserialize_sparse(blob[:cut], codec)
+                deserialize_sparse(blob[:cut], codec, (3, 30))
 
     @pytest.mark.parametrize("index", [10, 1000])
     def test_sparse_index_beyond_d_rejected(self, index):
@@ -790,7 +840,21 @@ class TestParsersFailClosed:
         blob = serialize_sparse(sparse, codec)
         shrunk = frame_header(2, 10, TAG_SPARSE) + blob[HEADER_BYTES:]
         with pytest.raises(SparseFormatError):
-            deserialize_sparse(shrunk, codec)
+            deserialize_sparse(shrunk, codec, (2, 10))
+
+    @pytest.mark.parametrize("k,d", [(3, 31), (3, 2**31), (2**20, 30), (2, 30)])
+    def test_sparse_frame_of_another_shape_rejected_before_allocation(self, k, d):
+        # A header d mutated upward once parsed into a model whose dense form
+        # needs K x d floats; the parser now takes the broadcast model's shape.
+        blob = frame_header(k, d, TAG_SPARSE) + self.sparse_frame(CodecConfig())[HEADER_BYTES:]
+        tracemalloc.start()
+        try:
+            with pytest.raises(SparseFormatError, match="declares"):
+                deserialize_sparse(blob, CodecConfig(), (3, 30))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
 
     def test_sparse_count_above_d_rejected(self):
         codec = CodecConfig("float32")
@@ -799,7 +863,7 @@ class TestParsersFailClosed:
         )
         blob = serialize_sparse(sparse, codec)
         with pytest.raises(SparseFormatError):
-            deserialize_sparse(frame_header(2, 3, TAG_SPARSE) + blob[HEADER_BYTES:], codec)
+            deserialize_sparse(frame_header(2, 3, TAG_SPARSE) + blob[HEADER_BYTES:], codec, (2, 3))
 
     @pytest.mark.parametrize("gain", [0.0, -1.0, np.inf, np.nan])
     def test_sparse_bad_gain_rejected(self, gain):
@@ -807,7 +871,7 @@ class TestParsersFailClosed:
         blob = bytearray(self.sparse_frame(codec))
         struct.pack_into("<d", blob, HEADER_BYTES + 4, gain)  # first class gain
         with pytest.raises(SparseFormatError):
-            deserialize_sparse(bytes(blob), codec)
+            deserialize_sparse(bytes(blob), codec, (3, 30))
 
     @pytest.mark.parametrize("gain", [0.0, -1.0, np.inf, np.nan])
     def test_model_frame_bad_gain_rejected(self, gain):
@@ -840,9 +904,9 @@ class TestParsersFailClosed:
     def test_sparse_overflow_decodes_as_zero(self):
         codec = CodecConfig("quantized_int", bitwidth=16)
         blob = bytearray(self.sparse_frame(codec))
-        sent = deserialize_sparse(bytes(blob), codec)
+        sent = deserialize_sparse(bytes(blob), codec, (3, 30))
         struct.pack_into("<d", blob, HEADER_BYTES + 4, 1e-310)  # first class gain
-        got = by_class(deserialize_sparse(bytes(blob), codec))[1]
+        got = by_class(deserialize_sparse(bytes(blob), codec, (3, 30)))[1]
         assert same_bits(got[0], np.zeros(15))
         assert same_bits(np.concatenate(got[1:]), np.concatenate(by_class(sent)[1][1:]))
 
@@ -876,7 +940,7 @@ class TestParsersFailClosed:
             elif kind == "append":
                 blob += bytes([byte]) * (1 + pos % 8)
         try:
-            parsed = deserialize_sparse(bytes(blob), codec)
+            parsed = deserialize_sparse(bytes(blob), codec, (3, 20))
         except SparseFormatError:
             return
         assert np.all(np.isfinite(parsed.values))
@@ -906,7 +970,7 @@ class TestParsersFailClosed:
             parse, error = read_model_bytes, CodecError
         elif which == "sparse":
             blob = self.sparse_frame(codec)
-            parse, error = (lambda b: deserialize_sparse(b, codec)), SparseFormatError
+            parse, error = (lambda b: deserialize_sparse(b, codec, (3, 30))), SparseFormatError
         elif which == "sign":
             blob = self.sign_frame()
             parse, error = deserialize_sign_matrix, SparseFormatError
