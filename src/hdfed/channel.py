@@ -15,15 +15,15 @@ One function per corruption concept:
 
 Wire frame ("HDFM"): magic, version byte, K and d as 32-bit little-endian
 unsigned, a codec tag byte, optional per-class gains as 64-bit floats, then
-row-major parameters. The tag byte is 0 for float32, 1 for int32, and
-128 + bitwidth for scaled integers, so a frame is self-describing. Bits
-within the payload are little-endian: least-significant bit of the first
-byte first, values packed back to back at the codec width. encode_values
-and decode_values are that payload codec; the unpacked 0/1-bit view that
-the tests' reference channels act on is built from them in the tests.
-Values that fill a numpy type (value_type: float32, 8-, 16- and 32-bit
-integers) are written and read as records of that type, in the same bytes
-as the bit packer (pack_words) writes; other widths go through the packer.
+row-major parameters. The tag byte is 0 for float32 and 128 + bitwidth for
+scaled integers, so a frame is self-describing. Bits within the payload are
+little-endian: least-significant bit of the first byte first, values packed
+back to back at the codec width. encode_values and decode_values are that
+payload codec; the unpacked 0/1-bit view that the tests' reference channels
+act on is built from them in the tests. Values that fill a numpy type
+(value_type: float32, 8-, 16- and 32-bit integers) are written and read as
+records of that type, in the same bytes as the bit packer (pack_words)
+writes; other widths go through the packer.
 
 Every serializer returns a Frame: the bytes counted on the uplink plus the
 bits a bit channel may hit in them. corrupt_frame hits only those bits, and
@@ -46,7 +46,7 @@ HDFM_MAGIC = b"HDFM"
 HDFM_VERSION = 1
 HEADER_BYTES = 4 + 1 + 4 + 4 + 1  # magic, version, K, d, codec tag
 
-_REPRESENTATIONS = ("float32", "int32", "quantized_int")
+_REPRESENTATIONS = ("float32", "quantized_int")
 _CHANNEL_KINDS = ("ideal", "awgn", "bsc", "packet_loss")
 BIT_CHANNELS = ("bsc", "packet_loss")  # act on frame bits; ideal and awgn on raw values
 
@@ -420,18 +420,12 @@ def apply_channel(model: ClassPrototypes, cfg: ChannelConfig, rng: np.random.Gen
 
 def codec_tag(codec: CodecConfig) -> int:
     """The HDFM tag byte of a model frame in this codec."""
-    if codec.representation == "float32":
-        return 0
-    if codec.representation == "int32":
-        return 1
-    return 128 + codec.bitwidth
+    return 0 if codec.representation == "float32" else 128 + codec.bitwidth
 
 
 def _codec_from_tag(tag: int) -> CodecConfig:
     if tag == 0:
         return CodecConfig("float32")
-    if tag == 1:
-        return CodecConfig("int32")
     if 130 <= tag <= 160:
         return CodecConfig("quantized_int", bitwidth=tag - 128)
     raise CodecError(f"unknown codec tag {tag}")
@@ -443,10 +437,13 @@ def frame_header(k: int, d: int, tag: int) -> bytes:
 
 
 def parse_frame_header(
-    blob: bytes, error: type[ValueError] = CodecError, tag: int | None = None
+    blob: bytes,
+    error: type[ValueError] = CodecError,
+    tag: int | None = None,
+    shape: tuple[int, int] | None = None,
 ) -> tuple[int, int, int]:
-    """(K, d, tag) of a frame; raises `error` on a malformed header or a tag
-    other than the expected one."""
+    """(K, d, tag) of a frame; raises `error` on a malformed header, a tag
+    other than the expected one, or a (K, d) other than `shape`, if given."""
     if len(blob) < HEADER_BYTES or blob[:4] != HDFM_MAGIC:
         raise error("not an HDFM frame")
     version, k, d, got = struct.unpack("<BIIB", blob[4:HEADER_BYTES])
@@ -454,6 +451,8 @@ def parse_frame_header(
         raise error(f"unsupported HDFM version {version}")
     if tag is not None and got != tag:
         raise error(f"unexpected frame tag {got}")
+    if shape is not None and (k, d) != tuple(shape):
+        raise error(f"frame declares {k} x {d}, expected {shape[0]} x {shape[1]}")
     return k, d, got
 
 
@@ -470,11 +469,14 @@ def write_model_bytes(model: ClassPrototypes, codec: CodecConfig | None = None) 
     return Frame.tail(head + encode_values(values, codec).tobytes(), k * d, codec.value_bits)
 
 
-def read_model_bytes(blob: bytes) -> tuple[ClassPrototypes, CodecConfig]:
-    """Parse an HDFM frame. Sample counts are not part of the wire format,
-    so the returned model carries zero counts. Declared sizes are checked
-    against the blob before anything is allocated."""
-    k, d, tag = parse_frame_header(blob)
+def read_model_bytes(
+    blob: bytes, shape: tuple[int, int] | None = None
+) -> tuple[ClassPrototypes, CodecConfig]:
+    """Parse an HDFM frame, of a `shape` (K, d) model if given. Sample
+    counts are not part of the wire format, so the returned model carries
+    zero counts. Declared sizes are checked against `shape` and the blob
+    before anything is allocated."""
+    k, d, tag = parse_frame_header(blob, shape=shape)
     codec = _codec_from_tag(tag)
     quantized = codec.representation == "quantized_int"
     offset = HEADER_BYTES + (8 * k if quantized else 0)

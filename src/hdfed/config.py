@@ -24,7 +24,7 @@ Recognized keys (defaults in parentheses):
   channel.kind (ideal) | awgn | bsc | packet_loss
   channel.snr_db                      channel.bit_error_rate
   channel.packet_bits                 channel.packet_loss_prob
-  codec.representation (float32) | int32 | quantized_int
+  codec.representation (float32) | quantized_int
   codec.bitwidth (16)
   strategy.kind (none) | binary_diff | subsample | sparsify
   strategy.rate                       strategy.sparsity

@@ -101,9 +101,7 @@ class Partition:
 @dataclass
 class ClientState:
     client_id: int
-    # (n, d) samples, n rows of the shared training matrix, or the
-    # features of n samples under a linear encoder
-    hvs: np.ndarray | SampleRows | ProjectedQueries
+    hvs: np.ndarray | SampleRows  # (n, d) samples, or n rows of the shared training matrix
     labels: np.ndarray
 
 
@@ -341,14 +339,14 @@ def _replayed(
 class _Uplink:
     """One strategy's uplink, the same steps for every strategy.
 
-    encode turns a client's local model into what it sends and the one
-    frame counted on the uplink. Over bsc and packet_loss, corrupt_frame
-    hits that frame and decode parses what arrives, with the sample counts
-    from the reliable side; over ideal and awgn, perturb acts on the raw
-    values that were sent instead. The server keeps one running total a
-    round: start opens it, fold adds each contribution as it arrives, and
-    finish turns it into the next global model; by default the total is
-    the weighted average. `shape` is the global model's (K, d).
+    encode turns a client's local model into what it sends and the one frame
+    counted on the uplink. Over bsc and packet_loss, corrupt_frame hits that
+    frame and decode parses what arrives, with the sample counts from the
+    reliable side; over ideal and awgn, perturb acts on the raw values that
+    were sent instead. The server keeps one running total a round: start
+    opens it, fold adds each contribution as it arrives, and finish turns it
+    into the next global model; by default the total is the weighted
+    average. `shape` is the global model's (K, d), which decode checks.
     """
 
     def __init__(self, strategy: strat.StrategyConfig, codec: CodecConfig, seed: int, shape):
@@ -369,7 +367,7 @@ class _FullModel(_Uplink):
         return local, write_model_bytes(local, self.codec)
 
     def decode(self, blob, counts):
-        received, _ = read_model_bytes(blob)
+        received, _ = read_model_bytes(blob, self.shape)
         return ClassPrototypes(received.vectors, counts.copy())
 
     def perturb(self, local, channel, rng):
@@ -382,7 +380,7 @@ class _SignDiff(_Uplink):
         return signs, strat.serialize_sign_matrix(signs)
 
     def decode(self, blob, counts):
-        return strat.deserialize_sign_matrix(blob)
+        return strat.deserialize_sign_matrix(blob, self.shape)
 
     def perturb(self, signs, channel, rng):
         return corrupt_signs(signs, channel, rng)
@@ -406,7 +404,7 @@ class _Subsample(_Uplink):
         return payload, strat.serialize_subsample(payload, self.codec)
 
     def decode(self, blob, counts):
-        received = strat.deserialize_subsample(blob, self.codec, self.seed)
+        received = strat.deserialize_subsample(blob, self.codec, self.seed, self.shape)
         return received.indices, received.values
 
     def perturb(self, payload, channel, rng):

@@ -148,8 +148,8 @@ class ProjectedQueries:
     """The encodings h = P x of n samples, held as their raw (n, m) features
     x and the ``ProjectionMatrix`` P: the (n, d) rows are never built. The
     eval scores them as (V P) x (see ``_similarity_matrix``), which equals
-    V (P x) up to rounding, and ``retrain_epoch`` decides in feature space
-    too. ``shape`` is that of the encoded rows."""
+    V (P x) up to rounding, and ``lockstep_epoch`` retrains in feature
+    space too. ``shape`` is that of the encoded rows."""
 
     __slots__ = ("features", "projection")
 
@@ -320,7 +320,7 @@ def multiclass_margin_loss(
 
 def retrain_epoch(
     prototypes: ClassPrototypes,
-    hvs: np.ndarray | SampleRows | ProjectedQueries,
+    hvs: np.ndarray | SampleRows,
     labels: np.ndarray,
     alpha: float,
     order: np.ndarray | None = None,
@@ -329,10 +329,8 @@ def retrain_epoch(
 
     Each mispredicted sample is added (scaled by alpha) to its true class
     prototype and subtracted from the predicted one. Counts are untouched.
-    ``hvs`` is an (n, d) matrix, a ``SampleRows`` of n rows, or the
-    ``ProjectedQueries`` of n samples. Over ``ProjectedQueries`` the pass
-    is ``lockstep_epoch`` for one client, whose mistakes
-    ``replay_mistakes`` then applies to the model.
+    ``hvs`` is an (n, d) matrix or a ``SampleRows`` of n rows; linear
+    encodings retrain in feature space instead (``lockstep_epoch``).
     ``order`` is a permutation of ``range(len(hvs))`` naming the sample to
     visit at each step; the pass reads rows of ``hvs`` in place, so
     ``retrain_epoch(p, hvs, labels, a, order)`` equals
@@ -340,17 +338,14 @@ def retrain_epoch(
     the copy, and ``SampleRows(m, idx)`` equals the gathered ``m[idx]``.
     ``None`` visits the samples as stored. Labels must lie in
     ``[0, K)``. Among classes whose scores are equal floats the lowest
-    index is predicted, but over encoded rows the gemv may score a class
-    and its exact copy apart in the last bit, and so may the feature-space
-    gemv (see ``predict_batch``). Returns the updated prototypes and the
-    number of corrections made.
+    index is predicted, but the gemv may score a class and its exact copy
+    apart in the last bit (see ``predict_batch``). Returns the updated
+    prototypes and the number of corrections made.
     """
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     rows = None
-    if isinstance(hvs, ProjectedQueries):
-        samples, shape = hvs.features, hvs.shape
-    elif isinstance(hvs, SampleRows):
+    if isinstance(hvs, SampleRows):
         samples, rows = hvs.matrix, hvs.index  # checked where built
         shape = (len(rows), samples.shape[1])
     else:
@@ -372,22 +367,6 @@ def retrain_epoch(
         if order.shape != (n,) or not np.array_equal(np.sort(order), np.arange(n)):
             raise ValueError(f"order must be a permutation of range({n})")
     vectors = prototypes.vectors.copy()
-    if isinstance(hvs, ProjectedQueries):
-        phi = hvs.projection
-        state = (a[np.newaxis] for a in feature_state(vectors, phi))
-        [log] = lockstep_epoch(samples, phi, [order], [labels[order]], *state, alpha)
-        replay_mistakes(vectors, samples, phi, log, alpha)
-        mistakes = len(log)
-    else:
-        # Each step names the sample row to read and its label.
-        steps = zip((order if rows is None else rows[order]).tolist(), labels[order].tolist())
-        mistakes = _retrain_rows(vectors, samples, steps, alpha)
-    return ClassPrototypes(vectors, prototypes.counts.copy()), mistakes
-
-
-def _retrain_rows(vectors: np.ndarray, hvs: np.ndarray, steps, alpha: float) -> int:
-    """The pass over encoded (n, d) rows: scores each step's row against
-    ``vectors`` and corrects them in place. Returns the mistake count."""
     # Divisors and the zero-norm mask are built once and refreshed only for
     # the two classes a mistake changes. The refresh uses the dot product
     # that np.linalg.norm computes for a 1-D vector, so every score is the
@@ -399,8 +378,10 @@ def _retrain_rows(vectors: np.ndarray, hvs: np.ndarray, steps, alpha: float) -> 
     # One score buffer: np.dot(out=) is the same gemv as vectors @ h.
     sims = np.empty(vectors.shape[0])
     mistakes = 0
+    # Each step names the sample row to read and its label.
+    steps = zip((order if rows is None else rows[order]).tolist(), labels[order].tolist())
     for i, label in steps:
-        h = hvs[i]
+        h = samples[i]
         np.dot(vectors, h, out=sims)
         np.divide(sims, safe, out=sims)
         if any_zero:
@@ -417,7 +398,7 @@ def _retrain_rows(vectors: np.ndarray, hvs: np.ndarray, steps, alpha: float) -> 
                 safe[c] = 1.0 if norm == 0.0 else norm
             any_zero = bool(zero.any())
             mistakes += 1
-    return mistakes
+    return ClassPrototypes(vectors, prototypes.counts.copy()), mistakes
 
 
 def feature_state(
@@ -425,7 +406,7 @@ def feature_state(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """What a feature-space pass over the model ``vectors`` (K, d) starts
     from: the (K, m) weights V P (``projected``, if already computed), the
-    d-space norms that divide its first scores, as ``_retrain_rows``
+    d-space norms that divide its first scores, as ``retrain_epoch``
     builds them, and the squared norms that its mistakes update."""
     return (
         _feature_weights(vectors, projection, projected),
@@ -458,7 +439,7 @@ def lockstep_epoch(
     scores them all by one stacked ``np.matmul``, which runs per client the
     gemv of ``np.dot(A, x)`` and gives its bytes. Scores are divided by the
     class norms, a zero-norm class scores 0, and the argmax is the
-    prediction, as in ``_retrain_rows``. A mistake moves two rows of its
+    prediction, as in ``retrain_epoch``. A mistake moves two rows of its
     client's weights by +/- alpha G x (G = P^T P) and their squared norms
     by +/- 2 alpha (v . h) + alpha^2 x . G x, one client at a time. The
     clients are stepped longest first, so the ones whose rows have not run
@@ -539,7 +520,7 @@ def replay_mistakes(
 ) -> None:
     """Apply one pass's mistakes (row, label, pred), in order, to the
     (K, d) ``vectors`` in place, with the float operations of
-    ``_retrain_rows``: the mistaken rows of ``features`` are encoded by one
+    ``retrain_epoch``: the mistaken rows of ``features`` are encoded by one
     ``encode_batch`` call, and each is added (scaled by alpha) to its
     label's prototype and subtracted from the predicted one.
 

@@ -277,8 +277,9 @@ def serialize_sign_matrix(signs: np.ndarray) -> Frame:
     return Frame.tail(frame_header(k, d, TAG_BINARY_DIFF) + bits.tobytes(), k * d, 1)
 
 
-def deserialize_sign_matrix(blob: bytes) -> np.ndarray:
-    k, d, _ = parse_frame_header(blob, SparseFormatError, TAG_BINARY_DIFF)
+def deserialize_sign_matrix(blob: bytes, shape: tuple[int, int]) -> np.ndarray:
+    """Parse a sign frame of a `shape` (K, d) model."""
+    k, d, _ = parse_frame_header(blob, SparseFormatError, TAG_BINARY_DIFF, shape)
     if len(blob) < HEADER_BYTES + -(-k * d // 8):
         raise SparseFormatError(f"sign frame of {len(blob)} bytes cannot hold {k} x {d} bits")
     payload = np.frombuffer(blob, dtype=np.uint8, offset=HEADER_BYTES)
@@ -304,15 +305,18 @@ def serialize_subsample(payload: SubsamplePayload, codec: CodecConfig) -> Frame:
     return Frame.tail(data, payload.values.size, codec.value_bits)
 
 
-def deserialize_subsample(blob: bytes, codec: CodecConfig, seed: int) -> SubsamplePayload:
-    """Parse a subsample frame. The indices are regenerated from the run
-    seed and the frame's stream key, the draw the client made.
+def deserialize_subsample(
+    blob: bytes, codec: CodecConfig, seed: int, shape: tuple[int, int]
+) -> SubsamplePayload:
+    """Parse a subsample frame of a `shape` (K, d) model. The indices are
+    regenerated from the run seed and the frame's stream key, the draw the
+    client made.
 
-    Raises SparseFormatError on a truncated frame, a count above K * d or a
-    non-positive or non-finite gain, before allocating anything the blob
-    cannot hold.
+    Raises SparseFormatError on a frame that declares another shape, a
+    truncated frame, a count above K * d or a non-positive or non-finite
+    gain, before allocating anything the blob cannot hold.
     """
-    k, d, _ = parse_frame_header(blob, SparseFormatError, TAG_SUBSAMPLE)
+    k, d, _ = parse_frame_header(blob, SparseFormatError, TAG_SUBSAMPLE, shape)
     quantized = codec.representation == "quantized_int"
     offset = HEADER_BYTES + 12 + (8 if quantized else 0)
     if len(blob) < offset:
@@ -376,9 +380,7 @@ def deserialize_sparse(blob: bytes, codec: CodecConfig, shape: tuple[int, int]) 
     index the gaps carry outside [0, d) fails the SparseClassModel layout
     check. Values with a value_type are read as (gap, value) records.
     """
-    k, d, _ = parse_frame_header(blob, SparseFormatError, TAG_SPARSE)
-    if (k, d) != tuple(shape):
-        raise SparseFormatError(f"sparse frame declares {k} x {d}, expected {shape[0]} x {shape[1]}")
+    k, d, _ = parse_frame_header(blob, SparseFormatError, TAG_SPARSE, shape)
     if len(blob) < HEADER_BYTES + 4 * k:
         raise SparseFormatError(f"sparse frame of {len(blob)} bytes cannot hold {k} classes")
     width = 32 + codec.value_bits

@@ -7,7 +7,7 @@ equivalence), the linear-discriminant direction, reconstruction from noisy
 encodings, one-shot prototype bundling, a shared dimension mask, the
 unpacked 0/1-bit view of the codec payload, the per-class view of a
 sparse model, and one client's feature-space retrain pass, one sample at a
-time.
+time and as the system runs it for a cohort of one.
 """
 
 from __future__ import annotations
@@ -17,7 +17,16 @@ import math
 import numpy as np
 
 from hdfed.channel import CodecConfig, decode_values, encode_values
-from hdfed.hdc import ClassPrototypes, DimensionError, ProjectionMatrix, project_prototypes
+from hdfed.hdc import (
+    ClassPrototypes,
+    DimensionError,
+    ProjectedQueries,
+    ProjectionMatrix,
+    feature_state,
+    lockstep_epoch,
+    project_prototypes,
+    replay_mistakes,
+)
 
 
 def one_shot_train(hvs: np.ndarray, labels: np.ndarray, num_classes: int) -> ClassPrototypes:
@@ -195,3 +204,24 @@ def feature_space_pass(
                 norms[c] = math.sqrt(squares[c])
             log.append((i, label, pred))
     return log
+
+
+def projected_retrain_epoch(
+    prototypes: ClassPrototypes,
+    queries: ProjectedQueries,
+    labels: np.ndarray,
+    alpha: float,
+    order: np.ndarray | None = None,
+) -> tuple[ClassPrototypes, int]:
+    """One client's retrain pass over its ``ProjectedQueries``, in ``order``
+    if given, as a round runs it for a cohort of one: ``feature_state`` of
+    the model, ``lockstep_epoch`` for the one client, then
+    ``replay_mistakes`` onto a copy of the vectors. Returns the model and
+    the mistake count, as ``retrain_epoch`` does for encoded rows."""
+    labels = np.asarray(labels)
+    order = np.arange(len(queries)) if order is None else np.asarray(order)
+    phi, vectors = queries.projection, prototypes.vectors.copy()
+    state = (a[np.newaxis] for a in feature_state(vectors, phi))
+    [log] = lockstep_epoch(queries.features, phi, [order], [labels[order]], *state, alpha)
+    replay_mistakes(vectors, queries.features, phi, log, alpha)
+    return ClassPrototypes(vectors, prototypes.counts.copy()), len(log)

@@ -412,13 +412,9 @@ def test_c12_codec_and_compression_exactness():
     for i in range(1000):
         k = int(rng.integers(2, 5))
         d = int(rng.integers(2, 40))
-        kind = ("float32", "int32", "quantized_int")[i % 3]
-        if kind == "float32":
+        if i % 2 == 0:
             codec = CodecConfig("float32")
             values = rng.standard_normal((k, d)).astype(np.float32).astype(np.float64)
-        elif kind == "int32":
-            codec = CodecConfig("int32")
-            values = rng.integers(-(2**31), 2**31, size=(k, d)).astype(np.float64)
         else:
             width = int(rng.integers(2, 33))
             codec = CodecConfig("quantized_int", bitwidth=width)

@@ -8,8 +8,9 @@ import sys
 import numpy as np
 import pytest
 
+from hdfed import cli
 from hdfed import config as config_module
-from hdfed.channel import ChannelConfig, read_model
+from hdfed.channel import _REPRESENTATIONS, ChannelConfig, CodecConfig, read_model
 from hdfed.cli import main
 from hdfed.config import (
     ConfigError,
@@ -162,7 +163,7 @@ KEY_CASES = [
     ({"channel.bit_error_rate": "1e-3"}, "channel.bit_error_rate", 1e-3),
     ({"channel.packet_bits": "64"}, "channel.packet_bits", 64),
     ({"channel.packet_loss_prob": "0.1"}, "channel.packet_loss_prob", 0.1),
-    ({"codec.representation": "int32"}, "channel.codec.representation", "int32"),
+    ({"codec.representation": "quantized_int"}, "channel.codec.representation", "quantized_int"),
     ({"codec.bitwidth": "8"}, "channel.codec.bitwidth", 8),
     ({"strategy.kind": "binary_diff"}, "strategy.kind", "binary_diff"),
     ({"strategy.rate": "0.3", "strategy.kind": "subsample"}, "strategy.rate", 0.3),
@@ -222,6 +223,10 @@ class TestKeyTable:
         moved = {p for p in got if got[p] != default[p]}
         assert moved <= {path, *(FIELD_OF[k] for k in needs)}
 
+    def test_raw_int32_codec_is_rejected(self):
+        with pytest.raises(ConfigError, match="unknown representation 'int32'"):
+            load_config(None, {"codec.representation": "int32"})
+
 
 class TestTrainCommand:
     def test_writes_metrics_and_model(self, tmp_path):
@@ -264,6 +269,47 @@ class TestTrainCommand:
         rc = main(["train", "--config", cfg, "--set", f"output.metrics={metrics}"])
         assert rc != 0
         assert not os.path.exists(metrics)
+
+    def test_raw_int32_codec_exits_2_before_loading_data(self, tmp_path, capsys, monkeypatch):
+        def no_run(config):
+            raise AssertionError("the experiment started")
+
+        monkeypatch.setattr(cli, "run_experiment", no_run)
+        metrics, model = tmp_path / "never.csv", tmp_path / "never.hdfm"
+        rc = main(
+            ["train", "--config", write_config(tmp_path), "--set", "codec.representation=int32",
+             "--set", f"output.metrics={metrics}", "--set", f"output.model={model}"]
+        )
+        assert rc == 2
+        assert "unknown representation 'int32'" in capsys.readouterr().err
+        assert not metrics.exists() and not model.exists()
+
+    @pytest.mark.parametrize("quantize", ["false", "true"], ids=["linear", "signs"])
+    @pytest.mark.parametrize(
+        "codec",
+        [
+            CodecConfig(rep, width)
+            for rep in _REPRESENTATIONS
+            for width in ((2, 12, 16, 32) if rep == "quantized_int" else (16,))
+        ],
+        ids=lambda c: f"{c.representation}{c.bitwidth}",
+    )
+    def test_every_codec_trains_and_writes_a_readable_model(self, tmp_path, codec, quantize):
+        # Two participants a round average their models, so from round 2
+        # on a codec carries non-integral values.
+        metrics, model = tmp_path / "m.csv", str(tmp_path / "model.hdfm")
+        overrides = {
+            "round.rounds": 2, "round.participation": 0.5, "encoder.quantize": quantize,
+            "codec.representation": codec.representation, "codec.bitwidth": codec.bitwidth,
+            "output.metrics": metrics, "output.model": model,
+        }
+        argv = ["train", "--config", write_config(tmp_path)]
+        assert main(argv + [a for k, v in overrides.items() for a in ("--set", f"{k}={v}")]) == 0
+        _, rows, _ = read_rows(metrics)
+        assert [r.split(",")[5] for r in rows] == ["2", "2"]
+        stored, got = read_model(model)
+        assert got == codec
+        assert stored.vectors.shape == (3, 256) and np.isfinite(stored.vectors).all()
 
     def test_deterministic_metrics_modulo_wall_clock(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -388,7 +434,6 @@ class TestEncodeEvalCommands:
         # A linear encoding is scored from the raw features; the printed
         # lines equal those of scoring the encoded rows. The sign encoding
         # is not linear and is still encoded.
-        from hdfed import cli
         from hdfed.channel import write_model
         from hdfed.hdc import ClassPrototypes, ProjectedQueries, encode_batch
 

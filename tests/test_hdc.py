@@ -25,7 +25,14 @@ from hdfed.hdc import (
     project_prototypes,
     retrain_epoch,
 )
-from reference import binary_retrain, fisher_direction, one_shot_train, perceptron_loss, reconstruct
+from reference import (
+    binary_retrain,
+    fisher_direction,
+    one_shot_train,
+    perceptron_loss,
+    projected_retrain_epoch,
+    reconstruct,
+)
 
 
 def encode_one(phi: ProjectionMatrix, x: np.ndarray, quantize: bool = False) -> np.ndarray:
@@ -747,9 +754,10 @@ def projected_retrain_cases(draw, exact):
 
 
 class TestProjectedRetrain:
-    """A pass over ``ProjectedQueries`` decides in feature space and replays
-    its mistakes on the encoded rows: the model and the mistake count are
-    those of the pass over the split's encoded rows, bit for bit."""
+    """A client's pass over its ``ProjectedQueries`` decides in feature
+    space (``lockstep_epoch``) and replays its mistakes on the encoded rows
+    (``replay_mistakes``): the model and the mistake count are those of
+    ``retrain_epoch`` over the split's encoded rows, bit for bit."""
 
     @staticmethod
     def check(case):
@@ -759,7 +767,7 @@ class TestProjectedRetrain:
         rows = SampleRows(encode_batch(phi, xs), index)
         got = want = model
         for order in orders:
-            got, mistakes = retrain_epoch(got, client, labels[index], alpha, order)
+            got, mistakes = projected_retrain_epoch(got, client, labels[index], alpha, order)
             want, ref_mistakes = retrain_epoch(want, rows, labels[index], alpha, order)
             assert mistakes == ref_mistakes
             assert np.array_equal(got.vectors.view(np.uint64), want.vectors.view(np.uint64))
@@ -810,7 +818,7 @@ class TestProjectedRetrain:
         x = rng.standard_normal(4)
         xs, labels = np.stack([x, x, rng.standard_normal(4)]), np.array([1, 0, 2])
         model = ClassPrototypes.zeros(3, 64)
-        got = retrain_epoch(model, ProjectedQueries(xs, phi), labels, 0.3)
+        got = projected_retrain_epoch(model, ProjectedQueries(xs, phi), labels, 0.3)
         want = retrain_epoch(model, encode_batch(phi, xs), labels, 0.3)
         TestRetrainEquivalence.assert_same(got, want)
         assert got[1] == 3
@@ -878,10 +886,12 @@ class TestProjectedRetrain:
             lockstep_epoch(features.astype(np.float32), phi, visits, labels, *state, 1.0)
 
     def test_dimension_mismatch_rejected(self):
+        # A d = 60 model has no feature-space weights under a d = 50 projection.
         phi = make_projection(3, 50, seed=4)
         model = ClassPrototypes(np.ones((2, 60)), np.ones(2, dtype=np.int64))
-        with pytest.raises(DimensionError):
-            retrain_epoch(model, ProjectedQueries(np.ones((5, 3)), phi), np.zeros(5, int), 1.0)
+        queries = ProjectedQueries(np.ones((5, 3)), phi)
+        with pytest.raises(ValueError):
+            projected_retrain_epoch(model, queries, np.zeros(5, int), 1.0)
 
 
 class TestBinaryRetrain:

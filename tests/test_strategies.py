@@ -83,7 +83,7 @@ class TestDiffBinarize:
     def test_sign_matrix_round_trip(self):
         rng = np.random.default_rng(1)
         signs = rng.choice([-1.0, 1.0], size=(3, 17))
-        back = deserialize_sign_matrix(serialize_sign_matrix(signs))
+        back = deserialize_sign_matrix(serialize_sign_matrix(signs), signs.shape)
         assert np.array_equal(back, signs)
 
 
@@ -376,9 +376,11 @@ class TestChannelComposition:
                     assert corrupt_values(v, cfg, rng).shape == v.shape
                 continue
             frame = serialize_sign_matrix(signs)
-            assert deserialize_sign_matrix(corrupt_frame(frame, cfg, rng)).shape == signs.shape
+            back = deserialize_sign_matrix(corrupt_frame(frame, cfg, rng), (3, 64))
+            assert back.shape == signs.shape
             frame = serialize_subsample(SubsamplePayload(3, idx, val, (3, 64)), codec)
-            assert deserialize_subsample(corrupt_frame(frame, cfg, rng), codec, 0).values.shape == val.shape
+            back = deserialize_subsample(corrupt_frame(frame, cfg, rng), codec, 0, (3, 64))
+            assert back.values.shape == val.shape
             frame = serialize_sparse(sparse, codec)
             back = deserialize_sparse(corrupt_frame(frame, cfg, rng), codec, sparse.shape)
             assert np.array_equal(back.lengths, sparse.lengths)

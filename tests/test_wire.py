@@ -13,6 +13,7 @@
 * Frame parsers fail closed with their module's own error type.
 """
 
+import functools
 import struct
 import tracemalloc
 from dataclasses import replace
@@ -65,7 +66,6 @@ from reference import by_class, deserialize_bits, serialize_bits
 
 CODECS = st.one_of(
     st.just(CodecConfig("float32")),
-    st.just(CodecConfig("int32")),
     st.integers(2, 32).map(lambda w: CodecConfig("quantized_int", bitwidth=w)),
 )
 # bsc at the rates the paper sweeps plus both extremes; packet sizes that do
@@ -163,16 +163,13 @@ def reference_value_block(values, cfg, rng):
     return deserialize_bits(bits, codec, values.shape) / gain
 
 
-def codec_values(rng, codec, shape):
-    """Values the codec can carry: any floats, or in-range integers."""
-    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4)
-    if codec.representation == "int32":
-        values = np.round(values * 1000.0)
-    return values
+def codec_values(rng, shape):
+    """Values the codec can carry: any floats, at a random scale."""
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4)
 
 
 def model_for(rng, codec, k, d):
-    values = codec_values(rng, codec, (k, d))
+    values = codec_values(rng, (k, d))
     values[rng.random(k) < 0.25] = 0.0  # untrained classes
     return ClassPrototypes(values, rng.integers(0, 50, size=k))
 
@@ -187,7 +184,7 @@ class TestPackedCodec:
     @settings(max_examples=150, deadline=None)
     def test_serialize_matches_unpacked_reference(self, codec, seed, n):
         rng = np.random.default_rng(seed)
-        values = codec_values(rng, codec, n)
+        values = codec_values(rng, n)
         if codec.representation == "quantized_int":
             top = 2 ** (codec.bitwidth - 1)
             values = rng.integers(-top, top, size=n).astype(np.float64)
@@ -209,7 +206,7 @@ class TestPackedCodec:
     @settings(max_examples=100, deadline=None)
     def test_frame_is_header_gains_and_packed_reference_bits(self, codec, seed, k, d):
         model = model_for(np.random.default_rng(seed), codec, k, d)
-        tag = {"float32": 0, "int32": 1}.get(codec.representation, 128 + codec.bitwidth)
+        tag = 0 if codec.representation == "float32" else 128 + codec.bitwidth
         expected = frame_header(k, d, tag)
         values = model.vectors
         if codec.representation == "quantized_int":
@@ -246,11 +243,11 @@ class TestChannelEquivalence:
     @settings(max_examples=150, deadline=None)
     def test_subsample_frame_matches_unpacked_reference(self, codec, chan, seed, n):
         cfg = ChannelConfig(codec=codec, **chan)
-        values = codec_values(np.random.default_rng(seed), codec, n)
+        values = codec_values(np.random.default_rng(seed), n)
         key = subsample_stream_key(seed % 7, seed % 5)
         sent = serialize_subsample(SubsamplePayload(key, np.arange(n), values, (3, 30)), codec)
         arrived = corrupt_frame(sent, cfg, np.random.default_rng(seed + 1))
-        got = deserialize_subsample(arrived, codec, seed=11)
+        got = deserialize_subsample(arrived, codec, seed=11, shape=(3, 30))
         expected = reference_value_block(values, cfg, np.random.default_rng(seed + 1))
         assert same_bits(got.values, expected)
         # The indices are the client's draw for this key, regenerated.
@@ -263,7 +260,7 @@ class TestChannelEquivalence:
         cfg = ChannelConfig(**chan)
         signs = np.where(np.random.default_rng(seed).random((k, d)) < 0.5, 1.0, -1.0)
         arrived = corrupt_frame(serialize_sign_matrix(signs), cfg, np.random.default_rng(seed + 1))
-        got = deserialize_sign_matrix(arrived)
+        got = deserialize_sign_matrix(arrived, (k, d))
         bits = (signs.reshape(-1) > 0).astype(np.uint8)
         bits = reference_channel(bits, cfg, np.random.default_rng(seed + 1))
         assert same_bits(got, np.where(bits == 1, 1.0, -1.0).reshape(k, d))
@@ -383,14 +380,15 @@ def frame_bits(frame):
 
 
 # Every value width that frames write as byte records (8, 16 and 32 bits, so
-# 40-, 48- and 64-bit sparse pairs), and one that they pack bit by bit.
+# 40-, 48- and 64-bit sparse pairs), and two that they pack bit by bit: one
+# under a byte and 24 bits, whole bytes that are no numpy type (56-bit pairs).
 CODEC_CASES = [
     CodecConfig("float32"),
-    CodecConfig("int32"),
     CodecConfig("quantized_int", bitwidth=16),
     CodecConfig("quantized_int", bitwidth=7),
     CodecConfig("quantized_int", bitwidth=8),
     CodecConfig("quantized_int", bitwidth=32),
+    CodecConfig("quantized_int", bitwidth=24),
 ]
 SPARSITIES = st.one_of(st.sampled_from([0.0, 0.5, 0.9, 0.99]), st.floats(0.0, 0.999))
 # Continuous values, or small integers: many ties at the threshold and
@@ -417,7 +415,7 @@ def sparse_input(rng, codec, k, d, kind):
     if kind == "integers":
         values = rng.integers(-3, 4, size=(k, d)).astype(np.float64)
     else:
-        values = codec_values(rng, codec, (k, d))
+        values = codec_values(rng, (k, d))
     values[rng.random(k) < 0.25] = 0.0
     return ClassPrototypes(values, rng.integers(0, 50, size=k))
 
@@ -689,7 +687,7 @@ class TestCountedBytesAreCorrupted:
         cfg = ChannelConfig(codec=codec, **chan)
         k, d = 3, 21
         model = model_for(np.random.default_rng(8), codec, k, d)
-        tag = {"float32": 0, "int32": 1}.get(codec.representation, 128 + codec.bitwidth)
+        tag = 0 if codec.representation == "float32" else 128 + codec.bitwidth
         expected_frame, values, gains = frame_header(k, d, tag), model.vectors, np.ones(k)
         if codec.representation == "quantized_int":
             values, gains = quantize_segments(values, np.full(k, d), codec.bitwidth)
@@ -792,16 +790,17 @@ class TestParsersFailClosed:
     )
     def test_every_truncation_of_a_subsample_frame(self, codec):
         blob = self.subsample_frame(codec)
-        assert deserialize_subsample(blob, codec, seed=0).values.size == 36
+        assert deserialize_subsample(blob, codec, seed=0, shape=(3, 30)).values.size == 36
         for cut in range(len(blob)):
             with pytest.raises(SparseFormatError):
-                deserialize_subsample(blob[:cut], codec, seed=0)
+                deserialize_subsample(blob[:cut], codec, seed=0, shape=(3, 30))
 
     def test_subsample_count_above_model_size_rejected(self):
         codec = CodecConfig("float32")
         blob = self.subsample_frame(codec)
         with pytest.raises(SparseFormatError):
-            deserialize_subsample(frame_header(3, 10, TAG_SUBSAMPLE) + blob[HEADER_BYTES:], codec, 0)
+            blob = frame_header(3, 10, TAG_SUBSAMPLE) + blob[HEADER_BYTES:]
+            deserialize_subsample(blob, codec, 0, (3, 10))
 
     @pytest.mark.parametrize("gain", [0.0, -1.0, np.inf, np.nan])
     def test_subsample_bad_gain_rejected(self, gain):
@@ -809,15 +808,15 @@ class TestParsersFailClosed:
         blob = bytearray(self.subsample_frame(codec))
         struct.pack_into("<d", blob, HEADER_BYTES + 12, gain)
         with pytest.raises(SparseFormatError):
-            deserialize_subsample(bytes(blob), codec, seed=0)
+            deserialize_subsample(bytes(blob), codec, seed=0, shape=(3, 30))
 
     def test_truncated_sign_frame_header(self):
         with pytest.raises(SparseFormatError):
-            deserialize_sign_matrix(self.sign_frame()[:10])
+            deserialize_sign_matrix(self.sign_frame()[:10], (3, 20))
 
     def test_truncated_sign_frame_payload(self):
         with pytest.raises(SparseFormatError):
-            deserialize_sign_matrix(self.sign_frame()[:-1])
+            deserialize_sign_matrix(self.sign_frame()[:-1], (3, 20))
 
     @pytest.mark.parametrize(
         "codec",
@@ -851,6 +850,35 @@ class TestParsersFailClosed:
         try:
             with pytest.raises(SparseFormatError, match="declares"):
                 deserialize_sparse(blob, CodecConfig(), (3, 30))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    @pytest.mark.parametrize("k,d", [(3, 31), (3, 2**31), (2**20, 30), (2, 30)])
+    @pytest.mark.parametrize("which", ["model", "subsample", "sign"])
+    def test_frame_of_another_shape_rejected_before_allocation(self, which, k, d):
+        # A re-headed frame once parsed into a model of its declared shape,
+        # or failed only in the server's fold; every server-side parser now
+        # takes the broadcast model's shape.
+        codec, shape = CodecConfig("quantized_int", bitwidth=16), (3, 30)
+        values = np.random.default_rng(2).standard_normal(shape)
+        if which == "model":
+            blob = write_model_bytes(ClassPrototypes(values, np.zeros(3)), codec)
+            parse = functools.partial(read_model_bytes, shape=shape)
+        elif which == "subsample":
+            blob = self.subsample_frame(codec)
+            parse = functools.partial(deserialize_subsample, codec=codec, seed=0, shape=shape)
+        else:
+            blob = serialize_sign_matrix(np.where(values >= 0.0, 1.0, -1.0))
+            parse = functools.partial(deserialize_sign_matrix, shape=shape)
+        error = CodecError if which == "model" else SparseFormatError
+        parse(blob)
+        blob = frame_header(k, d, blob[HEADER_BYTES - 1]) + blob[HEADER_BYTES:]
+        tracemalloc.start()
+        try:
+            with pytest.raises(error, match="expected 3 x 30"):
+                parse(blob)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -899,7 +927,8 @@ class TestParsersFailClosed:
         codec = CodecConfig("quantized_int", bitwidth=16)
         blob = bytearray(self.subsample_frame(codec))
         struct.pack_into("<d", blob, HEADER_BYTES + 12, 1e-310)
-        assert same_bits(deserialize_subsample(bytes(blob), codec, seed=0).values, np.zeros(36))
+        got = deserialize_subsample(bytes(blob), codec, seed=0, shape=(3, 30))
+        assert same_bits(got.values, np.zeros(36))
 
     def test_sparse_overflow_decodes_as_zero(self):
         codec = CodecConfig("quantized_int", bitwidth=16)
@@ -973,10 +1002,12 @@ class TestParsersFailClosed:
             parse, error = (lambda b: deserialize_sparse(b, codec, (3, 30))), SparseFormatError
         elif which == "sign":
             blob = self.sign_frame()
-            parse, error = deserialize_sign_matrix, SparseFormatError
+            parse = functools.partial(deserialize_sign_matrix, shape=(3, 20))
+            error = SparseFormatError
         else:
             blob = self.subsample_frame(codec)
-            parse, error = (lambda b: deserialize_subsample(b, codec, 0)), SparseFormatError
+            parse = functools.partial(deserialize_subsample, codec=codec, seed=0, shape=(3, 30))
+            error = SparseFormatError
         mutated = bytearray(blob)
         for pos, value in edits:
             mutated[pos % len(mutated)] = value
