@@ -35,7 +35,6 @@ from .federated import (
 )
 from .hdc import (
     ClassPrototypes,
-    EncoderConfig,
     ProjectedQueries,
     ProjectionMatrix,
     encode_batch,

@@ -27,8 +27,8 @@ writes; other widths go through the packer.
 
 Every serializer returns a Frame: the bytes counted on the uplink plus the
 bits a bit channel may hit in them. corrupt_frame hits only those bits, and
-the receiver parses what arrives; headers, gains, sample counts and (in
-sparse frames) index gaps ride the reliable side of the link. The raw
+the receiver parses what arrives; headers, gains and (in sparse frames)
+index gaps ride the reliable side of the link. The raw
 channels (ideal, awgn) act on values, not on frames.
 """
 
@@ -408,10 +408,10 @@ def corrupt_signs(signs: np.ndarray, cfg: ChannelConfig, rng: np.random.Generato
 
 
 def apply_channel(model: ClassPrototypes, cfg: ChannelConfig, rng: np.random.Generator) -> ClassPrototypes:
-    """A full model through a raw channel (corrupt_values on its vectors);
-    counts are kept. A model crosses a bit channel as its HDFM frame:
+    """A full model through a raw channel (corrupt_values on its vectors). A
+    model crosses a bit channel as its HDFM frame:
     read_model_bytes(corrupt_frame(write_model_bytes(model, codec), cfg, rng))."""
-    return ClassPrototypes(corrupt_values(model.vectors, cfg, rng), model.counts)
+    return ClassPrototypes(corrupt_values(model.vectors, cfg, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -472,10 +472,9 @@ def write_model_bytes(model: ClassPrototypes, codec: CodecConfig | None = None) 
 def read_model_bytes(
     blob: bytes, shape: tuple[int, int] | None = None
 ) -> tuple[ClassPrototypes, CodecConfig]:
-    """Parse an HDFM frame, of a `shape` (K, d) model if given. Sample
-    counts are not part of the wire format, so the returned model carries
-    zero counts. Declared sizes are checked against `shape` and the blob
-    before anything is allocated."""
+    """Parse an HDFM frame, of a `shape` (K, d) model if given. Declared
+    sizes are checked against `shape` and the blob before anything is
+    allocated."""
     k, d, tag = parse_frame_header(blob, shape=shape)
     codec = _codec_from_tag(tag)
     quantized = codec.representation == "quantized_int"
@@ -490,7 +489,7 @@ def read_model_bytes(
     values = decode_values(payload, codec, k * d).reshape(k, d)
     if quantized:
         values = scale_down(values, gains[:, None])
-    return ClassPrototypes(values, np.zeros(k, dtype=np.int64)), codec
+    return ClassPrototypes(values), codec
 
 
 def write_model(model: ClassPrototypes, path: str, codec: CodecConfig | None = None) -> None:

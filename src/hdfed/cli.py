@@ -25,9 +25,9 @@ from .config import ConfigError, EncoderSpec, ExperimentConfig, load_config
 from .federated import RoundRecord
 from .harness import (
     encode_features,
-    encoder_projection,
     eval_queries,
     load_dataset,
+    projection_for,
     run_experiment,
     write_metrics,
 )
@@ -82,9 +82,9 @@ def _encoder_spec(args: argparse.Namespace) -> EncoderSpec:
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args.data, args.format, args.has_header, "train")
+    dataset = load_dataset(args.data, args.format, args.has_header)
     hvs = encode_features(_encoder_spec(args), dataset)
-    encoded = dio.Dataset(hvs, dataset.labels, dataset.num_classes, split=dataset.split)
+    encoded = dio.Dataset(hvs, dataset.labels, dataset.num_classes)
     dio.save_binary(encoded, args.out)
     print(f"encoded {dataset.n_samples} samples at d={args.dim} -> {args.out}")
     return 0
@@ -92,12 +92,12 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     model, _ = read_model(args.model)
-    dataset = load_dataset(args.data, args.format, args.has_header, "test")
+    dataset = load_dataset(args.data, args.format, args.has_header)
     if args.encoded:
         queries = dataset.features
     else:
         spec = _encoder_spec(args)
-        queries = eval_queries(spec, encoder_projection(spec, dataset), dataset)
+        queries = eval_queries(spec, projection_for(spec, dataset), dataset)
     if queries.shape[1] != model.hd_dim:
         raise DimensionError(
             f"model dimension {model.hd_dim} does not match encoded dimension {queries.shape[1]}"

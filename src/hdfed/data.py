@@ -38,7 +38,6 @@ class Dataset:
     features: np.ndarray  # (n, m) float64
     labels: np.ndarray  # (n,) int64
     num_classes: int
-    split: str = "train"
 
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -64,7 +63,7 @@ class Dataset:
         return self.features.shape[1]
 
 
-def load_delimited(path: str, has_header: bool = False, split: str = "train") -> Dataset:
+def load_delimited(path: str, has_header: bool = False) -> Dataset:
     """Parse comma-separated rows of m features plus a trailing integer label.
 
     The class count is inferred as max label + 1. Parse failures, including
@@ -111,7 +110,7 @@ def load_delimited(path: str, has_header: bool = False, split: str = "train") ->
         raise DataFormatError(f"{path}: empty dataset")
     features = np.array(rows, dtype=np.float64)
     label_arr = np.array(labels, dtype=np.int64)
-    return Dataset(features, label_arr, int(label_arr.max()) + 1, split=split)
+    return Dataset(features, label_arr, int(label_arr.max()) + 1)
 
 
 def save_binary(dataset: Dataset, path: str) -> None:
@@ -141,7 +140,7 @@ def save_binary(dataset: Dataset, path: str) -> None:
         f.write(dataset.labels.astype("<u2").tobytes())
 
 
-def load_binary(path: str, split: str = "train") -> Dataset:
+def load_binary(path: str) -> Dataset:
     """Read an HDDS file; rejects bad magic, version, truncated payloads, or
     non-finite features (naming the byte offset of the first)."""
     with open(path, "rb") as f:
@@ -167,12 +166,7 @@ def load_binary(path: str, split: str = "train") -> Dataset:
         offset = header_size + 4 * int(bad[0])
         raise DataFormatError(f"{path}: non-finite feature at byte offset {offset}")
     labels = np.frombuffer(blob, dtype="<u2", count=n, offset=header_size + n * m * 4)
-    return Dataset(
-        features.reshape(n, m).astype(np.float64),
-        labels.astype(np.int64),
-        int(k),
-        split=split,
-    )
+    return Dataset(features.reshape(n, m).astype(np.float64), labels.astype(np.int64), int(k))
 
 
 def _mixture_means(
@@ -198,9 +192,7 @@ def _mixture_means(
     return mean_separation * means / norms
 
 
-def _sample_mixture(
-    means: np.ndarray, n_per_class: int, rng: np.random.Generator, split: str
-) -> Dataset:
+def _sample_mixture(means: np.ndarray, n_per_class: int, rng: np.random.Generator) -> Dataset:
     num_classes, input_dim = means.shape
     features = np.empty((num_classes * n_per_class, input_dim))
     labels = np.empty(num_classes * n_per_class, dtype=np.int64)
@@ -211,7 +203,7 @@ def _sample_mixture(
         )
         labels[start : start + n_per_class] = k
     order = rng.permutation(num_classes * n_per_class)
-    return Dataset(features[order], labels[order], num_classes, split=split)
+    return Dataset(features[order], labels[order], num_classes)
 
 
 def synth_train_test(
@@ -226,8 +218,8 @@ def synth_train_test(
     """Train and test splits drawn from one mixture (shared class means)."""
     rng = derived_rng(seed, STREAM_SYNTH, num_classes, input_dim)
     means = _mixture_means(num_classes, input_dim, mean_separation, symmetric, rng)
-    train = _sample_mixture(means, train_per_class, rng, "train")
-    test = _sample_mixture(means, test_per_class, rng, "test")
+    train = _sample_mixture(means, train_per_class, rng)
+    test = _sample_mixture(means, test_per_class, rng)
     return train, test
 
 

@@ -230,7 +230,7 @@ class WeightedSum:
     """One round's weighted average, built one client model at a time.
 
     Holds the participants' weights, renormalized to sum to one, and the
-    running float64 sums of weight * vectors and weight * counts.
+    running float64 sum of weight * vectors.
     aggregate_weighted folds the next model in; average() ends the round
     once every weight has had its model.
     """
@@ -240,28 +240,26 @@ class WeightedSum:
             raise ValueError("cannot aggregate an empty cohort")
         self.weights = normalized_weights(weights)
         self.vectors = np.zeros((num_classes, hd_dim))
-        self.counts = np.zeros(num_classes)
         self.folded = 0
 
     def average(self) -> ClassPrototypes:
-        """The weighted average; counts are rounded, as they are bookkeeping only."""
+        """The weighted average."""
         if self.folded != self.weights.size:
             raise ValueError(
                 f"one weight per model required: {self.weights.size} weights, {self.folded} models"
             )
-        return ClassPrototypes(self.vectors, np.rint(self.counts).astype(np.int64))
+        return ClassPrototypes(self.vectors)
 
 
 def aggregate_weighted(total: WeightedSum, model: ClassPrototypes) -> None:
     """Fold the next model into a round's running sum, in place, at its
-    weight: vectors += w * model.vectors and counts += w * model.counts."""
+    weight: vectors += w * model.vectors."""
     if total.folded == total.weights.size:
         raise ValueError(f"one weight per model required: only {total.weights.size} weights")
     if model.vectors.shape != total.vectors.shape:
         raise ValueError("model shapes differ")
     w = total.weights[total.folded]
     total.vectors += w * model.vectors
-    total.counts += w * model.counts
     total.folded += 1
 
 
@@ -333,7 +331,7 @@ def _replayed(
     vectors = global_model.vectors.copy()
     for log in logs:
         replay_mistakes(vectors, train.features, train.projection, log, alpha)
-    return ClassPrototypes(vectors, global_model.counts.copy())
+    return ClassPrototypes(vectors)
 
 
 class _Uplink:
@@ -341,12 +339,12 @@ class _Uplink:
 
     encode turns a client's local model into what it sends and the one frame
     counted on the uplink. Over bsc and packet_loss, corrupt_frame hits that
-    frame and decode parses what arrives, with the sample counts from the
-    reliable side; over ideal and awgn, perturb acts on the raw values that
-    were sent instead. The server keeps one running total a round: start
-    opens it, fold adds each contribution as it arrives, and finish turns it
-    into the next global model; by default the total is the weighted
-    average. `shape` is the global model's (K, d), which decode checks.
+    frame and decode parses what arrives; over ideal and awgn, perturb acts
+    on the raw values that were sent instead. The server keeps one running
+    total a round: start opens it, fold adds each contribution as it
+    arrives, and finish turns it into the next global model; by default the
+    total is the weighted average. `shape` is the global model's (K, d),
+    which decode checks.
     """
 
     def __init__(self, strategy: strat.StrategyConfig, codec: CodecConfig, seed: int, shape):
@@ -366,9 +364,8 @@ class _FullModel(_Uplink):
     def encode(self, local, global_model, round_index, client_id):
         return local, write_model_bytes(local, self.codec)
 
-    def decode(self, blob, counts):
-        received, _ = read_model_bytes(blob, self.shape)
-        return ClassPrototypes(received.vectors, counts.copy())
+    def decode(self, blob):
+        return read_model_bytes(blob, self.shape)[0]
 
     def perturb(self, local, channel, rng):
         return apply_channel(local, channel, rng)
@@ -379,7 +376,7 @@ class _SignDiff(_Uplink):
         signs = strat.diff_binarize(local, global_model)
         return signs, strat.serialize_sign_matrix(signs)
 
-    def decode(self, blob, counts):
+    def decode(self, blob):
         return strat.deserialize_sign_matrix(blob, self.shape)
 
     def perturb(self, signs, channel, rng):
@@ -403,7 +400,7 @@ class _Subsample(_Uplink):
         payload = strat.SubsamplePayload(key, indices, values, local.vectors.shape)
         return payload, strat.serialize_subsample(payload, self.codec)
 
-    def decode(self, blob, counts):
+    def decode(self, blob):
         received = strat.deserialize_subsample(blob, self.codec, self.seed, self.shape)
         return received.indices, received.values
 
@@ -426,10 +423,8 @@ class _Sparse(_Uplink):
         sparse = strat.sparsify(local, self.strategy.sparsity)
         return sparse, strat.serialize_sparse(sparse, self.codec)
 
-    def decode(self, blob, counts):
-        received = strat.deserialize_sparse(blob, self.codec, self.shape)
-        received.counts = counts
-        return received
+    def decode(self, blob):
+        return strat.deserialize_sparse(blob, self.codec, self.shape)
 
     def perturb(self, sparse, channel, rng):
         # One corrupt_values call per class keeps awgn's per-class SNR.
@@ -522,7 +517,7 @@ def run_training(
             if channel.kind != "ideal":
                 chan_rng = derived_rng(cfg.seed, STREAM_CHANNEL, t, cid)
             if channel.kind in BIT_CHANNELS:
-                received = uplink.decode(corrupt_frame(frame, channel, chan_rng), local.counts)
+                received = uplink.decode(corrupt_frame(frame, channel, chan_rng))
             else:
                 frame = None  # only counted: freed before the raw path allocates (peak RSS)
                 received = uplink.perturb(sent, channel, chan_rng)

@@ -24,11 +24,11 @@ from .config import ConfigError, EncoderSpec, ExperimentConfig
 from .federated import Partition, RoundRecord, partition_iid, partition_noniid, run_training
 from .hdc import (
     ClassPrototypes,
-    EncoderConfig,
+    DimensionError,
     ProjectedQueries,
     ProjectionMatrix,
     encode_batch,
-    projection_for,
+    make_projection,
 )
 
 METRICS_HEADER = "round,accuracy,train_loss,uplink_bytes_cum,downlink_bytes_cum,participants,wall_ms"
@@ -40,11 +40,11 @@ class ExperimentResult:
     records: list[RoundRecord]
 
 
-def load_dataset(path: str, kind: str, has_header: bool, split: str) -> dio.Dataset:
+def load_dataset(path: str, kind: str, has_header: bool) -> dio.Dataset:
     """One dataset file: delimited text for kind csv, HDDS for kind hdds."""
     if kind == "csv":
-        return dio.load_delimited(path, has_header=has_header, split=split)
-    return dio.load_binary(path, split=split)
+        return dio.load_delimited(path, has_header=has_header)
+    return dio.load_binary(path)
 
 
 def load_datasets(config: ExperimentConfig) -> tuple[dio.Dataset, dio.Dataset]:
@@ -60,8 +60,8 @@ def load_datasets(config: ExperimentConfig) -> tuple[dio.Dataset, dio.Dataset]:
             symmetric=spec.synth.symmetric,
         )
     else:
-        train = load_dataset(spec.train, spec.kind, spec.has_header, "train")
-        test = load_dataset(spec.test, spec.kind, spec.has_header, "test") if spec.test else train
+        train = load_dataset(spec.train, spec.kind, spec.has_header)
+        test = load_dataset(spec.test, spec.kind, spec.has_header) if spec.test else train
         if train.num_classes != test.num_classes:
             k = max(train.num_classes, test.num_classes)
             train.num_classes = k
@@ -73,16 +73,19 @@ def load_datasets(config: ExperimentConfig) -> tuple[dio.Dataset, dio.Dataset]:
     return train, test
 
 
-def encoder_projection(spec: EncoderSpec, dataset: dio.Dataset) -> ProjectionMatrix:
-    """The one projection that ``spec`` seeds for the dataset's input dimension."""
-    return projection_for(
-        EncoderConfig(input_dim=dataset.input_dim, hd_dim=spec.dim, seed=spec.seed)
-    )
+def projection_for(spec: EncoderSpec, dataset: dio.Dataset) -> ProjectionMatrix:
+    """The one projection that ``spec`` seeds for the dataset's input
+    dimension, which ``spec.dim`` must not be below."""
+    if spec.dim < dataset.input_dim:
+        raise DimensionError(
+            f"encoder.dim ({spec.dim}) must be >= the feature count ({dataset.input_dim})"
+        )
+    return make_projection(dataset.input_dim, spec.dim, spec.seed)
 
 
 def encode_features(spec: EncoderSpec, dataset: dio.Dataset) -> np.ndarray:
     """The dataset's encoded (n, d) rows."""
-    return encode_batch(encoder_projection(spec, dataset), dataset.features, spec.quantize)
+    return encode_batch(projection_for(spec, dataset), dataset.features, spec.quantize)
 
 
 def eval_queries(
@@ -107,7 +110,7 @@ def encode_datasets(
             raise ConfigError("encoded train/test dimensions differ")
         return train.features, test.features
     spec = config.encoder
-    phi = encoder_projection(spec, train)
+    phi = projection_for(spec, train)
     return eval_queries(spec, phi, train), eval_queries(spec, phi, test)
 
 

@@ -26,31 +26,6 @@ class DimensionError(ValueError):
 
 
 @dataclass(frozen=True)
-class EncoderConfig:
-    """Random-projection encoder parameters.
-
-    ``input_dim`` is the raw feature length and ``hd_dim`` the
-    hyperdimensional length (must not be smaller).
-    """
-
-    input_dim: int
-    hd_dim: int = 10000
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.input_dim < 1:
-            raise DimensionError(f"input_dim must be >= 1, got {self.input_dim}")
-        if self.hd_dim < 1:
-            raise DimensionError(f"hd_dim must be >= 1, got {self.hd_dim}")
-        if self.hd_dim < self.input_dim:
-            raise DimensionError(
-                f"hd_dim ({self.hd_dim}) must be >= input_dim ({self.input_dim})"
-            )
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-
-
-@dataclass(frozen=True)
 class ProjectionMatrix:
     """d x m projection with unit-norm rows, reproducible from (m, d, seed)."""
 
@@ -74,28 +49,20 @@ class ProjectionMatrix:
 
 @dataclass
 class ClassPrototypes:
-    """Per-class bundled hypervectors plus bundle sample counts.
+    """Per-class bundled hypervectors.
 
     ``vectors`` is (K, d) float64; prototypes accumulate in float64 so that
-    summing millions of +/-1 elements stays exact. ``counts`` tracks how many
-    samples were bundled into each class and is bookkeeping only; inference
-    never reads it.
+    summing millions of +/-1 elements stays exact.
     """
 
     vectors: np.ndarray
-    counts: np.ndarray
 
     def __post_init__(self) -> None:
         self.vectors = np.asarray(self.vectors, dtype=np.float64)
-        self.counts = np.asarray(self.counts, dtype=np.int64)
         if self.vectors.ndim != 2:
             raise DimensionError("prototype vectors must be a (K, d) matrix")
         if self.num_classes < 2:
             raise DimensionError(f"need at least 2 classes, got {self.num_classes}")
-        if self.counts.shape != (self.num_classes,):
-            raise DimensionError("counts length must equal number of classes")
-        if np.any(self.counts < 0):
-            raise ValueError("counts must be non-negative")
 
     @property
     def num_classes(self) -> int:
@@ -106,11 +73,11 @@ class ClassPrototypes:
         return self.vectors.shape[1]
 
     def copy(self) -> "ClassPrototypes":
-        return ClassPrototypes(self.vectors.copy(), self.counts.copy())
+        return ClassPrototypes(self.vectors.copy())
 
     @classmethod
     def zeros(cls, num_classes: int, hd_dim: int) -> "ClassPrototypes":
-        return cls(np.zeros((num_classes, hd_dim)), np.zeros(num_classes, dtype=np.int64))
+        return cls(np.zeros((num_classes, hd_dim)))
 
 
 class SampleRows:
@@ -190,10 +157,6 @@ def make_projection(input_dim: int, hd_dim: int, seed: int) -> ProjectionMatrix:
     return ProjectionMatrix(rows)
 
 
-def projection_for(config: EncoderConfig) -> ProjectionMatrix:
-    return make_projection(config.input_dim, config.hd_dim, config.seed)
-
-
 def encode_batch(phi: ProjectionMatrix, xs: np.ndarray, quantize: bool = False) -> np.ndarray:
     """Encode rows of an (n, m) matrix; output rows follow input order."""
     xs = np.asarray(xs, dtype=np.float64)
@@ -225,6 +188,10 @@ def _feature_weights(
     vectors: np.ndarray, projection: ProjectionMatrix, projected: np.ndarray | None
 ) -> np.ndarray:
     """``projected`` when given, else ``project_prototypes(vectors, projection)``."""
+    if vectors.shape[1] != projection.hd_dim:
+        raise DimensionError(
+            f"prototypes of shape {vectors.shape} do not fit a d={projection.hd_dim} projection"
+        )
     if projected is None:
         return project_prototypes(vectors, projection)
     if projected.shape != (vectors.shape[0], projection.input_dim):
@@ -328,7 +295,7 @@ def retrain_epoch(
     """One correction pass over the samples, in ``order`` if given.
 
     Each mispredicted sample is added (scaled by alpha) to its true class
-    prototype and subtracted from the predicted one. Counts are untouched.
+    prototype and subtracted from the predicted one.
     ``hvs`` is an (n, d) matrix or a ``SampleRows`` of n rows; linear
     encodings retrain in feature space instead (``lockstep_epoch``).
     ``order`` is a permutation of ``range(len(hvs))`` naming the sample to
@@ -398,7 +365,7 @@ def retrain_epoch(
                 safe[c] = 1.0 if norm == 0.0 else norm
             any_zero = bool(zero.any())
             mistakes += 1
-    return ClassPrototypes(vectors, prototypes.counts.copy()), mistakes
+    return ClassPrototypes(vectors), mistakes
 
 
 def feature_state(

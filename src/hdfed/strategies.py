@@ -112,7 +112,6 @@ class SparseClassModel:
     values: np.ndarray  # float64, flat
     lengths: np.ndarray  # pairs per class
     shape: tuple[int, int]
-    counts: np.ndarray  # prototype sample counts, carried through
 
     def __post_init__(self) -> None:
         k, d = self.shape
@@ -163,7 +162,7 @@ def diff_apply(
     """
     if total.shape != global_model.vectors.shape:
         raise DimensionError("sign matrix shape differs from global model")
-    return ClassPrototypes(global_model.vectors + step * total, global_model.counts.copy())
+    return ClassPrototypes(global_model.vectors + step * total)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +217,7 @@ def subsample_aggregate(
     merged = prev_global.vectors.reshape(-1).copy()
     reported = hits > 0
     merged[reported] = sums[reported] / hits[reported]
-    return ClassPrototypes(merged.reshape(shape), prev_global.counts.copy())
+    return ClassPrototypes(merged.reshape(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +251,7 @@ def sparsify(model: ClassPrototypes, sparsity: float) -> SparseClassModel:
         flat, lengths = np.flatnonzero(keep), np.count_nonzero(keep, axis=1)
     values = model.vectors.reshape(-1)[flat]
     indices = flat - np.repeat(np.arange(k) * d, lengths)
-    return SparseClassModel(indices, values, lengths, (k, d), model.counts.copy())
+    return SparseClassModel(indices, values, lengths, (k, d))
 
 
 def csc_decompress(sparse: SparseClassModel) -> ClassPrototypes:
@@ -263,7 +262,7 @@ def csc_decompress(sparse: SparseClassModel) -> ClassPrototypes:
     k, d = sparse.shape
     vectors = np.zeros((k, d))
     vectors.reshape(-1)[np.repeat(np.arange(k) * d, sparse.lengths) + sparse.indices] = sparse.values
-    return ClassPrototypes(vectors, sparse.counts.copy())
+    return ClassPrototypes(vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -374,11 +373,11 @@ def serialize_sparse(sparse: SparseClassModel, codec: CodecConfig) -> Frame:
 def deserialize_sparse(blob: bytes, codec: CodecConfig, shape: tuple[int, int]) -> SparseClassModel:
     """Parse a sparse frame of a `shape` (K, d) model into indices and values.
 
-    Counts are zero. Raises SparseFormatError on a frame that declares
-    another shape, a truncated frame, a count above d or a non-positive or
-    non-finite gain, before allocating anything the blob cannot hold; an
-    index the gaps carry outside [0, d) fails the SparseClassModel layout
-    check. Values with a value_type are read as (gap, value) records.
+    Raises SparseFormatError on a frame that declares another shape, a
+    truncated frame, a count above d or a non-positive or non-finite gain,
+    before allocating anything the blob cannot hold; an index the gaps carry
+    outside [0, d) fails the SparseClassModel layout check. Values with a
+    value_type are read as (gap, value) records.
     """
     k, d, _ = parse_frame_header(blob, SparseFormatError, TAG_SPARSE, shape)
     if len(blob) < HEADER_BYTES + 4 * k:
@@ -415,7 +414,7 @@ def deserialize_sparse(blob: bytes, codec: CodecConfig, shape: tuple[int, int]) 
     values = words_to_values(pairs["value"], codec)
     if codec.representation == "quantized_int":
         values = scale_down(values, np.repeat(gains, counts))
-    return SparseClassModel(indices, values, counts, (k, d), np.zeros(k, dtype=np.int64))
+    return SparseClassModel(indices, values, counts, (k, d))
 
 
 _FRAME_TAGS = dict(binary_diff=TAG_BINARY_DIFF, subsample=TAG_SUBSAMPLE, sparsify=TAG_SPARSE)

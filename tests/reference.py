@@ -32,7 +32,7 @@ from hdfed.hdc import (
 def one_shot_train(hvs: np.ndarray, labels: np.ndarray, num_classes: int) -> ClassPrototypes:
     """Bundle encoded samples into per-class prototypes in a single pass.
 
-    Classes that receive no samples get a zero prototype and count 0.
+    Classes that receive no samples get a zero prototype.
     """
     hvs = np.asarray(hvs, dtype=np.float64)
     labels = np.asarray(labels)
@@ -43,10 +43,8 @@ def one_shot_train(hvs: np.ndarray, labels: np.ndarray, num_classes: int) -> Cla
     if np.any(labels < 0) or np.any(labels >= num_classes):
         raise ValueError(f"labels must lie in [0, {num_classes})")
     vectors = np.zeros((num_classes, hvs.shape[1]))
-    counts = np.zeros(num_classes, dtype=np.int64)
     np.add.at(vectors, labels, hvs)
-    np.add.at(counts, labels, 1)
-    return ClassPrototypes(vectors, counts)
+    return ClassPrototypes(vectors)
 
 
 def binary_retrain(
@@ -143,7 +141,7 @@ def mask_prototypes(
     mask = np.zeros(model.hd_dim, dtype=bool)
     keep = int(round(keep_fraction * model.hd_dim))
     mask[rng.choice(model.hd_dim, size=keep, replace=False)] = True
-    return ClassPrototypes(model.vectors * mask, model.counts.copy())
+    return ClassPrototypes(model.vectors * mask)
 
 
 def serialize_bits(values: np.ndarray, codec: CodecConfig) -> np.ndarray:
@@ -224,4 +222,4 @@ def projected_retrain_epoch(
     state = (a[np.newaxis] for a in feature_state(vectors, phi))
     [log] = lockstep_epoch(queries.features, phi, [order], [labels[order]], *state, alpha)
     replay_mistakes(vectors, queries.features, phi, log, alpha)
-    return ClassPrototypes(vectors, prototypes.counts.copy()), len(log)
+    return ClassPrototypes(vectors), len(log)

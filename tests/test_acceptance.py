@@ -120,7 +120,7 @@ def test_c02_binary_prototype_coupling():
         d = 2 * int(rng.integers(1, 32)) + 1
         n = int(rng.integers(1, 51))
         v = rng.choice([-1.0, 1.0], size=d)
-        protos = ClassPrototypes(np.stack([0.5 * v, -0.5 * v]), np.array([0, 0]))
+        protos = ClassPrototypes(np.stack([0.5 * v, -0.5 * v]))
         hvs = rng.choice([-1.0, 1.0], size=(n, d))
         labels = rng.integers(0, 2, size=n)
         ys = np.where(labels == 0, 1.0, -1.0)
@@ -359,7 +359,7 @@ def test_c10_bundling_snr_gain():
     trials = 1000
     rng = np.random.default_rng(55)
     vectors = rng.standard_normal((2, 250))
-    model = ClassPrototypes(vectors, np.zeros(2, dtype=np.int64))
+    model = ClassPrototypes(vectors)
     signal_power = float(np.sum(vectors**2))
     channel = ChannelConfig(kind="awgn", snr_db=10.0)
     per_copy_noise = 0.0
@@ -423,7 +423,7 @@ def test_c12_codec_and_compression_exactness():
         back = deserialize_bits(serialize_bits(values, codec), codec, (k, d))
         assert np.array_equal(back, values)
 
-        model = ClassPrototypes(rng.standard_normal((k, d)), np.zeros(k, dtype=np.int64))
+        model = ClassPrototypes(rng.standard_normal((k, d)))
         sparsity = float(rng.uniform(0.0, 0.9))
         sparse = sparsify(model, sparsity)
         dense = csc_decompress(sparse)
@@ -432,7 +432,7 @@ def test_c12_codec_and_compression_exactness():
 
     # Subsampling unbiasedness: reported positions carry exact values, so the
     # per-position mean over many independent subsamples matches the model.
-    model = ClassPrototypes(rng.standard_normal((2, 50)), np.zeros(2, dtype=np.int64))
+    model = ClassPrototypes(rng.standard_normal((2, 50)))
     truth = model.vectors.reshape(-1)
     sums = np.zeros(truth.size)
     hits = np.zeros(truth.size)

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from hdfed import cli
+from hdfed import cli, harness
 from hdfed import config as config_module
 from hdfed.channel import _REPRESENTATIONS, ChannelConfig, CodecConfig, read_model
 from hdfed.cli import main
@@ -284,6 +284,19 @@ class TestTrainCommand:
         assert "unknown representation 'int32'" in capsys.readouterr().err
         assert not metrics.exists() and not model.exists()
 
+    def test_encoder_dim_below_feature_count_exits_2_before_round_1(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The default synthetic data has 32 features, so d = 16 cannot hold them.
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(harness, "run_training", no_training)
+        monkeypatch.chdir(tmp_path)
+        assert main(["train", "--set", "encoder.dim=16"]) == 2
+        assert "encoder.dim (16) must be >= the feature count (32)" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("quantize", ["false", "true"], ids=["linear", "signs"])
     @pytest.mark.parametrize(
         "codec",
@@ -421,7 +434,7 @@ class TestEncodeEvalCommands:
         ]
         data = tmp_path / "noise.csv"
         data.write_text("\n".join(rows) + "\n")
-        model = ClassPrototypes(rng.standard_normal((2, 128)), np.zeros(2, dtype=np.int64))
+        model = ClassPrototypes(rng.standard_normal((2, 128)))
         path = str(tmp_path / "random.hdfm")
         write_model(model, path)
         rc = main(["eval", "--model", path, "--data", str(data), "--dim", "128", "--seed", "3"])
@@ -445,7 +458,7 @@ class TestEncodeEvalCommands:
         data = tmp_path / "noise.csv"
         data.write_text("\n".join(rows) + "\n")
         path = str(tmp_path / "random.hdfm")
-        write_model(ClassPrototypes(rng.standard_normal((3, 96)), np.zeros(3, dtype=int)), path)
+        write_model(ClassPrototypes(rng.standard_normal((3, 96))), path)
         seen = []
         predict = cli.predict_batch
 

@@ -254,7 +254,7 @@ class TestNormalizeFeatures:
     def test_test_split_uses_train_statistics(self):
         rng = np.random.default_rng(1)
         train = Dataset(rng.standard_normal((100, 3)) + 5.0, rng.integers(0, 2, 100), 2)
-        test = Dataset(rng.standard_normal((100, 3)) + 9.0, rng.integers(0, 2, 100), 2, split="test")
+        test = Dataset(rng.standard_normal((100, 3)) + 9.0, rng.integers(0, 2, 100), 2)
         mean, std = feature_stats(train)
         out = normalize_features(test, mean, std)
         # no leakage: test mean stays far from zero

@@ -96,7 +96,7 @@ def test_references_resolve_imports_and_module_attributes():
     assert ("channel", "read_model_bytes") in used  # imported inside a function
     assert ("data", "synth_train_test") in used  # dio.synth_train_test
     assert ("hdc", "encode_batch") in used  # imported name
-    assert ("harness", "encoder_projection") in used  # its own module
+    assert ("harness", "projection_for") in used  # its own module
     # Neither str.encode nor a method named encode is a library function.
     methods = references(ROOT / "bench" / "worker.py") | references(PACKAGE / "federated.py")
     assert ("hdc", "encode") not in methods

@@ -216,20 +216,20 @@ class TestLocalUpdate:
 
     def test_zero_epochs_returns_global(self):
         client = self.make_client()
-        g = ClassPrototypes(np.ones((2, 16)), np.array([1, 1]))
+        g = ClassPrototypes(np.ones((2, 16)))
         cfg = RoundConfig(num_clients=1, participation=1.0, local_epochs=0, rounds=1)
         out = local_update(client, g, cfg, round_index=0)
         assert np.array_equal(out.vectors, g.vectors)
 
     def test_empty_dataset_returns_global(self):
         client = ClientState(0, np.empty((0, 4)), np.empty(0, dtype=int))
-        g = ClassPrototypes(np.ones((2, 4)), np.array([1, 1]))
+        g = ClassPrototypes(np.ones((2, 4)))
         cfg = RoundConfig(num_clients=1, participation=1.0, rounds=1)
         out = local_update(client, g, cfg, round_index=0)
         assert np.array_equal(out.vectors, g.vectors)
 
     def test_perfectly_classified_data_unchanged(self):
-        g = ClassPrototypes(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1, 1]))
+        g = ClassPrototypes(np.array([[1.0, 0.0], [0.0, 1.0]]))
         client = ClientState(
             0, np.array([[2.0, 0.0], [0.0, 3.0]]), np.array([0, 1])
         )
@@ -239,7 +239,7 @@ class TestLocalUpdate:
 
     def test_delegates_to_retrain_epoch(self):
         # single full batch: identical to one direct retraining pass
-        g = ClassPrototypes(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1, 1]))
+        g = ClassPrototypes(np.array([[1.0, 0.0], [0.0, 1.0]]))
         client = ClientState(0, np.array([[1.0, 0.0]]), np.array([1]))
         cfg = RoundConfig(
             num_clients=1, participation=1.0, local_epochs=1, local_batch=None, rounds=1
@@ -253,7 +253,7 @@ class TestLocalUpdate:
         # local_update walks each epoch's order over the client's rows in
         # place; the result is the retrain of the gathered copy, bit for bit.
         client = self.make_client(seed=4, n=37, d=64, k=4)
-        g = ClassPrototypes(np.random.default_rng(1).standard_normal((4, 64)), np.ones(4, int))
+        g = ClassPrototypes(np.random.default_rng(1).standard_normal((4, 64)))
         cfg = RoundConfig(
             num_clients=1, participation=1.0, local_epochs=epochs, local_batch=10,
             learning_rate=0.7, rounds=3, seed=9,
@@ -271,7 +271,7 @@ class TestLocalUpdate:
 
     def test_client_state_holds_no_model_copy(self):
         client = self.make_client()
-        g = ClassPrototypes(np.zeros((2, 16)), np.array([0, 0]))
+        g = ClassPrototypes(np.zeros((2, 16)))
         cfg = RoundConfig(num_clients=1, participation=1.0, rounds=1)
         local_update(client, g, cfg, round_index=0)
         assert not hasattr(client, "model")
@@ -301,7 +301,7 @@ def cohort_cases(draw):
     )
     participants = np.sort(rng.choice(len(sizes), draw(st.integers(1, len(sizes))), replace=False))
     phi = make_projection(m, d, seed=int(rng.integers(100)))
-    model = ClassPrototypes(vectors, rng.integers(0, 5, k))
+    model = ClassPrototypes(vectors)
     return ProjectedQueries(features, phi), labels, part, participants, model, cfg
 
 
@@ -339,7 +339,6 @@ class TestLockstepRetrain:
             got = _replayed(model, train, epochs, cfg.learning_rate)
             assert len(epochs) == cfg.local_epochs
             assert np.array_equal(got.vectors.view(np.uint64), want.vectors.view(np.uint64))
-            assert np.array_equal(got.counts, model.counts)
         assert model.vectors.tobytes() == before
 
 
@@ -354,45 +353,42 @@ def fold_weighted(models, weights):
 class TestAggregation:
     def test_identical_models_fixed_point(self):
         rng = np.random.default_rng(0)
-        g = ClassPrototypes(rng.standard_normal((3, 8)), np.array([2, 3, 4]))
+        g = ClassPrototypes(rng.standard_normal((3, 8)))
         out = fold_weighted([g.copy(), g.copy(), g.copy()], np.array([0.2, 0.5, 0.3]))
         assert np.allclose(out.vectors, g.vectors)
-        assert np.array_equal(out.counts, g.counts)
 
     def test_weighted_mean(self):
-        a = ClassPrototypes(np.array([[2.0], [0.0]]), np.array([1, 1]))
-        b = ClassPrototypes(np.array([[0.0], [2.0]]), np.array([1, 1]))
+        a = ClassPrototypes(np.array([[2.0], [0.0]]))
+        b = ClassPrototypes(np.array([[0.0], [2.0]]))
         out = fold_weighted([a, b], np.array([0.5, 0.5]))
         assert np.array_equal(out.vectors, [[1.0], [1.0]])
 
     def test_single_participant_unchanged(self):
-        a = ClassPrototypes(np.array([[2.0, 1.0], [3.0, 4.0]]), np.array([5, 6]))
+        a = ClassPrototypes(np.array([[2.0, 1.0], [3.0, 4.0]]))
         out = fold_weighted([a], np.array([0.37]))
         assert np.array_equal(out.vectors, a.vectors)
 
     def test_weights_renormalized(self):
-        a = ClassPrototypes(np.array([[4.0], [0.0]]), np.array([1, 0]))
-        b = ClassPrototypes(np.array([[0.0], [4.0]]), np.array([0, 1]))
+        a = ClassPrototypes(np.array([[4.0], [0.0]]))
+        b = ClassPrototypes(np.array([[0.0], [4.0]]))
         # raw weights sum to 0.5: renormalized to 0.5 / 0.5 each
         out = fold_weighted([a, b], np.array([0.25, 0.25]))
         assert np.array_equal(out.vectors, [[2.0], [2.0]])
 
     def test_fold_matches_the_list_average_bitwise(self):
         # The list form the fold replaced: zeros, then w * model added in
-        # cohort order, counts rounded at the end.
+        # cohort order.
         rng = np.random.default_rng(3)
         models = [
-            ClassPrototypes(rng.standard_normal((4, 33)), rng.integers(0, 50, 4))
+            ClassPrototypes(rng.standard_normal((4, 33)))
             for _ in range(7)
         ]
         weights = rng.uniform(0.01, 1.0, 7)
-        vectors, counts = np.zeros((4, 33)), np.zeros(4)
+        vectors = np.zeros((4, 33))
         for model, w in zip(models, normalized_weights(weights)):
             vectors += w * model.vectors
-            counts += w * model.counts
         out = fold_weighted(models, weights)
         assert np.array_equal(out.vectors.view(np.uint64), vectors.view(np.uint64))
-        assert np.array_equal(out.counts, np.rint(counts).astype(np.int64))
 
     def test_normalized_weights_sum_to_one(self):
         w = normalized_weights(np.array([0.1, 0.4, 0.2]))

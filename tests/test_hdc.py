@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hdfed.config import EncoderSpec
+from hdfed.data import Dataset
+from hdfed.harness import projection_for
 from hdfed.hdc import (
     ClassPrototypes,
     DimensionError,
-    EncoderConfig,
     ProjectedQueries,
     ProjectionMatrix,
     SampleRows,
@@ -41,7 +43,7 @@ def encode_one(phi: ProjectionMatrix, x: np.ndarray, quantize: bool = False) -> 
 
 def score(c: np.ndarray, h: np.ndarray) -> float:
     """Prototype c's score for query h, as the eval computes it."""
-    protos = ClassPrototypes(np.stack([c, np.zeros_like(c)]), np.zeros(2, dtype=np.int64))
+    protos = ClassPrototypes(np.stack([c, np.zeros_like(c)]))
     return float(_class_scores(protos, np.asarray(h, dtype=np.float64)[np.newaxis])[0, 0])
 
 
@@ -53,21 +55,32 @@ def identity_projection(m: int) -> ProjectionMatrix:
     return ProjectionMatrix(np.eye(m))
 
 
-class TestEncoderConfig:
-    def test_rejects_zero_dims(self):
-        with pytest.raises(DimensionError):
-            EncoderConfig(input_dim=0, hd_dim=10)
-        with pytest.raises(DimensionError):
-            EncoderConfig(input_dim=4, hd_dim=0)
+class TestProjectionFor:
+    """The encoder spec meets the dataset here; the spec comes from outside
+    the program, so its dimension is checked against the feature count."""
 
-    def test_rejects_hd_dim_below_input_dim(self):
-        with pytest.raises(DimensionError):
-            EncoderConfig(input_dim=10, hd_dim=5)
+    @staticmethod
+    def dataset(m):
+        return Dataset(np.ones((2, m)), [0, 1], 2)
 
-    def test_defaults(self):
-        cfg = EncoderConfig(input_dim=8)
-        assert cfg.hd_dim == 10000
-        assert cfg.seed == 0
+    def test_rejects_dim_below_feature_count(self):
+        with pytest.raises(DimensionError):
+            projection_for(EncoderSpec(dim=5), self.dataset(10))
+
+    def test_rejects_zero_dim(self):
+        with pytest.raises(DimensionError):
+            projection_for(EncoderSpec(dim=0), self.dataset(4))
+
+    def test_dim_equal_to_feature_count_accepted(self):
+        phi = projection_for(EncoderSpec(dim=6), self.dataset(6))
+        assert (phi.hd_dim, phi.input_dim) == (6, 6)
+
+    def test_spec_seed_and_dim_draw_the_projection(self):
+        # The feature count comes from the dataset, d and the seed from the spec.
+        phi = projection_for(EncoderSpec(dim=12, seed=3), self.dataset(4))
+        assert np.array_equal(phi.rows, make_projection(4, 12, seed=3).rows)
+        other = projection_for(EncoderSpec(dim=12, seed=4), self.dataset(4))
+        assert not np.array_equal(phi.rows, other.rows)
 
 
 class TestMakeProjection:
@@ -152,9 +165,7 @@ class TestOneShotTrain:
     def test_sums_per_class(self):
         hvs = np.array([[1.0, 1.0], [1.0, -1.0]])
         protos = one_shot_train(hvs, np.array([0, 0]), num_classes=2)
-        assert np.array_equal(protos.vectors[0], [2.0, 0.0])
-        assert protos.counts[0] == 2
-        assert protos.counts[1] == 0
+        assert np.array_equal(protos.vectors, [[2.0, 0.0], [0.0, 0.0]])
 
     def test_single_sample_per_class(self):
         hvs = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -165,18 +176,18 @@ class TestOneShotTrain:
         hvs = np.array([[1.0, 1.0], [2.0, 2.0]])
         protos = one_shot_train(hvs, np.array([0, 1]), num_classes=3)
         assert np.array_equal(protos.vectors[2], [0.0, 0.0])
-        assert protos.counts[2] == 0
 
     def test_empty_sample_list_rejected(self):
         with pytest.raises(ValueError):
             one_shot_train(np.empty((0, 4)), np.empty(0, dtype=int), num_classes=2)
 
-    def test_counts_sum_to_samples(self):
+    def test_class_sums_add_up_to_the_sample_total(self):
+        # Every sample is bundled into exactly one class.
         rng = np.random.default_rng(5)
-        hvs = rng.standard_normal((20, 8))
+        hvs = rng.choice([-1.0, 1.0], size=(20, 8))
         labels = rng.integers(0, 3, size=20)
         protos = one_shot_train(hvs, labels, num_classes=3)
-        assert protos.counts.sum() == 20
+        assert np.array_equal(protos.vectors.sum(axis=0), hvs.sum(axis=0))
 
 
 class TestSimilarity:
@@ -208,21 +219,21 @@ class TestSimilarity:
 
 class TestPredict:
     def test_most_similar_wins(self):
-        protos = ClassPrototypes(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1, 1]))
+        protos = ClassPrototypes(np.array([[1.0, 0.0], [0.0, 1.0]]))
         assert predict_one(protos, np.array([1.0, 0.0])) == 0
         assert predict_one(protos, np.array([0.0, 1.0])) == 1
 
     def test_all_identical_prototypes_tie_break(self):
-        protos = ClassPrototypes(np.ones((3, 4)), np.array([1, 1, 1]))
+        protos = ClassPrototypes(np.ones((3, 4)))
         assert predict_one(protos, np.ones(4)) == 0
 
     def test_normalization_removes_magnitude(self):
-        protos = ClassPrototypes(np.array([[1.0, 0.0], [2.0, 0.0]]), np.array([1, 1]))
+        protos = ClassPrototypes(np.array([[1.0, 0.0], [2.0, 0.0]]))
         # Both similarities are exactly 1.0, the tie resolves downward.
         assert predict_one(protos, np.array([1.0, 0.0])) == 0
 
     def test_zero_prototype_never_wins(self):
-        protos = ClassPrototypes(np.array([[0.0, 0.0], [-1.0, 0.0]]), np.array([0, 1]))
+        protos = ClassPrototypes(np.array([[0.0, 0.0], [-1.0, 0.0]]))
         assert predict_one(protos, np.array([-1.0, 0.0])) == 1
 
     @given(
@@ -234,47 +245,49 @@ class TestPredict:
     def test_scaling_one_prototype_preserves_decisions(self, seed, scale, which):
         rng = np.random.default_rng(seed)
         vectors = rng.standard_normal((3, 12))
-        protos = ClassPrototypes(vectors, np.ones(3, dtype=int))
+        protos = ClassPrototypes(vectors)
         queries = rng.standard_normal((8, 12))
         before = predict_batch(protos, queries)
         scaled = vectors.copy()
         scaled[which] *= scale
-        after = predict_batch(ClassPrototypes(scaled, np.ones(3, dtype=int)), queries)
+        after = predict_batch(ClassPrototypes(scaled), queries)
         assert np.array_equal(before, after)
 
 
 class TestRetrainEpoch:
     def test_hand_traced_update(self):
-        protos = ClassPrototypes(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1, 1]))
+        protos = ClassPrototypes(np.array([[1.0, 0.0], [0.0, 1.0]]))
         updated, mistakes = retrain_epoch(protos, np.array([[1.0, 0.0]]), np.array([1]), alpha=1.0)
         assert mistakes == 1
         assert np.array_equal(updated.vectors[0], [0.0, 0.0])
         assert np.array_equal(updated.vectors[1], [1.0, 1.0])
 
     def test_correct_sample_leaves_model_unchanged(self):
-        protos = ClassPrototypes(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1, 1]))
+        protos = ClassPrototypes(np.array([[1.0, 0.0], [0.0, 1.0]]))
         updated, mistakes = retrain_epoch(protos, np.array([[1.0, 0.0]]), np.array([0]), alpha=1.0)
         assert mistakes == 0
         assert np.array_equal(updated.vectors, protos.vectors)
 
     def test_alpha_scales_updates_linearly(self):
-        protos = ClassPrototypes(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1, 1]))
+        protos = ClassPrototypes(np.array([[1.0, 0.0], [0.0, 1.0]]))
         updated, _ = retrain_epoch(protos, np.array([[1.0, 0.0]]), np.array([1]), alpha=0.5)
         assert np.array_equal(updated.vectors[0], [0.5, 0.0])
         assert np.array_equal(updated.vectors[1], [0.5, 1.0])
 
-    def test_counts_unchanged(self):
-        protos = ClassPrototypes(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([3, 4]))
-        updated, _ = retrain_epoch(protos, np.array([[1.0, 0.0]]), np.array([1]), alpha=1.0)
-        assert np.array_equal(updated.counts, [3, 4])
-
     def test_rejects_nonpositive_alpha(self):
-        protos = ClassPrototypes(np.zeros((2, 2)), np.array([0, 0]))
+        protos = ClassPrototypes(np.zeros((2, 2)))
         with pytest.raises(ValueError):
             retrain_epoch(protos, np.ones((1, 2)), np.array([0]), alpha=0.0)
 
+    def test_returned_model_shares_no_memory_with_input(self):
+        # Also with no mistake, the caller may update either model freely.
+        protos = ClassPrototypes(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        updated, mistakes = retrain_epoch(protos, np.array([[1.0, 0.0]]), np.array([0]), alpha=1.0)
+        assert mistakes == 0
+        assert not np.shares_memory(updated.vectors, protos.vectors)
+
     def test_input_prototypes_not_mutated(self):
-        protos = ClassPrototypes(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1, 1]))
+        protos = ClassPrototypes(np.array([[1.0, 0.0], [0.0, 1.0]]))
         before = protos.vectors.copy()
         retrain_epoch(protos, np.array([[1.0, 0.0]]), np.array([1]), alpha=1.0)
         assert np.array_equal(protos.vectors, before)
@@ -298,7 +311,7 @@ def reference_retrain_epoch(prototypes, hvs, labels, alpha):
             norms[label] = np.linalg.norm(vectors[label])
             norms[pred] = np.linalg.norm(vectors[pred])
             mistakes += 1
-    return ClassPrototypes(vectors, prototypes.counts.copy()), mistakes
+    return ClassPrototypes(vectors), mistakes
 
 
 @st.composite
@@ -321,7 +334,7 @@ def retrain_cases(draw):
         vectors[draw(st.integers(0, k - 1))] = 0.0
     alpha = draw(st.sampled_from([1.0, 0.5, 0.3, 2.5, 1e-3]))
     labels = rng.integers(0, k, size=n)
-    model = ClassPrototypes(vectors, rng.integers(0, 5, size=k))
+    model = ClassPrototypes(vectors)
     return model, hvs, labels, alpha, rng.permutation(n)
 
 
@@ -334,13 +347,12 @@ class TestRetrainEquivalence:
         (model, mistakes), (ref_model, ref_mistakes) = got, want
         assert mistakes == ref_mistakes
         assert np.array_equal(model.vectors.view(np.uint64), ref_model.vectors.view(np.uint64))
-        assert np.array_equal(model.counts, ref_model.counts)
 
     @settings(max_examples=300, deadline=None)
     @given(retrain_cases())
     def test_matches_reference_bitwise(self, case):
         model, hvs, labels, alpha, order = case
-        inputs = [model.vectors, model.counts, hvs, labels, order]
+        inputs = [model.vectors, hvs, labels, order]
         before = [a.copy() for a in inputs]
         stored = reference_retrain_epoch(model, hvs, labels, alpha)
         self.assert_same(retrain_epoch(model, hvs, labels, alpha), stored)
@@ -371,7 +383,7 @@ class TestRetrainEquivalence:
     def test_class_zeroed_by_a_mistake_scores_zero_against_a_non_finite_sample(self):
         # The first sample empties class 0; against the second, its 0 * inf
         # would score NaN, which argmax picks, if class 0 were not masked.
-        protos = ClassPrototypes(np.eye(2), np.array([1, 1]))
+        protos = ClassPrototypes(np.eye(2))
         hvs, labels = np.array([[1.0, 0.0], [np.inf, 0.0]]), np.array([1, 1])
         with np.errstate(invalid="ignore"):
             got = retrain_epoch(protos, hvs, labels, 1.0)
@@ -383,12 +395,12 @@ class TestRetrainEquivalence:
         "order", [[0, 1], [0, 1, 1], [0, 2, 1, 3], [-1, 0, 1], [[0, 1, 2]]], ids=str
     )
     def test_order_must_be_a_permutation(self, order):
-        protos = ClassPrototypes(np.eye(2), np.array([1, 1]))
+        protos = ClassPrototypes(np.eye(2))
         with pytest.raises(ValueError, match="permutation"):
             retrain_epoch(protos, np.ones((3, 2)), np.array([0, 1, 0]), 1.0, np.array(order))
 
     def test_labels_must_align_with_samples(self):
-        protos = ClassPrototypes(np.eye(2), np.array([1, 1]))
+        protos = ClassPrototypes(np.eye(2))
         with pytest.raises(DimensionError):
             retrain_epoch(protos, np.ones((3, 2)), np.array([0, 1]), 1.0)
 
@@ -396,7 +408,7 @@ class TestRetrainEquivalence:
     def test_labels_must_name_a_class(self, bad):
         # -1 would index the last class from the end and count a mistake
         # that changes nothing.
-        protos = ClassPrototypes(np.eye(3), np.array([1, 1, 1]))
+        protos = ClassPrototypes(np.eye(3))
         with pytest.raises(ValueError, match=r"\[0, 3\)"):
             retrain_epoch(protos, np.eye(3)[:2], np.array([0, bad]), 1.0)
 
@@ -422,7 +434,7 @@ def shared_row_cases(draw):
     vectors = rng.standard_normal((k, d))
     if draw(st.booleans()):
         vectors[:] = 0.0
-    model = ClassPrototypes(vectors, np.ones(k, dtype=np.int64))
+    model = ClassPrototypes(vectors)
     labels = rng.integers(0, k, size=n)
     order = rng.permutation(n) if draw(st.booleans()) else None
     alpha = draw(st.sampled_from([1.0, 0.3, 2.5]))
@@ -461,7 +473,7 @@ class TestSampleRows:
         ids=["length", "float32", "strided", "fortran", "1-D"],
     )
     def test_malformed_rows_rejected(self, matrix):
-        protos = ClassPrototypes(np.eye(2), np.array([1, 1]))
+        protos = ClassPrototypes(np.eye(2))
         with pytest.raises(DimensionError):
             retrain_epoch(protos, SampleRows(matrix, np.array([0, 2])), np.array([0, 1]), 1.0)
 
@@ -524,7 +536,7 @@ def scoring_cases(draw):
     else:
         hs = np.asfortranarray(hs[:n, :d])
     labels = rng.integers(0, k, size=n)
-    return ClassPrototypes(vectors, np.ones(k, dtype=np.int64)), hs, labels
+    return ClassPrototypes(vectors), hs, labels
 
 
 class TestClassMajorScoring:
@@ -563,7 +575,7 @@ class TestClassMajorScoring:
     def gaussian_case(k, n, d):
         rng = np.random.default_rng(k * n + d)
         vectors = rng.standard_normal((k, d)) * 30.0
-        model = ClassPrototypes(vectors, np.ones(k, dtype=np.int64))
+        model = ClassPrototypes(vectors)
         return model, rng.standard_normal((n, d)), rng.integers(0, k, size=n)
 
     # The bench's train and test shapes, and a K <= 11 shape off the
@@ -592,7 +604,7 @@ class TestClassMajorScoring:
         assert loss == pytest.approx(ref, rel=1e-12)
 
     def test_loss_hand_computed(self):
-        protos = ClassPrototypes(np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]]), np.ones(3))
+        protos = ClassPrototypes(np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]]))
         hs = np.array([[3.0, 1.0], [1.0, 3.0], [1.0, 1.0]])
         # scores per sample (zero class scores 0): [3, 1, 0], [1, 3, 0], [1, 1, 0]
         loss = multiclass_margin_loss(protos, hs, np.array([0, 0, 2]))
@@ -627,7 +639,7 @@ def projected_cases(draw):
         pair = st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True)
         first, second = sorted(draw(pair))
         vectors[second] = vectors[first]
-    model = ClassPrototypes(vectors, np.ones(k, dtype=np.int64))
+    model = ClassPrototypes(vectors)
     return model, phi, xs, rng.integers(0, k, size=n)
 
 
@@ -699,7 +711,7 @@ class TestProjectedScoring:
             ProjectedQueries(np.ones((5, 4)), phi)
         with pytest.raises(DimensionError):
             ProjectedQueries(np.ones(3), phi)
-        model = ClassPrototypes(np.ones((2, 60)), np.ones(2, dtype=np.int64))
+        model = ClassPrototypes(np.ones((2, 60)))
         with pytest.raises(DimensionError):
             predict_batch(model, ProjectedQueries(np.ones((5, 3)), phi))
         with pytest.raises(DimensionError):
@@ -749,7 +761,7 @@ def projected_retrain_cases(draw, exact):
     n = draw(st.sampled_from([1, split, int(rng.integers(1, split + 1))]))
     index = rng.choice(split, size=n, replace=False)
     orders = [rng.permutation(n) for _ in range(draw(st.integers(1, 3)))]
-    model = ClassPrototypes(vectors, np.ones(k, dtype=np.int64))
+    model = ClassPrototypes(vectors)
     return model, phi, xs, labels, index, alpha, orders
 
 
@@ -771,7 +783,6 @@ class TestProjectedRetrain:
             want, ref_mistakes = retrain_epoch(want, rows, labels[index], alpha, order)
             assert mistakes == ref_mistakes
             assert np.array_equal(got.vectors.view(np.uint64), want.vectors.view(np.uint64))
-            assert np.array_equal(got.counts, want.counts)
         assert [model.vectors.tobytes(), xs.tobytes()] == before
 
     @settings(max_examples=300, deadline=None)
@@ -834,7 +845,7 @@ class TestProjectedRetrain:
     def test_shared_weights_score_like_their_own(self):
         phi = make_projection(6, 64, seed=2)
         rng = np.random.default_rng(4)
-        model = ClassPrototypes(rng.standard_normal((4, 64)), np.ones(4, dtype=np.int64))
+        model = ClassPrototypes(rng.standard_normal((4, 64)))
         queries = ProjectedQueries(rng.standard_normal((30, 6)), phi)
         labels = rng.integers(0, 4, 30)
         projected = project_prototypes(model.vectors, phi)
@@ -888,9 +899,9 @@ class TestProjectedRetrain:
     def test_dimension_mismatch_rejected(self):
         # A d = 60 model has no feature-space weights under a d = 50 projection.
         phi = make_projection(3, 50, seed=4)
-        model = ClassPrototypes(np.ones((2, 60)), np.ones(2, dtype=np.int64))
+        model = ClassPrototypes(np.ones((2, 60)))
         queries = ProjectedQueries(np.ones((5, 3)), phi)
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionError):
             projected_retrain_epoch(model, queries, np.zeros(5, int), 1.0)
 
 
@@ -1061,7 +1072,7 @@ class TestBinaryPrototypeCoupling:
             d = 2 * int(rng.integers(2, 20)) + 1
             n = int(rng.integers(1, 30))
             v = rng.choice([-1.0, 1.0], size=d)
-            protos = ClassPrototypes(np.stack([0.5 * v, -0.5 * v]), np.array([0, 0]))
+            protos = ClassPrototypes(np.stack([0.5 * v, -0.5 * v]))
             hvs = rng.choice([-1.0, 1.0], size=(n, d))
             labels = rng.integers(0, 2, size=n)
             ys = np.where(labels == 0, 1.0, -1.0)

@@ -37,13 +37,6 @@ from hdfed.strategies import (
 from reference import by_class
 
 
-def model_of(values, counts=None):
-    values = np.asarray(values, dtype=np.float64)
-    if counts is None:
-        counts = np.zeros(values.shape[0], dtype=np.int64)
-    return ClassPrototypes(values, counts)
-
-
 class TestStrategyConfig:
     def test_rejects_unknown_kind(self):
         with pytest.raises(StrategyConfigError):
@@ -64,12 +57,12 @@ class TestStrategyConfig:
 
 class TestDiffBinarize:
     def test_equal_models_give_all_plus_one(self):
-        m = model_of(np.random.default_rng(0).standard_normal((2, 5)))
+        m = ClassPrototypes(np.random.default_rng(0).standard_normal((2, 5)))
         assert np.array_equal(diff_binarize(m, m), np.ones((2, 5)))
 
     def test_signs_with_zero_convention(self):
-        new = model_of([[0.5, -2.0, 0.0], [0.0, 0.0, 0.0]])
-        old = model_of(np.zeros((2, 3)))
+        new = ClassPrototypes([[0.5, -2.0, 0.0], [0.0, 0.0, 0.0]])
+        old = ClassPrototypes(np.zeros((2, 3)))
         signs = diff_binarize(new, old)
         assert np.array_equal(signs[0], [1.0, -1.0, 1.0])
         assert np.array_equal(signs[1], [1.0, 1.0, 1.0])
@@ -97,27 +90,27 @@ def diff_sum(signs, shape):
 
 class TestDiffApply:
     def test_single_client_all_plus_one(self):
-        g = model_of(np.zeros((2, 4)))
+        g = ClassPrototypes(np.zeros((2, 4)))
         out = diff_apply(g, diff_sum([np.ones((2, 4))], (2, 4)))
         assert np.array_equal(out.vectors, np.ones((2, 4)))
 
     def test_opposite_signs_cancel(self):
-        g = model_of(np.full((2, 3), 5.0))
+        g = ClassPrototypes(np.full((2, 3), 5.0))
         out = diff_apply(g, diff_sum([np.ones((2, 3)), -np.ones((2, 3))], (2, 3)))
         assert np.array_equal(out.vectors, g.vectors)
 
     def test_agreeing_clients_move_by_count(self):
-        g = model_of(np.zeros((2, 2)))
+        g = ClassPrototypes(np.zeros((2, 2)))
         out = diff_apply(g, diff_sum([np.ones((2, 2))] * 7, (2, 2)))
         assert np.array_equal(out.vectors, np.full((2, 2), 7.0))
 
     def test_empty_sum_returns_global(self):
-        g = model_of(np.arange(6.0).reshape(2, 3))
+        g = ClassPrototypes(np.arange(6.0).reshape(2, 3))
         out = diff_apply(g, diff_sum([], (2, 3)))
         assert np.array_equal(out.vectors, g.vectors)
 
     def test_step_multiplier(self):
-        g = model_of(np.zeros((2, 2)))
+        g = ClassPrototypes(np.zeros((2, 2)))
         out = diff_apply(g, diff_sum([np.ones((2, 2))], (2, 2)), step=0.25)
         assert np.array_equal(out.vectors, np.full((2, 2), 0.25))
 
@@ -126,7 +119,7 @@ class TestDiffApply:
         with pytest.raises(DimensionError):
             diff_fold(total, np.ones((2, 4)))
         with pytest.raises(DimensionError):
-            diff_apply(model_of(np.zeros((2, 4))), total)
+            diff_apply(ClassPrototypes(np.zeros((2, 4))), total)
 
     @given(
         seed=st.integers(min_value=0, max_value=2**16),
@@ -135,7 +128,7 @@ class TestDiffApply:
     @settings(max_examples=40, deadline=None)
     def test_parameter_moves_bounded_by_client_count(self, seed, n_clients):
         rng = np.random.default_rng(seed)
-        g = model_of(rng.standard_normal((2, 6)))
+        g = ClassPrototypes(rng.standard_normal((2, 6)))
         signs = [rng.choice([-1.0, 1.0], size=(2, 6)) for _ in range(n_clients)]
         out = diff_apply(g, diff_sum(signs, (2, 6)))
         delta = out.vectors - g.vectors
@@ -154,18 +147,18 @@ def tally(samples, size):
 
 class TestSubsample:
     def test_rate_one_keeps_everything(self):
-        m = model_of(np.arange(12.0).reshape(3, 4))
+        m = ClassPrototypes(np.arange(12.0).reshape(3, 4))
         indices, values = subsample(m, 1.0, np.random.default_rng(0))
         assert np.array_equal(indices, np.arange(12))
         assert np.array_equal(values, np.arange(12.0))
 
     def test_rate_zero_rejected(self):
-        m = model_of(np.ones((2, 4)))
+        m = ClassPrototypes(np.ones((2, 4)))
         with pytest.raises(StrategyConfigError):
             subsample(m, 0.0, np.random.default_rng(0))
 
     def test_count_rule(self):
-        m = model_of(np.ones((2, 100)))
+        m = ClassPrototypes(np.ones((2, 100)))
         indices, _ = subsample(m, 0.1, np.random.default_rng(0))
         assert indices.size == 20
 
@@ -173,7 +166,7 @@ class TestSubsample:
         # Per position, the mean of the values reported across many
         # independent subsamples equals the true value (values ship verbatim).
         rng = np.random.default_rng(1)
-        m = model_of(rng.standard_normal((2, 50)))
+        m = ClassPrototypes(rng.standard_normal((2, 50)))
         truth = m.vectors.reshape(-1)
         sums = np.zeros(100)
         hits = np.zeros(100)
@@ -186,19 +179,19 @@ class TestSubsample:
         assert rel.max() <= 0.01
 
     def test_aggregate_all_report(self):
-        prev = model_of(np.zeros((2, 3)))
+        prev = ClassPrototypes(np.zeros((2, 3)))
         a = (np.arange(6), np.arange(6.0))
         b = (np.arange(6), np.arange(6.0) * 3)
         out = subsample_aggregate(*tally([a, b], 6), prev)
         assert np.array_equal(out.vectors.reshape(-1), np.arange(6.0) * 2)
 
     def test_aggregate_single_reporter(self):
-        prev = model_of(np.zeros((2, 3)))
+        prev = ClassPrototypes(np.zeros((2, 3)))
         out = subsample_aggregate(*tally([(np.array([4]), np.array([9.0]))], 6), prev)
         assert out.vectors.reshape(-1)[4] == 9.0
 
     def test_aggregate_unreported_keeps_previous(self):
-        prev = model_of(np.full((2, 3), 7.0))
+        prev = ClassPrototypes(np.full((2, 3), 7.0))
         out = subsample_aggregate(*tally([(np.array([0]), np.array([1.0]))], 6), prev)
         flat = out.vectors.reshape(-1)
         assert flat[0] == 1.0
@@ -217,12 +210,12 @@ class TestSubsample:
 
 class TestSparsify:
     def test_zero_sparsity_is_identity(self):
-        m = model_of([[3.0, -1.0, 0.5, -4.0], [1.0, 2.0, 3.0, 4.0]])
+        m = ClassPrototypes([[3.0, -1.0, 0.5, -4.0], [1.0, 2.0, 3.0, 4.0]])
         back = csc_decompress(sparsify(m, 0.0))
         assert np.array_equal(back.vectors, m.vectors)
 
     def test_hand_ranked_example(self):
-        m = model_of([[3.0, -1.0, 0.5, -4.0], [1.0, 1.0, 1.0, 1.0]])
+        m = ClassPrototypes([[3.0, -1.0, 0.5, -4.0], [1.0, 1.0, 1.0, 1.0]])
         back = csc_decompress(sparsify(m, 0.5))
         assert np.array_equal(back.vectors[0], [3.0, 0.0, 0.0, -4.0])
         # ties zero the lowest index first
@@ -230,21 +223,21 @@ class TestSparsify:
 
     def test_stored_count_rule(self):
         rng = np.random.default_rng(0)
-        m = model_of(rng.standard_normal((3, 10000)))
+        m = ClassPrototypes(rng.standard_normal((3, 10000)))
         sparse = sparsify(m, 0.9)
         for idx in by_class(sparse)[0]:
             assert idx.size == 1000
 
     def test_round_trip_bit_exact(self):
         rng = np.random.default_rng(1)
-        m = model_of(rng.standard_normal((4, 64)))
+        m = ClassPrototypes(rng.standard_normal((4, 64)))
         sparse = sparsify(m, 0.75)
         dense = csc_decompress(sparse)
         again = csc_decompress(sparsify(dense, 0.0))
         assert np.array_equal(again.vectors, dense.vectors)
 
     def test_all_zero_class_stores_nothing(self):
-        m = model_of([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
+        m = ClassPrototypes([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
         sparse = sparsify(m, 0.0)
         assert by_class(sparse)[0][0].size == 0
         assert np.array_equal(csc_decompress(sparse).vectors[0], np.zeros(3))
@@ -252,7 +245,7 @@ class TestSparsify:
     def test_dense_model_compression_overhead(self):
         # With no zeros to exploit, gap-encoded storage beats nothing.
         rng = np.random.default_rng(2)
-        m = model_of(rng.standard_normal((2, 100)) + 10.0)
+        m = ClassPrototypes(rng.standard_normal((2, 100)) + 10.0)
         sparse = sparsify(m, 0.0)
         codec = CodecConfig("float32")
         dense_bytes = 14 + 2 * 100 * 4
@@ -261,15 +254,15 @@ class TestSparsify:
 
     def test_corrupt_index_ordering_rejected(self):
         layout = dict(values=np.array([1.0, 2.0, 5.0]), lengths=np.array([2, 1]), shape=(2, 4))
-        SparseClassModel(np.array([1, 3, 0]), counts=np.zeros(2), **layout)  # across classes
+        SparseClassModel(np.array([1, 3, 0]), **layout)  # across classes
         with pytest.raises(SparseFormatError, match="^class 0: "):
-            SparseClassModel(np.array([3, 1, 0]), counts=np.zeros(2), **layout)
+            SparseClassModel(np.array([3, 1, 0]), **layout)
 
     @given(seed=st.integers(min_value=0, max_value=2**16), sparsity=st.floats(min_value=0.0, max_value=0.95))
     @settings(max_examples=40, deadline=None)
     def test_retained_values_dominate_zeroed(self, seed, sparsity):
         rng = np.random.default_rng(seed)
-        m = model_of(rng.standard_normal((2, 40)))
+        m = ClassPrototypes(rng.standard_normal((2, 40)))
         sparse = sparsify(m, sparsity)
         dense = csc_decompress(sparse).vectors
         for row_sparse, row_full in zip(dense, m.vectors):
@@ -280,7 +273,7 @@ class TestSparsify:
 
     def test_similarity_perturbation_bound(self):
         rng = np.random.default_rng(3)
-        m = model_of(rng.standard_normal((2, 200)))
+        m = ClassPrototypes(rng.standard_normal((2, 200)))
         h = rng.standard_normal(200)
         sparse_dense = csc_decompress(sparsify(m, 0.5)).vectors
         for row_full, row_sparse in zip(m.vectors, sparse_dense):
@@ -299,7 +292,7 @@ class TestSparsify:
 
 class TestWireBytes:
     def test_dense_float32_size(self):
-        m = model_of(np.zeros((26, 10000)))
+        m = ClassPrototypes(np.zeros((26, 10000)))
         codec = CodecConfig("float32")
         n = wire_bytes(write_model_bytes(m, codec), StrategyConfig(), codec)
         assert n == 14 + 26 * 10000 * 4
@@ -311,7 +304,7 @@ class TestWireBytes:
 
     def test_subsample_value_bytes_exactly_ten_percent(self):
         rng = np.random.default_rng(0)
-        m = model_of(rng.standard_normal((4, 1000)))
+        m = ClassPrototypes(rng.standard_normal((4, 1000)))
         idx, val = subsample(m, 0.1, rng)
         frame = serialize_subsample(SubsamplePayload(7, idx, val, (4, 1000)), CodecConfig())
         n = wire_bytes(frame, StrategyConfig(kind="subsample", rate=0.1), CodecConfig())
@@ -321,7 +314,7 @@ class TestWireBytes:
 
     def test_sparse_frame_round_trip(self):
         rng = np.random.default_rng(1)
-        m = model_of(rng.standard_normal((3, 40)).astype(np.float32).astype(np.float64))
+        m = ClassPrototypes(rng.standard_normal((3, 40)).astype(np.float32).astype(np.float64))
         sparse = sparsify(m, 0.6)
         codec = CodecConfig("float32")
         blob = serialize_sparse(sparse, codec)
@@ -335,7 +328,7 @@ class TestWireBytes:
         # scaled-integer value blocks carry their gain and survive within one
         # quantization step per element
         rng = np.random.default_rng(2)
-        m = model_of(rng.standard_normal((3, 40)))
+        m = ClassPrototypes(rng.standard_normal((3, 40)))
         sparse = sparsify(m, 0.5)
         codec = CodecConfig("quantized_int", bitwidth=16)
         back = deserialize_sparse(serialize_sparse(sparse, codec), codec, sparse.shape)
@@ -345,7 +338,7 @@ class TestWireBytes:
 
     def test_subsample_frame_quantized_codec_size(self):
         rng = np.random.default_rng(3)
-        m = model_of(rng.standard_normal((2, 100)))
+        m = ClassPrototypes(rng.standard_normal((2, 100)))
         idx, val = subsample(m, 0.5, rng)
         codec = CodecConfig("quantized_int", bitwidth=16)
         frame = serialize_subsample(SubsamplePayload(1, idx, val, (2, 100)), codec)
@@ -357,7 +350,7 @@ class TestWireBytes:
 class TestChannelComposition:
     def test_all_strategy_payloads_survive_all_channels(self):
         rng = np.random.default_rng(4)
-        m = model_of(rng.standard_normal((3, 64)).astype(np.float32).astype(np.float64))
+        m = ClassPrototypes(rng.standard_normal((3, 64)).astype(np.float32).astype(np.float64))
         channels = [
             ChannelConfig(),
             ChannelConfig(kind="awgn", snr_db=5.0),
@@ -366,7 +359,7 @@ class TestChannelComposition:
         ]
         codec = CodecConfig()
         for cfg in channels:
-            signs = diff_binarize(m, model_of(np.zeros((3, 64))))
+            signs = diff_binarize(m, ClassPrototypes(np.zeros((3, 64))))
             idx, val = subsample(m, 0.5, rng)
             sparse = sparsify(m, 0.5)
             if cfg.kind in ("ideal", "awgn"):  # raw values

@@ -171,7 +171,7 @@ def codec_values(rng, shape):
 def model_for(rng, codec, k, d):
     values = codec_values(rng, (k, d))
     values[rng.random(k) < 0.25] = 0.0  # untrained classes
-    return ClassPrototypes(values, rng.integers(0, 50, size=k))
+    return ClassPrototypes(values)
 
 
 def same_bits(a, b):
@@ -301,7 +301,7 @@ def reference_csc_decompress(sparse):
     vectors = np.zeros(sparse.shape)
     for row, (idx, val) in enumerate(zip(*by_class(sparse))):
         vectors[row, idx] = val
-    return ClassPrototypes(vectors, sparse.counts.copy())
+    return ClassPrototypes(vectors)
 
 
 def random_layout(rng, k, d, row=0):
@@ -417,7 +417,7 @@ def sparse_input(rng, codec, k, d, kind):
     else:
         values = codec_values(rng, (k, d))
     values[rng.random(k) < 0.25] = 0.0
-    return ClassPrototypes(values, rng.integers(0, 50, size=k))
+    return ClassPrototypes(values)
 
 
 class TestSparseUplink:
@@ -433,7 +433,6 @@ class TestSparseUplink:
         model = sparse_input(np.random.default_rng(seed), CodecConfig(), k, d, kind)
         got = sparsify(model, sparsity)
         assert got.shape == model.vectors.shape
-        assert np.array_equal(got.counts, model.counts)
         got_indices, got_values = by_class(got)
         indices, values = reference_sparsify(model, sparsity)
         for gi, ei, gv, ev in zip(got_indices, indices, got_values, values):
@@ -442,7 +441,7 @@ class TestSparseUplink:
         assert len(got_indices) == len(got_values) == k
 
     def test_sparsify_all_tied_rows_zero_lowest_indices_first(self):
-        model = ClassPrototypes(np.array([[2.0, -2.0, 2.0, -2.0, 2.0], [0.0] * 5]), np.zeros(2))
+        model = ClassPrototypes(np.array([[2.0, -2.0, 2.0, -2.0, 2.0], [0.0] * 5]))
         indices, values = by_class(sparsify(model, 0.6))
         assert indices[0].tolist() == [3, 4] and values[0].tolist() == [-2.0, 2.0]
         assert indices[1].size == 0
@@ -503,10 +502,9 @@ class TestSparseUplink:
     @settings(max_examples=300, deadline=None)
     def test_csc_decompress_matches_per_class_reference(self, seed, k, d):
         rng = np.random.default_rng(seed)
-        sparse = SparseClassModel(*random_layout(rng, k, d), (k, d), rng.integers(0, 9, size=k))
+        sparse = SparseClassModel(*random_layout(rng, k, d), (k, d))
         got, expected = csc_decompress(sparse), reference_csc_decompress(sparse)
         assert same_bits(got.vectors, expected.vectors)
-        assert np.array_equal(got.counts, expected.counts)
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -540,7 +538,7 @@ class TestSparseUplink:
         elif fault == "swap":
             indices[start : start + 2] = indices[start + 1], indices[start]
         if fault is None:  # indices may fall across a class boundary
-            SparseClassModel(indices, values, lengths, (k, d), np.zeros(k))
+            SparseClassModel(indices, values, lengths, (k, d))
             return
         if fault == "lengths":
             bad = f"{lengths.size} pair lengths for {k} classes$"
@@ -549,7 +547,7 @@ class TestSparseUplink:
         else:
             bad = f"class {row}: "
         with pytest.raises(SparseFormatError, match=f"^{bad}"):
-            SparseClassModel(indices, values, lengths, (k, d), np.zeros(k))
+            SparseClassModel(indices, values, lengths, (k, d))
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -776,10 +774,10 @@ class TestParsersFailClosed:
 
     def sparse_frame(self, codec):
         values = np.random.default_rng(1).standard_normal((3, 30))
-        return serialize_sparse(sparsify(ClassPrototypes(values, np.zeros(3)), 0.5), codec)
+        return serialize_sparse(sparsify(ClassPrototypes(values), 0.5), codec)
 
     def subsample_frame(self, codec):
-        model = ClassPrototypes(np.random.default_rng(2).standard_normal((3, 30)), np.zeros(3))
+        model = ClassPrototypes(np.random.default_rng(2).standard_normal((3, 30)))
         indices, values = subsample(model, 0.4, np.random.default_rng(0))
         return serialize_subsample(SubsamplePayload(9, indices, values, (3, 30)), codec)
 
@@ -834,7 +832,7 @@ class TestParsersFailClosed:
     def test_sparse_index_beyond_d_rejected(self, index):
         codec = CodecConfig("float32")
         sparse = SparseClassModel(
-            np.array([index, 2]), np.ones(2), np.array([1, 1]), (2, 2000), np.zeros(2)
+            np.array([index, 2]), np.ones(2), np.array([1, 1]), (2, 2000)
         )
         blob = serialize_sparse(sparse, codec)
         shrunk = frame_header(2, 10, TAG_SPARSE) + blob[HEADER_BYTES:]
@@ -864,7 +862,7 @@ class TestParsersFailClosed:
         codec, shape = CodecConfig("quantized_int", bitwidth=16), (3, 30)
         values = np.random.default_rng(2).standard_normal(shape)
         if which == "model":
-            blob = write_model_bytes(ClassPrototypes(values, np.zeros(3)), codec)
+            blob = write_model_bytes(ClassPrototypes(values), codec)
             parse = functools.partial(read_model_bytes, shape=shape)
         elif which == "subsample":
             blob = self.subsample_frame(codec)
@@ -887,7 +885,7 @@ class TestParsersFailClosed:
     def test_sparse_count_above_d_rejected(self):
         codec = CodecConfig("float32")
         sparse = SparseClassModel(
-            np.r_[np.arange(5), 0], np.ones(6), np.array([5, 1]), (2, 10), np.zeros(2)
+            np.r_[np.arange(5), 0], np.ones(6), np.array([5, 1]), (2, 10)
         )
         blob = serialize_sparse(sparse, codec)
         with pytest.raises(SparseFormatError):
@@ -911,7 +909,7 @@ class TestParsersFailClosed:
 
     def test_model_frame_overflow_decodes_as_zero(self):
         codec = CodecConfig("quantized_int", bitwidth=16)
-        model = ClassPrototypes(np.random.default_rng(3).standard_normal((3, 7)), np.zeros(3))
+        model = ClassPrototypes(np.random.default_rng(3).standard_normal((3, 7)))
         blob = bytearray(write_model_bytes(model, codec))
         sent, _ = read_model_bytes(bytes(blob))
         struct.pack_into("<d", blob, HEADER_BYTES, 1e-310)  # first class gain
@@ -919,7 +917,7 @@ class TestParsersFailClosed:
         assert same_bits(got.vectors[0], np.zeros(7))
         assert same_bits(got.vectors[1:], sent.vectors[1:])
         # A gain that small is legal: the quantizer writes it for a row near float max.
-        tiny = ClassPrototypes(np.array([[1.7e308, -1.0], [1.0, 2.0]]), np.zeros(2))
+        tiny = ClassPrototypes(np.array([[1.7e308, -1.0], [1.0, 2.0]]))
         got, _ = read_model_bytes(write_model_bytes(tiny, CodecConfig("quantized_int", bitwidth=2)))
         assert got.vectors[0, 0] == pytest.approx(1.7e308, rel=1e-12) and got.vectors[0, 1] == 0.0
 
