@@ -19,7 +19,7 @@ Recognized keys (defaults in parentheses):
   round.clients (100)                 round.participation (0.2)
   round.epochs (1)                    round.batch (10 | full)
   round.lr (1.0)                      round.rounds (100)
-  round.seed (0, or $HDFED_SEED)
+  round.seed (0)
   partition.kind (iid) | noniid       partition.shards_per_client (2)
   channel.kind (ideal) | awgn | bsc | packet_loss
   channel.snr_db                      channel.bit_error_rate
@@ -35,7 +35,6 @@ Recognized keys (defaults in parentheses):
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Callable
 
@@ -208,17 +207,6 @@ def load_config(path: str | None, overrides: dict[str, str] | None = None) -> Ex
     return config_from_entries(entries)
 
 
-def default_seed() -> int:
-    """Run seed when round.seed is unset: $HDFED_SEED, else RoundConfig's."""
-    raw = os.environ.get("HDFED_SEED")
-    if raw is None:
-        return RoundConfig.seed
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"HDFED_SEED must be an integer, got {raw!r}") from None
-
-
 def config_from_entries(entries: dict[str, str]) -> ExperimentConfig:
     unknown = sorted(set(entries) - set(KEYS))
     if unknown:
@@ -227,9 +215,6 @@ def config_from_entries(entries: dict[str, str]) -> ExperimentConfig:
     for key, raw in entries.items():
         section, name, parse = KEYS[key]
         sections.setdefault(section, {})[name] = parse(raw, key)
-    if "round.seed" not in entries:
-        sections.setdefault("round", {})["seed"] = default_seed()
-
     try:
         return _with_sections(ExperimentConfig(), "", sections)
     except ValueError as exc:

@@ -82,10 +82,9 @@ class ClassPrototypes:
 
 class SampleRows:
     """Rows ``index`` of one (n, d) sample matrix, in that order, read in
-    place: ``len()`` is ``len(index)`` and item ``j`` is the view
-    ``matrix[index[j]]``. The matrix must be C-ordered float64. It is
-    checked once here, so the retrain loop reads the rows with no per-call
-    check and no gathered copy."""
+    place: ``len()`` is ``len(index)``. The matrix must be C-ordered
+    float64. It is checked once here, so the retrain loop reads the rows
+    with no per-call check and no gathered copy."""
 
     __slots__ = ("matrix", "index")
 
@@ -106,9 +105,6 @@ class SampleRows:
 
     def __len__(self) -> int:
         return self.index.shape[0]
-
-    def __getitem__(self, j: int) -> np.ndarray:
-        return self.matrix[self.index[j]]
 
 
 class ProjectedQueries:
@@ -402,15 +398,16 @@ def lockstep_epoch(
     (K,). The inputs are not written.
 
     With h = P x, prototype v scores v . h = (v P) . x. Each step gathers
-    the next row of every client still running into one (C, m) buffer and
-    scores them all by one stacked ``np.matmul``, which runs per client the
-    gemv of ``np.dot(A, x)`` and gives its bytes. Scores are divided by the
-    class norms, a zero-norm class scores 0, and the argmax is the
-    prediction, as in ``retrain_epoch``. A mistake moves two rows of its
-    client's weights by +/- alpha G x (G = P^T P) and their squared norms
-    by +/- 2 alpha (v . h) + alpha^2 x . G x, one client at a time. The
-    clients are stepped longest first, so the ones whose rows have not run
-    out are the first ``active[s]`` of the stack at step s.
+    the next row of every client, in the given order, into one (C, m)
+    buffer and scores them all by one stacked ``np.matmul``, which runs per
+    client the gemv of ``np.dot(A, x)`` and gives its bytes, whatever the
+    client's place in the stack. Scores are divided by the class norms, a
+    zero-norm class scores 0, and the argmax is the prediction, as in
+    ``retrain_epoch``. A mistake moves two rows of its client's weights by
+    +/- alpha G x (G = P^T P) and their squared norms by +/- 2 alpha (v . h)
+    + alpha^2 x . G x, one client at a time. The steps run to the longest
+    client's end: a client whose rows have run out is scored on a padding
+    row and never acts.
     """
     count = len(visits)
     if len(labels) != count:
@@ -424,40 +421,38 @@ def lockstep_epoch(
     if norms.shape != (count, k) or squares.shape != (count, k):
         raise DimensionError("need (C, K) norms and squared norms")
     lengths = np.array([len(v) for v in visits], dtype=np.intp)
-    by_length = np.argsort(-lengths, kind="stable")
     steps = int(lengths.max(initial=0))
-    # Step s reads row rows[s, j] with label wanted[s, j] for the j-th
-    # longest client; the padding (row 0, label 0) is never read.
+    # Step s reads row rows[s, c] with label wanted[s, c] for client c, which
+    # acts only while live[s, c]; past its end it reads the padding (row 0).
     rows = np.zeros((steps, count), dtype=np.intp)
     wanted = np.zeros((steps, count), dtype=np.intp)
-    for j, c in enumerate(by_length.tolist()):
+    for c in range(count):
         if labels[c].shape != visits[c].shape or visits[c].ndim != 1:
             raise DimensionError("labels must align with visits")
-        rows[: lengths[c], j] = visits[c]
-        wanted[: lengths[c], j] = labels[c]
+        rows[: lengths[c], c] = visits[c]
+        wanted[: lengths[c], c] = labels[c]
     if rows.size and (rows.min() < 0 or rows.max() >= features.shape[0]):
         raise ValueError(f"visited rows must lie in [0, {features.shape[0]})")
     if wanted.size and (wanted.min() < 0 or wanted.max() >= k):
         raise ValueError(f"labels must lie in [0, {k})")
-    active = np.count_nonzero(np.arange(steps)[:, None] < lengths, axis=1).tolist()
+    live = np.arange(steps)[:, None] < lengths
     gram = projection.gram
-    weights, squares = weights[by_length], squares[by_length]  # copies, stepped in place
-    zero = norms[by_length] == 0.0
-    safe = np.where(zero, 1.0, norms[by_length])
+    weights, squares = weights.copy(), squares.copy()  # stepped in place
+    zero = norms == 0.0
+    safe = np.where(zero, 1.0, norms)
     any_zero = bool(zero.any())
-    xs = np.empty((count, m))
+    x = np.empty((count, m))
     raw = np.empty((count, k))  # v . h per client and class, before the division
     sims = np.empty((count, k))
     logs: list[list[tuple[int, int, int]]] = [[] for _ in range(count)]
-    for s, a in enumerate(active):
-        x, r, sim = xs[:a], raw[:a], sims[:a]
-        features.take(rows[s, :a], axis=0, out=x, mode="clip")  # checked above
-        np.matmul(weights[:a], x[:, :, None], out=r[:, :, None])
-        np.divide(r, safe[:a], out=sim)
+    for s in range(steps):
+        features.take(rows[s], axis=0, out=x, mode="clip")  # checked above
+        np.matmul(weights, x[:, :, None], out=raw[:, :, None])
+        np.divide(raw, safe, out=sims)
         if any_zero:
-            sim[zero[:a]] = 0.0
-        preds = sim.argmax(axis=1)
-        wrong = (preds != wanted[s, :a]).nonzero()[0]
+            sims[zero] = 0.0
+        preds = sims.argmax(axis=1)
+        wrong = ((preds != wanted[s]) & live[s]).nonzero()[0]
         if not wrong.size:
             continue
         for j in wrong.tolist():
@@ -469,13 +464,13 @@ def lockstep_epoch(
             hh = alpha * alpha * float(x[j] @ gx)
             for c, sign in ((label, 2.0 * alpha), (pred, -2.0 * alpha)):
                 # A class that a mistake empties can round to just below 0.
-                squares[j, c] = max(squares[j, c] + sign * r[j, c] + hh, 0.0)
+                squares[j, c] = max(squares[j, c] + sign * raw[j, c] + hh, 0.0)
                 norm = math.sqrt(squares[j, c])
                 zero[j, c] = norm == 0.0
                 safe[j, c] = 1.0 if norm == 0.0 else norm
             logs[j].append((int(rows[s, j]), label, pred))
         any_zero = bool(zero.any())
-    return [logs[j] for j in np.argsort(by_length).tolist()]  # back in client order
+    return logs
 
 
 def replay_mistakes(

@@ -88,19 +88,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_config(None, {"channel.kind": "carrier_pigeon"})
 
-    def test_env_seed_override(self, monkeypatch):
-        monkeypatch.setenv("HDFED_SEED", "123")
-        cfg = load_config(None)
-        assert cfg.round.seed == 123
-        # explicit key still wins
-        cfg = load_config(None, {"round.seed": "7"})
-        assert cfg.round.seed == 7
-
-    def test_malformed_env_seed_is_read_only_when_round_seed_is_unset(self, monkeypatch):
-        monkeypatch.setenv("HDFED_SEED", "abc")
-        assert load_config(None, {"round.seed": "7"}).round.seed == 7
-        with pytest.raises(ConfigError, match="HDFED_SEED"):
-            load_config(None)
+    def test_environment_does_not_set_the_seed(self, monkeypatch):
+        # A run's inputs are its config and overrides: an unset round.seed
+        # keeps RoundConfig's, whatever the environment holds.
+        for value in ("123", "abc"):
+            monkeypatch.setenv("HDFED_SEED", value)
+            assert load_config(None).round.seed == RoundConfig.seed
 
     @pytest.mark.parametrize(
         "overrides, match",
@@ -207,15 +200,13 @@ class TestKeyTable:
             ("target_accuracy", None),
         ],
     )
-    def test_no_keys_give_the_dataclass_defaults(self, section, default, monkeypatch):
-        monkeypatch.delenv("HDFED_SEED", raising=False)
+    def test_no_keys_give_the_dataclass_defaults(self, section, default):
         assert getattr(load_config(None), section) == default
 
     @pytest.mark.parametrize(
         "overrides, path, expected", KEY_CASES, ids=[f"{c[1]}={c[2]}" for c in KEY_CASES]
     )
-    def test_each_key_sets_its_own_field(self, overrides, path, expected, monkeypatch):
-        monkeypatch.delenv("HDFED_SEED", raising=False)
+    def test_each_key_sets_its_own_field(self, overrides, path, expected):
         _, *needs = overrides
         got = flat_fields(load_config(None, overrides))
         default = flat_fields(ExperimentConfig())

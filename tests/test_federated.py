@@ -135,9 +135,8 @@ class TestClientStates:
         assert [c.client_id for c in clients] == [0, 1, 2]
         for client, idx in zip(clients, assignments):
             assert len(client.hvs) == len(idx)
-            for j, i in enumerate(idx):
-                assert np.array_equal(client.hvs[j], hvs[i])
-                assert np.shares_memory(client.hvs[j], hvs)  # a view, not a copy
+            assert client.hvs.matrix is hvs  # rows read in place, not copied
+            assert np.array_equal(client.hvs.index, idx)
             assert np.array_equal(client.labels, labels[idx])
 
     def test_projected_clients_hold_their_feature_rows(self, monkeypatch):
@@ -180,7 +179,8 @@ class TestClientStates:
         train = ProjectedQueries(np.array([[0.5, -1.0, 2.0]]), phi)
         [client] = _client_states(train, np.array([1]), Partition([np.array([0])], np.ones(1)))
         assert isinstance(client.hvs, SampleRows)
-        assert np.array_equal(client.hvs[0], encode_batch(phi, train.features)[0])
+        rows = client.hvs.matrix[client.hvs.index]
+        assert np.array_equal(rows, encode_batch(phi, train.features))
 
 
 def old_batched_order(n, batch, rng):

@@ -18,7 +18,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def table(script: str, *args: str) -> list[str]:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    env.pop("HDFED_SEED", None)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
     )

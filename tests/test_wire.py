@@ -39,6 +39,7 @@ from hdfed.channel import (
     unpack_words,
     write_model_bytes,
 )
+from hdfed.data import HDDS_MAGIC, HDDS_VERSION, DataFormatError, load_binary
 from hdfed.federated import RoundConfig, partition_iid, run_training
 from hdfed.hdc import ClassPrototypes
 from hdfed.seeding import STREAM_STRATEGY, derived_rng
@@ -1036,3 +1037,111 @@ class TestSubsampleStreamKey:
     def test_keys_distinct_across_the_valid_range(self):
         keys = {subsample_stream_key(t, c) for t in (0, 1, 2**43) for c in (0, 1, 2**19, 2**20 - 1)}
         assert len(keys) == 12
+
+
+# (offset, struct format) of each count a parser reads from its header.
+HDFM_COUNTS = [(5, "<I"), (9, "<I")]  # K, d
+SUBSAMPLE_COUNTS = HDFM_COUNTS + [(HEADER_BYTES + 8, "<I")]  # and the value count
+HDDS_COUNTS = [(5, "<I"), (9, "<I"), (13, "<I")]  # n, m, K
+
+
+class TestParserMutationFuzz:
+    """Model frames, sign and subsample frames and HDDS datasets with
+    truncations, header bit flips, inflated counts and appended bytes (which
+    can back an inflated count): each parser raises its own error or parses
+    finite values of the shape the input declares. It never surfaces another
+    error, numpy's included, and never allocates more than the input's bytes
+    can describe."""
+
+    @staticmethod
+    def source(which, codec, rng):
+        """The input bytes, its counts, its parser and its own error."""
+        if which == "model":
+            blob = write_model_bytes(model_for(rng, codec, 3, 200), codec)
+            return blob, HDFM_COUNTS, read_model_bytes, CodecError
+        if which == "sign":
+            blob = serialize_sign_matrix(np.where(rng.random((3, 200)) < 0.5, 1.0, -1.0))
+            parse = functools.partial(deserialize_sign_matrix, shape=(3, 200))
+            return blob, HDFM_COUNTS, parse, SparseFormatError
+        if which == "subsample":
+            model = ClassPrototypes(rng.standard_normal((3, 200)))
+            indices, values = subsample(model, 0.4, rng)
+            blob = serialize_subsample(SubsamplePayload(9, indices, values, (3, 200)), codec)
+            parse = functools.partial(deserialize_subsample, codec=codec, seed=0, shape=(3, 200))
+            return blob, SUBSAMPLE_COUNTS, parse, SparseFormatError
+        features = rng.standard_normal((40, 6)).astype(np.float32)
+        head = HDDS_MAGIC + struct.pack("<BIIIB", HDDS_VERSION, 40, 6, 5, 1)
+        blob = head + features.tobytes() + rng.integers(0, 5, 40).astype("<u2").tobytes()
+        return blob, HDDS_COUNTS, None, DataFormatError
+
+    @staticmethod
+    def check(which, blob, parsed):
+        """The parsed values are finite and of the declared shape."""
+        if which == "hdds":
+            n, m, k = struct.unpack_from("<III", blob, 5)
+            assert parsed.features.shape == (n, m) and np.all(np.isfinite(parsed.features))
+            assert np.all((parsed.labels >= 0) & (parsed.labels < k))
+        elif which == "model":
+            model, _ = parsed
+            assert model.vectors.shape == struct.unpack_from("<II", blob, 5)
+            assert np.all(np.isfinite(model.vectors))
+        elif which == "sign":
+            assert parsed.shape == (3, 200) and np.all(np.abs(parsed) == 1.0)
+        else:
+            (count,) = struct.unpack_from("<I", blob, HEADER_BYTES + 8)
+            assert parsed.values.shape == parsed.indices.shape == (count,)
+            assert np.all(np.isfinite(parsed.values))
+            assert np.all((parsed.indices >= 0) & (parsed.indices < 600))
+
+    @given(
+        which=st.sampled_from(["model", "sign", "subsample", "hdds"]),
+        codec=CODECS,
+        seed=st.integers(0, 2**32 - 1),
+        mutations=st.lists(
+            st.one_of(
+                st.tuples(st.just("truncate"), st.integers(0, 2**16)),
+                st.tuples(st.just("flip"), st.integers(0, 40), st.integers(0, 7)),
+                st.tuples(
+                    st.just("inflate"),
+                    st.integers(0, 2),
+                    st.one_of(st.integers(0, 2**32 - 1), st.sampled_from([2**32 - 1, 2**31, 601])),
+                ),
+                st.tuples(st.just("append"), st.integers(1, 4096), st.integers(0, 255)),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_mutated_inputs_raise_their_own_error_or_parse_finite(
+        self, which, codec, seed, mutations, tmp_path_factory
+    ):
+        blob, counts, parse, error = self.source(which, codec, np.random.default_rng(seed))
+        blob = bytearray(blob)
+        for kind, pos, *rest in mutations:
+            if kind == "truncate":
+                del blob[pos % (len(blob) + 1) :]
+            elif kind == "flip" and pos < len(blob):
+                blob[pos] ^= 1 << rest[0]
+            elif kind == "inflate":
+                offset, fmt = counts[pos % len(counts)]
+                if offset + struct.calcsize(fmt) <= len(blob):
+                    struct.pack_into(fmt, blob, offset, rest[0])
+            elif kind == "append":
+                blob += bytes([rest[0]]) * pos
+        blob = bytes(blob)
+        if parse is None:
+            path = tmp_path_factory.mktemp("hdds") / "mutated.hdds"
+            path.write_bytes(blob)
+            parse = lambda _: load_binary(str(path))
+        tracemalloc.start()
+        try:
+            parsed = parse(blob)
+        except error:
+            parsed = None
+        finally:
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+        assert peak < (1 << 16) + 512 * len(blob)
+        if parsed is not None:
+            self.check(which, blob, parsed)
