@@ -473,14 +473,14 @@ def read_model_bytes(
     blob: bytes, shape: tuple[int, int] | None = None
 ) -> tuple[ClassPrototypes, CodecConfig]:
     """Parse an HDFM frame, of a `shape` (K, d) model if given. Declared
-    sizes are checked against `shape` and the blob before anything is
-    allocated."""
+    sizes are checked against `shape` and the blob, which must end where the
+    payload does, before anything is allocated."""
     k, d, tag = parse_frame_header(blob, shape=shape)
     codec = _codec_from_tag(tag)
     quantized = codec.representation == "quantized_int"
     offset = HEADER_BYTES + (8 * k if quantized else 0)
     size = offset + -(-k * d * codec.value_bits // 8)
-    if k < 2 or len(blob) < size:
+    if k < 2 or len(blob) != size:
         raise CodecError(f"HDFM frame declares K={k} and {size} bytes, got {len(blob)} bytes")
     gains = np.frombuffer(blob, dtype="<f8", count=k if quantized else 0, offset=HEADER_BYTES)
     if not np.all(np.isfinite(gains) & (gains > 0.0)):

@@ -37,7 +37,6 @@ from .channel import (
 from .hdc import (
     ClassPrototypes,
     ProjectedQueries,
-    SampleRows,
     accuracy,
     encode_batch,
     feature_state,
@@ -100,8 +99,12 @@ class Partition:
 
 @dataclass
 class ClientState:
+    """A client's ``rows`` of the one (n, d) training matrix ``samples``,
+    whose labels are ``labels``; both are shared, not copied."""
+
     client_id: int
-    hvs: np.ndarray | SampleRows  # (n, d) samples, or n rows of the shared training matrix
+    rows: np.ndarray
+    samples: np.ndarray
     labels: np.ndarray
 
 
@@ -187,14 +190,15 @@ def _batched_order(
     return order[order < n]  # the last batch is partial when batch does not divide n
 
 
-def _epoch_orders(
-    n: int, cfg: RoundConfig, round_index: int, client_id: int
+def _epoch_visits(
+    rows: np.ndarray, cfg: RoundConfig, round_index: int, client_id: int
 ) -> list[np.ndarray]:
-    """A client's sample order in each local epoch, drawn in turn from its
+    """The training-matrix rows a client visits in each local epoch, in
+    visiting order: its ``rows`` in the batch order drawn in turn from its
     (seed, round, client) stream. ``local_update`` and the lockstep retrain
-    of a linear split both take their orders from here."""
+    of a linear split both take their visits from here."""
     rng = derived_rng(cfg.seed, STREAM_LOCAL, round_index, client_id)
-    return [_batched_order(n, cfg.local_batch, rng) for _ in range(cfg.local_epochs)]
+    return [rows[_batched_order(len(rows), cfg.local_batch, rng)] for _ in range(cfg.local_epochs)]
 
 
 def local_update(
@@ -208,12 +212,13 @@ def local_update(
     Batch order is drawn from the (seed, round, client) stream. A client with
     no data returns a copy of the global model.
     """
-    n = len(client.hvs)
-    if n == 0 or cfg.local_epochs == 0:
+    if len(client.rows) == 0 or cfg.local_epochs == 0:
         return global_model.copy()
     model = global_model  # retrain_epoch returns a new model; the broadcast is never written
-    for order in _epoch_orders(n, cfg, round_index, client.client_id):
-        model, _ = retrain_epoch(model, client.hvs, client.labels, cfg.learning_rate, order)
+    for visits in _epoch_visits(client.rows, cfg, round_index, client.client_id):
+        model, _ = retrain_epoch(
+            model, visits, client.samples, client.labels[visits], cfg.learning_rate
+        )
     return model
 
 
@@ -266,17 +271,14 @@ def aggregate_weighted(total: WeightedSum, model: ClassPrototypes) -> None:
 def _client_states(
     hvs: np.ndarray | ProjectedQueries, labels: np.ndarray, partition: Partition
 ) -> list[ClientState]:
-    """Each client's rows, in assignment order, as row views of the one
-    C-ordered float64 training matrix, so only the labels are gathered.
+    """Each client's assignment as its rows of the one training matrix,
+    which every client shares with the labels: nothing is gathered.
     ``ProjectedQueries`` are encoded first: ``run_training`` passes them
     only for a one-row split, whose one row is a gemv that the padded
     gemm of ``replay_mistakes`` does not reproduce."""
     if isinstance(hvs, ProjectedQueries):
         hvs = encode_batch(hvs.projection, hvs.features)
-    return [
-        ClientState(cid, SampleRows(hvs, idx), labels[idx])
-        for cid, idx in enumerate(partition.assignments)
-    ]
+    return [ClientState(c, idx, hvs, labels) for c, idx in enumerate(partition.assignments)]
 
 
 def _lockstep_mistakes(
@@ -291,19 +293,17 @@ def _lockstep_mistakes(
 ) -> list[list[list[tuple[int, int, int]]]]:
     """Each participant's mistake logs, one per local epoch: what
     ``local_update`` over its ``ProjectedQueries`` decides, for the whole
-    cohort at once by ``lockstep_epoch``. Clients visit rows of the one
-    training matrix through their assignments, in the orders that
-    ``local_update`` draws. Each later epoch starts from the client's own
-    model: its logs so far are replayed, one client at a time, for the
-    ``feature_state`` of that model, which is then dropped. With the
-    replay on the uplink, a client of E epochs thus replays E(E+1)/2 logs
-    a round, where ``local_update`` would replay E."""
+    cohort at once by ``lockstep_epoch``, over the visits of the one
+    training matrix that ``local_update`` draws. Each later epoch starts
+    from the client's own model: its logs so far are replayed, one client
+    at a time, for the ``feature_state`` of that model, which is then
+    dropped. With the replay on the uplink, a client of E epochs thus
+    replays E(E+1)/2 logs a round, where ``local_update`` would replay E."""
     alpha, phi = cfg.learning_rate, train.projection
-    visits = []  # per participant, its rows of the training matrix in each epoch's order
-    for cid in participants:
-        idx = partition.assignments[cid]
-        orders = _epoch_orders(len(idx), cfg, round_index, int(cid))
-        visits.append([idx[order] for order in orders])
+    visits = [
+        _epoch_visits(partition.assignments[cid], cfg, round_index, int(cid))
+        for cid in participants
+    ]
     logs: list[list[list[tuple[int, int, int]]]] = [[] for _ in participants]
     for epoch in range(cfg.local_epochs):
         if epoch == 0:

@@ -80,33 +80,6 @@ class ClassPrototypes:
         return cls(np.zeros((num_classes, hd_dim)))
 
 
-class SampleRows:
-    """Rows ``index`` of one (n, d) sample matrix, in that order, read in
-    place: ``len()`` is ``len(index)``. The matrix must be C-ordered
-    float64. It is checked once here, so the retrain loop reads the rows
-    with no per-call check and no gathered copy."""
-
-    __slots__ = ("matrix", "index")
-
-    def __init__(self, matrix: np.ndarray, index: np.ndarray) -> None:
-        if not isinstance(matrix, np.ndarray) or matrix.ndim != 2:
-            raise DimensionError("sample rows need an (n, d) matrix")
-        if matrix.dtype != np.float64 or not matrix.flags.c_contiguous:
-            raise DimensionError(
-                f"sample rows need a C-ordered float64 matrix, got {matrix.dtype}"
-                f" with c_contiguous={matrix.flags.c_contiguous}"
-            )
-        index = np.asarray(index)
-        if index.ndim != 1 or index.dtype.kind not in "iu":
-            raise ValueError("row index must be a 1-D integer array")
-        if index.size and (index.min() < 0 or index.max() >= matrix.shape[0]):
-            raise ValueError(f"row index must lie in [0, {matrix.shape[0]})")
-        self.matrix, self.index = matrix, index
-
-    def __len__(self) -> int:
-        return self.index.shape[0]
-
-
 class ProjectedQueries:
     """The encodings h = P x of n samples, held as their raw (n, m) features
     x and the ``ProjectionMatrix`` P: the (n, d) rows are never built. The
@@ -281,54 +254,45 @@ def multiclass_margin_loss(
     return float(np.mean(np.maximum(0.0, rival - true)))
 
 
+def _check_visits(rows: np.ndarray, labels: np.ndarray, n: int, k: int) -> None:
+    """The range checks of a retrain pass: visited rows in [0, n) of the
+    training matrix, and their labels in [0, K)."""
+    if rows.size and (rows.min() < 0 or rows.max() >= n):
+        raise ValueError(f"visited rows must lie in [0, {n})")
+    if labels.size and (labels.min() < 0 or labels.max() >= k):
+        raise ValueError(f"labels must lie in [0, {k})")
+
+
 def retrain_epoch(
     prototypes: ClassPrototypes,
-    hvs: np.ndarray | SampleRows,
+    visits: np.ndarray,
+    samples: np.ndarray,
     labels: np.ndarray,
     alpha: float,
-    order: np.ndarray | None = None,
 ) -> tuple[ClassPrototypes, int]:
-    """One correction pass over the samples, in ``order`` if given.
+    """One correction pass: step s reads row ``visits[s]`` of the (n, d)
+    ``samples`` matrix in place, with label ``labels[s]``, so the pass
+    equals one over the gathered ``samples[visits]`` bit for bit.
 
     Each mispredicted sample is added (scaled by alpha) to its true class
-    prototype and subtracted from the predicted one.
-    ``hvs`` is an (n, d) matrix or a ``SampleRows`` of n rows; linear
-    encodings retrain in feature space instead (``lockstep_epoch``).
-    ``order`` is a permutation of ``range(len(hvs))`` naming the sample to
-    visit at each step; the pass reads rows of ``hvs`` in place, so
-    ``retrain_epoch(p, hvs, labels, a, order)`` equals
-    ``retrain_epoch(p, hvs[order], labels[order], a)`` bit for bit without
-    the copy, and ``SampleRows(m, idx)`` equals the gathered ``m[idx]``.
-    ``None`` visits the samples as stored. Labels must lie in
-    ``[0, K)``. Among classes whose scores are equal floats the lowest
-    index is predicted, but the gemv may score a class and its exact copy
-    apart in the last bit (see ``predict_batch``). Returns the updated
-    prototypes and the number of corrections made.
+    prototype and subtracted from the predicted one. Linear encodings
+    retrain in feature space instead (``lockstep_epoch``). Rows must lie in
+    ``[0, n)`` and labels in ``[0, K)``. Among classes whose scores are
+    equal floats the lowest index is predicted, but the gemv may score a
+    class and its exact copy apart in the last bit (see ``predict_batch``).
+    Returns the updated prototypes and the number of corrections made.
     """
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    rows = None
-    if isinstance(hvs, SampleRows):
-        samples, rows = hvs.matrix, hvs.index  # checked where built
-        shape = (len(rows), samples.shape[1])
-    else:
-        samples = np.ascontiguousarray(hvs, dtype=np.float64)  # rows score like a gathered copy's
-        shape = samples.shape
-    labels = np.asarray(labels)
-    if len(shape) != 2 or shape[1] != prototypes.hd_dim:
+    # Rows score like a gathered copy's; the C-ordered float64 matrix that
+    # run_training holds is not copied.
+    samples = np.ascontiguousarray(samples, dtype=np.float64)
+    visits, labels = np.asarray(visits), np.asarray(labels)
+    if samples.ndim != 2 or samples.shape[1] != prototypes.hd_dim:
         raise DimensionError("sample dimension does not match prototypes")
-    n = shape[0]
-    if labels.shape != (n,):
-        raise DimensionError("labels must align with samples")
-    k = prototypes.num_classes
-    if np.any(labels < 0) or np.any(labels >= k):
-        raise ValueError(f"labels must lie in [0, {k})")
-    if order is None:
-        order = np.arange(n)
-    else:
-        order = np.asarray(order)
-        if order.shape != (n,) or not np.array_equal(np.sort(order), np.arange(n)):
-            raise ValueError(f"order must be a permutation of range({n})")
+    if visits.ndim != 1 or labels.shape != visits.shape:
+        raise DimensionError("labels must align with visits")
+    _check_visits(visits, labels, samples.shape[0], prototypes.num_classes)
     vectors = prototypes.vectors.copy()
     # Divisors and the zero-norm mask are built once and refreshed only for
     # the two classes a mistake changes. The refresh uses the dot product
@@ -341,9 +305,7 @@ def retrain_epoch(
     # One score buffer: np.dot(out=) is the same gemv as vectors @ h.
     sims = np.empty(vectors.shape[0])
     mistakes = 0
-    # Each step names the sample row to read and its label.
-    steps = zip((order if rows is None else rows[order]).tolist(), labels[order].tolist())
-    for i, label in steps:
+    for i, label in zip(visits.tolist(), labels.tolist()):
         h = samples[i]
         np.dot(vectors, h, out=sims)
         np.divide(sims, safe, out=sims)
@@ -431,10 +393,7 @@ def lockstep_epoch(
             raise DimensionError("labels must align with visits")
         rows[: lengths[c], c] = visits[c]
         wanted[: lengths[c], c] = labels[c]
-    if rows.size and (rows.min() < 0 or rows.max() >= features.shape[0]):
-        raise ValueError(f"visited rows must lie in [0, {features.shape[0]})")
-    if wanted.size and (wanted.min() < 0 or wanted.max() >= k):
-        raise ValueError(f"labels must lie in [0, {k})")
+    _check_visits(rows, wanted, features.shape[0], k)
     live = np.arange(steps)[:, None] < lengths
     gram = projection.gram
     weights, squares = weights.copy(), squares.copy()  # stepped in place

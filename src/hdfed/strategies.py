@@ -277,10 +277,10 @@ def serialize_sign_matrix(signs: np.ndarray) -> Frame:
 
 
 def deserialize_sign_matrix(blob: bytes, shape: tuple[int, int]) -> np.ndarray:
-    """Parse a sign frame of a `shape` (K, d) model."""
+    """Parse a sign frame of a `shape` (K, d) model; it must end where its bits do."""
     k, d, _ = parse_frame_header(blob, SparseFormatError, TAG_BINARY_DIFF, shape)
-    if len(blob) < HEADER_BYTES + -(-k * d // 8):
-        raise SparseFormatError(f"sign frame of {len(blob)} bytes cannot hold {k} x {d} bits")
+    if len(blob) != HEADER_BYTES + -(-k * d // 8):
+        raise SparseFormatError(f"sign frame of {len(blob)} bytes does not hold {k} x {d} bits")
     payload = np.frombuffer(blob, dtype=np.uint8, offset=HEADER_BYTES)
     bits = np.unpackbits(payload, count=k * d, bitorder="little")
     return np.where(bits == 1, 1.0, -1.0).reshape(k, d)
@@ -312,8 +312,9 @@ def deserialize_subsample(
     client made.
 
     Raises SparseFormatError on a frame that declares another shape, a
-    truncated frame, a count above K * d or a non-positive or non-finite
-    gain, before allocating anything the blob cannot hold.
+    truncated frame or bytes past its values, a count above K * d or a
+    non-positive or non-finite gain, before allocating anything the blob
+    cannot hold.
     """
     k, d, _ = parse_frame_header(blob, SparseFormatError, TAG_SUBSAMPLE, shape)
     quantized = codec.representation == "quantized_int"
@@ -323,8 +324,8 @@ def deserialize_subsample(
     key, count = struct.unpack_from("<QI", blob, HEADER_BYTES)
     gain = struct.unpack_from("<d", blob, HEADER_BYTES + 12)[0] if quantized else 1.0
     size = offset + -(-count * codec.value_bits // 8)
-    if count > k * d or len(blob) < size or not (gain > 0.0 and np.isfinite(gain)):
-        raise SparseFormatError(f"subsample frame: bad count {count} or gain {gain}")
+    if count > k * d or len(blob) != size or not (gain > 0.0 and np.isfinite(gain)):
+        raise SparseFormatError(f"subsample frame: bad count {count}, gain {gain} or size {size}")
     values = decode_values(np.frombuffer(blob, dtype=np.uint8, offset=offset), codec, count)
     if quantized:
         values = scale_down(values, gain)
@@ -374,10 +375,11 @@ def deserialize_sparse(blob: bytes, codec: CodecConfig, shape: tuple[int, int]) 
     """Parse a sparse frame of a `shape` (K, d) model into indices and values.
 
     Raises SparseFormatError on a frame that declares another shape, a
-    truncated frame, a count above d or a non-positive or non-finite gain,
-    before allocating anything the blob cannot hold; an index the gaps carry
-    outside [0, d) fails the SparseClassModel layout check. Values with a
-    value_type are read as (gap, value) records.
+    truncated frame or bytes past its last class, a count above d or a
+    non-positive or non-finite gain, before allocating anything the blob
+    cannot hold; an index the gaps carry outside [0, d) fails the
+    SparseClassModel layout check. Values with a value_type are read as
+    (gap, value) records.
     """
     k, d, _ = parse_frame_header(blob, SparseFormatError, TAG_SPARSE, shape)
     if len(blob) < HEADER_BYTES + 4 * k:
@@ -403,6 +405,8 @@ def deserialize_sparse(blob: bytes, codec: CodecConfig, shape: tuple[int, int]) 
             offset += n_bytes
     except struct.error:
         raise SparseFormatError(f"sparse frame truncated at byte {offset}") from None
+    if offset != len(blob):
+        raise SparseFormatError(f"sparse frame has {len(blob) - offset} bytes past its last class")
     counts = np.array(counts, dtype=np.int64)
     pairs = np.concatenate(blocks or [np.empty(0, np.uint8)])
     if kind is None:  # as uint64 words: the gap in the low 32 bits, then the value

@@ -206,20 +206,20 @@ def feature_space_pass(
 
 def projected_retrain_epoch(
     prototypes: ClassPrototypes,
+    visits: np.ndarray,
     queries: ProjectedQueries,
     labels: np.ndarray,
     alpha: float,
-    order: np.ndarray | None = None,
 ) -> tuple[ClassPrototypes, int]:
-    """One client's retrain pass over its ``ProjectedQueries``, in ``order``
-    if given, as a round runs it for a cohort of one: ``feature_state`` of
-    the model, ``lockstep_epoch`` for the one client, then
-    ``replay_mistakes`` onto a copy of the vectors. Returns the model and
-    the mistake count, as ``retrain_epoch`` does for encoded rows."""
-    labels = np.asarray(labels)
-    order = np.arange(len(queries)) if order is None else np.asarray(order)
+    """One client's retrain pass over the rows ``visits`` of the split's
+    ``ProjectedQueries``, with those visits' labels, as a round runs it for
+    a cohort of one: ``feature_state`` of the model, ``lockstep_epoch`` for
+    the one client, then ``replay_mistakes`` onto a copy of the vectors.
+    Returns the model and the mistake count, as ``retrain_epoch`` does for
+    the encoded rows."""
+    visits, labels = np.asarray(visits), np.asarray(labels)
     phi, vectors = queries.projection, prototypes.vectors.copy()
     state = (a[np.newaxis] for a in feature_state(vectors, phi))
-    [log] = lockstep_epoch(queries.features, phi, [order], [labels[order]], *state, alpha)
+    [log] = lockstep_epoch(queries.features, phi, [visits], [labels], *state, alpha)
     replay_mistakes(vectors, queries.features, phi, log, alpha)
     return ClassPrototypes(vectors), len(log)

@@ -127,7 +127,7 @@ def test_c02_binary_prototype_coupling():
         alpha = 1.0
         w = protos.vectors[0] - protos.vectors[1]
         for _ in range(epochs):
-            protos, _ = retrain_epoch(protos, hvs, labels, alpha=alpha)
+            protos, _ = retrain_epoch(protos, np.arange(n), hvs, labels, alpha=alpha)
             w = binary_retrain(w, hvs, ys, eta=2.0 * alpha, passes=1)
             assert np.array_equal(protos.vectors[0] - protos.vectors[1], w)
     report(2, "binary/prototype coupling", f"100 instances x {epochs} epochs exact")
@@ -388,7 +388,7 @@ def test_c11_partial_information_retention():
     te_h = encode_batch(phi, test.features)
     protos = one_shot_train(tr_h, train.labels, 26)
     for _ in range(3):
-        protos, _ = retrain_epoch(protos, tr_h, train.labels, 1.0)
+        protos, _ = retrain_epoch(protos, np.arange(len(tr_h)), tr_h, train.labels, 1.0)
     full = accuracy(protos, te_h, test.labels)
     assert full >= 0.85  # the task must be genuinely learned first
     ratios = []

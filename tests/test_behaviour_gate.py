@@ -20,6 +20,14 @@ generic bit packer. Its 32-bit rows cover every strategy and channel, the
 width the raw int32 codec covered in the first table before that codec was
 removed; those rows were recorded before the removal.
 
+A fourth table runs the d-space path, where clients retrain on encoded
+sign rows (those of the first table's task) by ``retrain_epoch``: unequal
+noniid clients, half of them a round, one and three local epochs, batches
+of 10 and full batches, over the second table's uplinks. It was recorded
+before that pass and the lockstep took their visits from one list, and it
+pins the later epochs' visits that the first table, at E=1 over iid
+clients, does not reach.
+
 Print the tables for the current code with:
 
     PYTHONPATH=src python tests/test_behaviour_gate.py
@@ -277,6 +285,52 @@ def test_linear_results_match_recorded_digest(m, epochs, batch, uplink):
     assert linear_digest(m, epochs, batch, uplink) == LINEAR_EXPECTED[m, epochs, batch, uplink]
 
 
+def dspace_digest(epochs, batch, uplink):
+    """The sign rows of ``task()`` over unequal noniid clients: 24 shards of
+    3 rows leave 21 for the last, so one of the six clients holds 30 rows
+    and the others 12."""
+    train_hvs, train_labels, test_hvs, test_labels = task()
+    cfg = RoundConfig(
+        num_clients=6, participation=0.5, local_epochs=epochs, local_batch=batch,
+        learning_rate=0.7, rounds=3, seed=8,
+    )
+    strategy, channel = LINEAR_UPLINKS[uplink]
+    model, records = run_training(
+        train_hvs, train_labels, test_hvs, test_labels, 3,
+        partition_noniid(train_labels, 6, 4, seed=2), cfg, channel, strategy,
+    )
+    return run_digest(model, records)
+
+
+DSPACE_CASES = list(itertools.product((1, 3), (10, None), LINEAR_UPLINKS))
+
+DSPACE_EXPECTED = {
+    (1, 10, 'none-ideal'): 'eeb06bc62b0d8259bdc9e20dab73094ee5d5b37170382e63549de9f8ab7563b7',
+    (1, 10, 'none-bsc-q16'): 'b319735c277da32ae58d829a4952b5486976f94ad852e936ab24dbb8fa47ba8a',
+    (1, 10, 'sparsify-bsc'): '1d952223f3f1dca73869c32130375e547c028bda8ee36c9c07d4bbf925a42d27',
+    (1, 10, 'subsample-awgn'): '4a49412de5e88790a275cfe067ef3b5841e4689ab40e7869d54b0ca75294a650',
+    (1, None, 'none-ideal'): '73c82779b1c1c1476f8c45e827bf4c712d683a5879ca69393e54d379b3c3a89b',
+    (1, None, 'none-bsc-q16'): '50450af16f6e25de29290e0351ece7105f17d16e7ae789f146ff00ee6fdcbb5d',
+    (1, None, 'sparsify-bsc'): '2a719118551b48a38acdcda9fd8533dd4dbff9943f8b03574d008ed7a99e0ffd',
+    (1, None, 'subsample-awgn'): '81ecef1afd2c21dfe965631be744a6f4f66f3bf177939c510a2e55b055abfd44',
+    (3, 10, 'none-ideal'): 'f83f3f26c237fecf2978c8df8c6ae627f371fea6293af786eb058898f7337dce',
+    (3, 10, 'none-bsc-q16'): 'd5ddd9f7df3f243d2a9a054c83ab40d1d7d790a18e4a3d3e9f7d0f8e5aca88ee',
+    (3, 10, 'sparsify-bsc'): 'e8761bc065ad7f9017b727a402afd284cfccc7927b2d35583ad37ca4b890146c',
+    (3, 10, 'subsample-awgn'): '8a9cbe1d8a1533d504d9f16cd90eaf53b70f7d99fab74f1341e79bf501d41d5b',
+    (3, None, 'none-ideal'): 'ac04727e9e4d585eec9b38c5b9b22738b39fd7aecfc5d6fc88fa2f5ea16ec4fa',
+    (3, None, 'none-bsc-q16'): 'afda07ce40a96fc83edb227d1994658644b3602530ce923c961f1770b61cf03d',
+    (3, None, 'sparsify-bsc'): '122d49eaeed79470d72e442dac33bc6b1de3887062b4e5cf9698accc1b9200e3',
+    (3, None, 'subsample-awgn'): '5ad6efad6be06b71cda7da83dd143fb6baa96901415c40909f5f993abe04560b',
+}
+
+
+@pytest.mark.parametrize(
+    "epochs,batch,uplink", DSPACE_CASES, ids=["-".join(map(str, c)) for c in DSPACE_CASES]
+)
+def test_dspace_results_match_recorded_digest(epochs, batch, uplink):
+    assert dspace_digest(epochs, batch, uplink) == DSPACE_EXPECTED[epochs, batch, uplink]
+
+
 if __name__ == "__main__":
     for case in CASES:
         print(f"    {case!r}: {digest(*case)!r},")
@@ -284,3 +338,5 @@ if __name__ == "__main__":
         print(f"    {case!r}: {digest(*case)!r},")
     for case in LINEAR_CASES:
         print(f"    {case!r}: {linear_digest(*case)!r},")
+    for case in DSPACE_CASES:
+        print(f"    {case!r}: {dspace_digest(*case)!r},")

@@ -8,16 +8,23 @@ before round 1 starts, or finishes with a finite accuracy and loss and a
 final model frame that ``read_model_bytes`` parses back to the model, up to
 the codec's precision. A second run of the same config gives the same
 metrics CSV (without ``wall_ms``) and the same frame.
+
+Every uplink frame of the first run is followed: the bytes ``wire_bytes``
+counts add up to the CSV's uplink bytes, and over a bit channel they are the
+length of the frame handed to ``corrupt_frame`` and of the blob that reaches
+the server's parser. The raw channels (ideal, awgn) corrupt and parse no
+frame.
 """
 
+import contextlib
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hdfed import federated
-from hdfed.channel import read_model_bytes, write_model_bytes
+from hdfed import federated, strategies
+from hdfed.channel import BIT_CHANNELS, read_model_bytes, write_model_bytes
 from hdfed.config import load_config
 from hdfed.harness import format_metrics, run_experiment
 
@@ -76,17 +83,63 @@ def run(overrides):
     return config, result, csv, bytes(write_model_bytes(result.model, config.channel.codec))
 
 
+def tap(module, name, out, measure):
+    """Patch ``module.name`` to append measure(first argument, result) to
+    ``out`` on every call."""
+    fn = getattr(module, name)
+
+    def tapped(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        out.append(measure(args[0], result))
+        return result
+
+    return mock.patch.object(module, name, tapped)
+
+
+@contextlib.contextmanager
+def uplink_lengths():
+    """Per uplink frame, in the order sent: the bytes ``wire_bytes`` counts,
+    the length of the frame handed to ``corrupt_frame``, and the length of
+    the blob that reaches a server parser."""
+    counted, corrupted, received = [], [], []
+    parsers = ["deserialize_sign_matrix", "deserialize_subsample", "deserialize_sparse"]
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(tap(strategies, "wire_bytes", counted, lambda _, n: n))
+        stack.enter_context(tap(federated, "corrupt_frame", corrupted, lambda f, _: len(f)))
+        for module, name in [(federated, "read_model_bytes")] + [(strategies, p) for p in parsers]:
+            stack.enter_context(tap(module, name, received, lambda blob, _: len(blob)))
+        yield counted, corrupted, received
+
+
+# A 27-bit model element whose decode lands just past one step by rounding.
+PAST_ONE_STEP = {
+    "data.synth.classes": "6", "data.synth.features": "2", "data.synth.train_per_class": "2",
+    "data.synth.test_per_class": "1", "data.synth.seed": "0", "encoder.dim": "46",
+    "encoder.seed": "0", "encoder.quantize": "False", "round.clients": "1",
+    "round.participation": "0.25", "round.epochs": "1", "round.batch": "full",
+    "round.lr": "1.0", "round.rounds": "1", "round.seed": "0", "partition.kind": "iid",
+    "partition.shards_per_client": "1", "channel.kind": "bsc", "channel.bit_error_rate": "0.0",
+    "codec.representation": "quantized_int", "codec.bitwidth": "27", "strategy.kind": "none",
+}
+
+
 @settings(max_examples=300, deadline=None)
 @given(tiny_configs())
+@example(PAST_ONE_STEP)
 def test_tiny_configs_fail_early_or_finish_finite_and_reproducibly(overrides):
     rounds = mock.patch.object(federated, "sample_clients", wraps=federated.sample_clients)
-    with rounds as started:
+    with rounds as started, uplink_lengths() as (counted, corrupted, received):
         try:
             config, result, csv, frame = run(overrides)
         except ValueError as exc:  # ConfigError, DimensionError, a partition error
             assert not started.called, f"{type(exc).__name__} after round 1 started: {exc}"
             return
     assert len(result.records) == config.round.rounds
+    assert sum(counted) == sum(rec.uplink_bytes for rec in result.records)
+    if config.channel.kind in BIT_CHANNELS:
+        assert counted == corrupted == received
+    else:
+        assert corrupted == received == []
     for rec in result.records:
         assert np.isfinite(rec.test_accuracy) and 0.0 <= rec.test_accuracy <= 1.0
         assert np.isfinite(rec.train_loss) and rec.train_loss >= 0.0
@@ -97,7 +150,9 @@ def test_tiny_configs_fail_early_or_finish_finite_and_reproducibly(overrides):
         assert np.array_equal(parsed.vectors, want.astype(np.float32))
     else:  # truncated toward zero, less than one step of the row's gain
         step = np.abs(want).max(axis=1, keepdims=True) / (2 ** (codec.bitwidth - 1) - 1)
-        assert np.all(np.abs(parsed.vectors - want) <= step * (1 + 1e-9))
+        # Rounding values * gain (up to 2^(B-1)) and dividing again can move
+        # an element by a few ulps of its integer: 2^(B-51) of a step bounds it.
+        assert np.all(np.abs(parsed.vectors - want) <= step * (1 + 2.0 ** (codec.bitwidth - 51)))
     _, _, csv_again, frame_again = run(overrides)
     assert csv_again == csv
     assert frame_again == frame

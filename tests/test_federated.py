@@ -29,7 +29,6 @@ from hdfed.federated import (
 from hdfed.hdc import (
     ClassPrototypes,
     ProjectedQueries,
-    SampleRows,
     accuracy,
     encode_batch,
     make_projection,
@@ -134,10 +133,9 @@ class TestClientStates:
         clients = _client_states(hvs, labels, Partition(assignments, np.array([0.4, 0.0, 0.6])))
         assert [c.client_id for c in clients] == [0, 1, 2]
         for client, idx in zip(clients, assignments):
-            assert len(client.hvs) == len(idx)
-            assert client.hvs.matrix is hvs  # rows read in place, not copied
-            assert np.array_equal(client.hvs.index, idx)
-            assert np.array_equal(client.labels, labels[idx])
+            assert np.array_equal(client.rows, idx)
+            # Every client reads the one matrix and labels in place.
+            assert client.samples is hvs and client.labels is labels
 
     def test_projected_clients_hold_their_feature_rows(self, monkeypatch):
         # Under a linear encoder a client's rows are its assignment into the
@@ -178,9 +176,7 @@ class TestClientStates:
         phi = make_projection(3, 40, seed=1)
         train = ProjectedQueries(np.array([[0.5, -1.0, 2.0]]), phi)
         [client] = _client_states(train, np.array([1]), Partition([np.array([0])], np.ones(1)))
-        assert isinstance(client.hvs, SampleRows)
-        rows = client.hvs.matrix[client.hvs.index]
-        assert np.array_equal(rows, encode_batch(phi, train.features))
+        assert np.array_equal(client.samples[client.rows], encode_batch(phi, train.features))
 
 
 def old_batched_order(n, batch, rng):
@@ -209,10 +205,11 @@ class TestBatchedOrder:
 
 class TestLocalUpdate:
     def make_client(self, seed=0, n=12, d=16, k=2):
+        # n rows, out of order, of a shared matrix that holds 3 more.
         rng = np.random.default_rng(seed)
-        hvs = rng.standard_normal((n, d))
-        labels = rng.integers(0, k, size=n)
-        return ClientState(0, hvs, labels)
+        hvs = rng.standard_normal((n + 3, d))
+        labels = rng.integers(0, k, size=n + 3)
+        return ClientState(0, rng.permutation(n + 3)[:n], hvs, labels)
 
     def test_zero_epochs_returns_global(self):
         client = self.make_client()
@@ -222,7 +219,7 @@ class TestLocalUpdate:
         assert np.array_equal(out.vectors, g.vectors)
 
     def test_empty_dataset_returns_global(self):
-        client = ClientState(0, np.empty((0, 4)), np.empty(0, dtype=int))
+        client = ClientState(0, np.empty(0, dtype=int), np.empty((0, 4)), np.empty(0, int))
         g = ClassPrototypes(np.ones((2, 4)))
         cfg = RoundConfig(num_clients=1, participation=1.0, rounds=1)
         out = local_update(client, g, cfg, round_index=0)
@@ -230,9 +227,7 @@ class TestLocalUpdate:
 
     def test_perfectly_classified_data_unchanged(self):
         g = ClassPrototypes(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        client = ClientState(
-            0, np.array([[2.0, 0.0], [0.0, 3.0]]), np.array([0, 1])
-        )
+        client = ClientState(0, np.arange(2), np.diag([2.0, 3.0]), np.array([0, 1]))
         cfg = RoundConfig(num_clients=1, participation=1.0, local_epochs=1, rounds=1)
         out = local_update(client, g, cfg, round_index=0)
         assert np.array_equal(out.vectors, g.vectors)
@@ -240,17 +235,17 @@ class TestLocalUpdate:
     def test_delegates_to_retrain_epoch(self):
         # single full batch: identical to one direct retraining pass
         g = ClassPrototypes(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        client = ClientState(0, np.array([[1.0, 0.0]]), np.array([1]))
+        client = ClientState(0, np.array([0]), np.array([[1.0, 0.0]]), np.array([1]))
         cfg = RoundConfig(
             num_clients=1, participation=1.0, local_epochs=1, local_batch=None, rounds=1
         )
         out = local_update(client, g, cfg, round_index=0)
-        expected, _ = retrain_epoch(g, client.hvs, client.labels, alpha=1.0)
+        expected, _ = retrain_epoch(g, client.rows, client.samples, client.labels[client.rows], 1.0)
         assert np.array_equal(out.vectors, expected.vectors)
 
     @pytest.mark.parametrize("epochs", [1, 2])
     def test_batched_epochs_equal_retrain_on_gathered_rows(self, epochs):
-        # local_update walks each epoch's order over the client's rows in
+        # local_update visits the client's rows of the shared matrix in
         # place; the result is the retrain of the gathered copy, bit for bit.
         client = self.make_client(seed=4, n=37, d=64, k=4)
         g = ClassPrototypes(np.random.default_rng(1).standard_normal((4, 64)))
@@ -265,7 +260,11 @@ class TestLocalUpdate:
         for _ in range(epochs):
             order = _batched_order(37, 10, rng)
             assert not np.array_equal(order, np.arange(37))
-            expected, _ = retrain_epoch(expected, client.hvs[order], client.labels[order], 0.7)
+            rows = client.rows[order]
+            gathered = client.samples[rows]
+            expected, _ = retrain_epoch(
+                expected, np.arange(37), gathered, client.labels[rows], 0.7
+            )
         assert np.array_equal(out.vectors.view(np.uint64), expected.vectors.view(np.uint64))
         assert np.array_equal(g.vectors, before)
 
@@ -321,19 +320,18 @@ class TestLockstepRetrain:
         assert len(logs) == len(participants)
         for cid, epochs in zip(participants, logs):
             idx = part.assignments[cid]
-            rows = ProjectedQueries(train.features[idx], train.projection)
             rng = derived_rng(cfg.seed, STREAM_LOCAL, 2, int(cid))
             want = model
             for log in epochs:
-                order = _batched_order(len(idx), cfg.local_batch, rng)
+                visits = idx[_batched_order(len(idx), cfg.local_batch, rng)]
                 # The pass one sample at a time, each scored by its own gemv.
                 oracle = feature_space_pass(
-                    want.vectors, train.features, train.projection, idx[order],
-                    labels[idx[order]], cfg.learning_rate,
+                    want.vectors, train.features, train.projection, visits,
+                    labels[visits], cfg.learning_rate,
                 )
                 assert log == oracle
                 want, count = projected_retrain_epoch(
-                    want, rows, labels[idx], cfg.learning_rate, order
+                    want, visits, train, labels[visits], cfg.learning_rate
                 )
                 assert count == len(log)
             got = _replayed(model, train, epochs, cfg.learning_rate)
@@ -466,8 +464,7 @@ class TestRunTraining:
             train_hvs, train_labels, test_hvs, test_labels, k, part, cfg
         )
         # centralized: the same client retrained round by round
-        idx = part.assignments[0]
-        client = ClientState(0, train_hvs[idx], train_labels[idx])
+        client = ClientState(0, part.assignments[0], train_hvs, train_labels)
         central = ClassPrototypes.zeros(k, train_hvs.shape[1])
         for t in range(cfg.rounds):
             central = local_update(client, central, cfg, t)
@@ -573,7 +570,7 @@ class TestRunTraining:
 
         def gathered_states(hvs, labels, partition):
             return [
-                ClientState(cid, hvs[idx], labels[idx])
+                ClientState(cid, np.arange(len(idx)), hvs[idx], labels[idx])
                 for cid, idx in enumerate(partition.assignments)
             ]
 

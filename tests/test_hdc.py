@@ -13,7 +13,6 @@ from hdfed.hdc import (
     DimensionError,
     ProjectedQueries,
     ProjectionMatrix,
-    SampleRows,
     _class_scores,
     _prototype_norms,
     _similarity_matrix,
@@ -254,42 +253,45 @@ class TestPredict:
         assert np.array_equal(before, after)
 
 
+ONE, X = np.array([0]), np.array([[1.0, 0.0]])  # one visit of one row
+
+
 class TestRetrainEpoch:
     def test_hand_traced_update(self):
         protos = ClassPrototypes(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        updated, mistakes = retrain_epoch(protos, np.array([[1.0, 0.0]]), np.array([1]), alpha=1.0)
+        updated, mistakes = retrain_epoch(protos, ONE, X, np.array([1]), alpha=1.0)
         assert mistakes == 1
         assert np.array_equal(updated.vectors[0], [0.0, 0.0])
         assert np.array_equal(updated.vectors[1], [1.0, 1.0])
 
     def test_correct_sample_leaves_model_unchanged(self):
         protos = ClassPrototypes(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        updated, mistakes = retrain_epoch(protos, np.array([[1.0, 0.0]]), np.array([0]), alpha=1.0)
+        updated, mistakes = retrain_epoch(protos, ONE, X, np.array([0]), alpha=1.0)
         assert mistakes == 0
         assert np.array_equal(updated.vectors, protos.vectors)
 
     def test_alpha_scales_updates_linearly(self):
         protos = ClassPrototypes(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        updated, _ = retrain_epoch(protos, np.array([[1.0, 0.0]]), np.array([1]), alpha=0.5)
+        updated, _ = retrain_epoch(protos, ONE, X, np.array([1]), alpha=0.5)
         assert np.array_equal(updated.vectors[0], [0.5, 0.0])
         assert np.array_equal(updated.vectors[1], [0.5, 1.0])
 
     def test_rejects_nonpositive_alpha(self):
         protos = ClassPrototypes(np.zeros((2, 2)))
         with pytest.raises(ValueError):
-            retrain_epoch(protos, np.ones((1, 2)), np.array([0]), alpha=0.0)
+            retrain_epoch(protos, ONE, np.ones((1, 2)), np.array([0]), alpha=0.0)
 
     def test_returned_model_shares_no_memory_with_input(self):
         # Also with no mistake, the caller may update either model freely.
         protos = ClassPrototypes(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        updated, mistakes = retrain_epoch(protos, np.array([[1.0, 0.0]]), np.array([0]), alpha=1.0)
+        updated, mistakes = retrain_epoch(protos, ONE, X, np.array([0]), alpha=1.0)
         assert mistakes == 0
         assert not np.shares_memory(updated.vectors, protos.vectors)
 
     def test_input_prototypes_not_mutated(self):
         protos = ClassPrototypes(np.array([[1.0, 0.0], [0.0, 1.0]]))
         before = protos.vectors.copy()
-        retrain_epoch(protos, np.array([[1.0, 0.0]]), np.array([1]), alpha=1.0)
+        retrain_epoch(protos, ONE, X, np.array([1]), alpha=1.0)
         assert np.array_equal(protos.vectors, before)
 
 
@@ -318,7 +320,8 @@ def reference_retrain_epoch(prototypes, hvs, labels, alpha):
 def retrain_cases(draw):
     """Small retraining problems: K in 2..6, small d, alpha often not 1;
     integral data (exact ties) or gaussian; a zero, partly zero or random
-    starting model."""
+    starting model; the rows visited in a permuted order, or drawn with
+    repeats."""
     k, d, n = draw(st.integers(2, 6)), draw(st.integers(1, 12)), draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
@@ -335,12 +338,16 @@ def retrain_cases(draw):
     alpha = draw(st.sampled_from([1.0, 0.5, 0.3, 2.5, 1e-3]))
     labels = rng.integers(0, k, size=n)
     model = ClassPrototypes(vectors)
-    return model, hvs, labels, alpha, rng.permutation(n)
+    if draw(st.booleans()):
+        visits = rng.permutation(n)
+    else:  # some rows left out, some visited more than once
+        visits = rng.integers(0, n, size=draw(st.integers(0, 2 * n)))
+    return model, hvs, labels, alpha, visits
 
 
 class TestRetrainEquivalence:
     """retrain_epoch keeps the reference loop's float operations, so models
-    match it bit for bit, whatever the order argument."""
+    match it over the visited rows bit for bit, whatever the visits."""
 
     @staticmethod
     def assert_same(got, want):
@@ -351,15 +358,15 @@ class TestRetrainEquivalence:
     @settings(max_examples=300, deadline=None)
     @given(retrain_cases())
     def test_matches_reference_bitwise(self, case):
-        model, hvs, labels, alpha, order = case
-        inputs = [model.vectors, hvs, labels, order]
+        model, hvs, labels, alpha, visits = case
+        inputs = [model.vectors, hvs, labels, visits]
         before = [a.copy() for a in inputs]
         stored = reference_retrain_epoch(model, hvs, labels, alpha)
-        self.assert_same(retrain_epoch(model, hvs, labels, alpha), stored)
-        self.assert_same(retrain_epoch(model, hvs, labels, alpha, None), stored)
-        walked = reference_retrain_epoch(model, hvs[order], labels[order], alpha)
-        self.assert_same(retrain_epoch(model, hvs, labels, alpha, order), walked)
-        self.assert_same(retrain_epoch(model, hvs[order], labels[order], alpha), walked)
+        self.assert_same(retrain_epoch(model, np.arange(len(hvs)), hvs, labels, alpha), stored)
+        walked = reference_retrain_epoch(model, hvs[visits], labels[visits], alpha)
+        self.assert_same(retrain_epoch(model, visits, hvs, labels[visits], alpha), walked)
+        gathered = np.arange(len(visits))
+        self.assert_same(retrain_epoch(model, gathered, hvs[visits], labels[visits], alpha), walked)
         for a, b in zip(inputs, before):
             assert np.array_equal(a.view(np.uint8), b.view(np.uint8))
 
@@ -375,9 +382,9 @@ class TestRetrainEquivalence:
         hvs = encode_batch(phi, rng.standard_normal((150, 16)))
         labels = rng.integers(0, 10, size=150)
         model = ClassPrototypes.zeros(10, 2000)
-        order = rng.permutation(150)
-        got = retrain_epoch(model, hvs, labels, 1.0, order)
-        self.assert_same(got, reference_retrain_epoch(model, hvs[order], labels[order], 1.0))
+        visits = rng.permutation(150)
+        got = retrain_epoch(model, visits, hvs, labels[visits], 1.0)
+        self.assert_same(got, reference_retrain_epoch(model, hvs[visits], labels[visits], 1.0))
         assert got[1] > 0
 
     def test_class_zeroed_by_a_mistake_scores_zero_against_a_non_finite_sample(self):
@@ -386,23 +393,25 @@ class TestRetrainEquivalence:
         protos = ClassPrototypes(np.eye(2))
         hvs, labels = np.array([[1.0, 0.0], [np.inf, 0.0]]), np.array([1, 1])
         with np.errstate(invalid="ignore"):
-            got = retrain_epoch(protos, hvs, labels, 1.0)
+            got = retrain_epoch(protos, np.arange(2), hvs, labels, 1.0)
             want = reference_retrain_epoch(protos, hvs, labels, 1.0)
         assert got[1] == 1
         self.assert_same(got, want)
 
-    @pytest.mark.parametrize(
-        "order", [[0, 1], [0, 1, 1], [0, 2, 1, 3], [-1, 0, 1], [[0, 1, 2]]], ids=str
-    )
-    def test_order_must_be_a_permutation(self, order):
+    @pytest.mark.parametrize("visits", [[0, 3], [-1, 0], [2, 7]], ids=str)
+    def test_visits_must_name_rows_of_the_matrix(self, visits):
+        # -1 would read the last row from the end.
         protos = ClassPrototypes(np.eye(2))
-        with pytest.raises(ValueError, match="permutation"):
-            retrain_epoch(protos, np.ones((3, 2)), np.array([0, 1, 0]), 1.0, np.array(order))
+        with pytest.raises(ValueError, match=r"rows must lie in \[0, 3\)"):
+            retrain_epoch(protos, np.array(visits), np.ones((3, 2)), np.array([0, 1]), 1.0)
 
-    def test_labels_must_align_with_samples(self):
+    @pytest.mark.parametrize(
+        "visits, labels", [([0, 1, 2], [0, 1]), ([0], [0, 1]), ([[0, 1]], [[0, 1]])], ids=str
+    )
+    def test_labels_must_align_with_visits(self, visits, labels):
         protos = ClassPrototypes(np.eye(2))
         with pytest.raises(DimensionError):
-            retrain_epoch(protos, np.ones((3, 2)), np.array([0, 1]), 1.0)
+            retrain_epoch(protos, np.array(visits), np.ones((3, 2)), np.array(labels), 1.0)
 
     @pytest.mark.parametrize("bad", [-1, 3])
     def test_labels_must_name_a_class(self, bad):
@@ -410,7 +419,7 @@ class TestRetrainEquivalence:
         # that changes nothing.
         protos = ClassPrototypes(np.eye(3))
         with pytest.raises(ValueError, match=r"\[0, 3\)"):
-            retrain_epoch(protos, np.eye(3)[:2], np.array([0, bad]), 1.0)
+            retrain_epoch(protos, np.arange(2), np.eye(3)[:2], np.array([0, bad]), 1.0)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(2, 12), st.integers(1, 3000), st.integers(0, 2**32 - 1))
@@ -424,9 +433,9 @@ class TestRetrainEquivalence:
 
 @st.composite
 def shared_row_cases(draw):
-    """A model and a client's rows drawn from a larger shared matrix: K in
-    2..12, d often not a multiple of 8, so row starts fall at every 8-byte
-    offset from a 64-byte line; rows in any order, some left out."""
+    """A model and a client's visits of a larger shared matrix: K in 2..12,
+    d often not a multiple of 8, so row starts fall at every 8-byte offset
+    from a 64-byte line; rows in any order, some left out."""
     k, d, n = draw(st.integers(2, 12)), draw(st.integers(1, 300)), draw(st.integers(1, 60))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     matrix = rng.standard_normal((n + draw(st.integers(0, 20)), d))
@@ -436,45 +445,49 @@ def shared_row_cases(draw):
         vectors[:] = 0.0
     model = ClassPrototypes(vectors)
     labels = rng.integers(0, k, size=n)
-    order = rng.permutation(n) if draw(st.booleans()) else None
     alpha = draw(st.sampled_from([1.0, 0.3, 2.5]))
-    return model, matrix, index, labels, alpha, order
+    return model, matrix, index, labels, alpha
 
 
-class TestSampleRows:
-    """Retraining over row views of a shared matrix reads the same bytes as
+class TestSharedRows:
+    """Retraining over visits of a shared matrix reads the same bytes as
     over the gathered rows, so the result is the same bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(shared_row_cases())
-    def test_row_views_retrain_like_the_gathered_block(self, case):
-        model, matrix, index, labels, alpha, order = case
-        rows = SampleRows(matrix, index)
-        assert len(rows) == len(index)
-        got = retrain_epoch(model, rows, labels, alpha, order)
-        want = retrain_epoch(model, matrix[index], labels, alpha, order)
+    def test_visits_retrain_like_the_gathered_block(self, case):
+        model, matrix, index, labels, alpha = case
+        got = retrain_epoch(model, index, matrix, labels, alpha)
+        want = retrain_epoch(model, np.arange(len(index)), matrix[index], labels, alpha)
         TestRetrainEquivalence.assert_same(got, want)
 
     @pytest.mark.parametrize(
         "matrix",
-        [
-            np.ones((4, 3)),  # wrong length: the model has d = 2
-            np.ones((4, 2), dtype=np.float32),
-            np.ones((4, 4))[:, ::2],  # rows not contiguous
-            np.asfortranarray(np.ones((4, 2))),
-            np.ones(4),
-        ],
-        ids=["length", "float32", "strided", "fortran", "1-D"],
+        [np.ones((4, 3)), np.ones(4)],  # the model has d = 2
+        ids=["length", "1-D"],
     )
-    def test_malformed_rows_rejected(self, matrix):
+    def test_malformed_matrix_rejected(self, matrix):
         protos = ClassPrototypes(np.eye(2))
         with pytest.raises(DimensionError):
-            retrain_epoch(protos, SampleRows(matrix, np.array([0, 2])), np.array([0, 1]), 1.0)
+            retrain_epoch(protos, np.array([0, 2]), matrix, np.array([0, 1]), 1.0)
 
-    @pytest.mark.parametrize("index", [[0, 4], [-1, 0], [[0, 1]], [0.0, 1.0]], ids=str)
-    def test_index_must_name_rows_of_the_matrix(self, index):
-        with pytest.raises(ValueError, match="row index"):
-            SampleRows(np.ones((4, 2)), np.array(index))
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            lambda m: m.astype(np.float32),
+            lambda m: np.repeat(m, 2, axis=1)[:, ::2],  # rows not contiguous
+            np.asfortranarray,
+        ],
+        ids=["float32", "strided", "fortran"],
+    )
+    def test_other_layouts_retrain_like_their_c_ordered_float64_copy(self, layout):
+        rng = np.random.default_rng(2)
+        matrix = layout(rng.integers(-3, 4, size=(6, 5)).astype(np.float64))
+        protos = ClassPrototypes(rng.standard_normal((3, 5)))
+        visits, labels = np.array([4, 0, 5, 2, 4]), rng.integers(0, 3, size=5)
+        got = retrain_epoch(protos, visits, matrix, labels, 0.7)
+        want = retrain_epoch(protos, visits, np.array(matrix, np.float64, order="C"), labels, 0.7)
+        TestRetrainEquivalence.assert_same(got, want)
 
 
 def reference_similarity_matrix(vectors, norms, hs):
@@ -769,12 +782,12 @@ class TestProjectedRetrain:
     def check(case):
         model, phi, xs, labels, index, alpha, orders = case
         before = [model.vectors.tobytes(), xs.tobytes()]
-        client = ProjectedQueries(xs[index], phi)
-        rows = SampleRows(encode_batch(phi, xs), index)
+        queries, hvs = ProjectedQueries(xs, phi), encode_batch(phi, xs)
         got = want = model
         for order in orders:
-            got, mistakes = projected_retrain_epoch(got, client, labels[index], alpha, order)
-            want, ref_mistakes = retrain_epoch(want, rows, labels[index], alpha, order)
+            visits = index[order]
+            got, mistakes = projected_retrain_epoch(got, visits, queries, labels[visits], alpha)
+            want, ref_mistakes = retrain_epoch(want, visits, hvs, labels[visits], alpha)
             assert mistakes == ref_mistakes
             assert np.array_equal(got.vectors.view(np.uint64), want.vectors.view(np.uint64))
         assert [model.vectors.tobytes(), xs.tobytes()] == before
@@ -823,8 +836,9 @@ class TestProjectedRetrain:
         x = rng.standard_normal(4)
         xs, labels = np.stack([x, x, rng.standard_normal(4)]), np.array([1, 0, 2])
         model = ClassPrototypes.zeros(3, 64)
-        got = projected_retrain_epoch(model, ProjectedQueries(xs, phi), labels, 0.3)
-        want = retrain_epoch(model, encode_batch(phi, xs), labels, 0.3)
+        visits = np.arange(3)
+        got = projected_retrain_epoch(model, visits, ProjectedQueries(xs, phi), labels, 0.3)
+        want = retrain_epoch(model, visits, encode_batch(phi, xs), labels, 0.3)
         TestRetrainEquivalence.assert_same(got, want)
         assert got[1] == 3
 
@@ -896,7 +910,7 @@ class TestProjectedRetrain:
         model = ClassPrototypes(np.ones((2, 60)))
         queries = ProjectedQueries(np.ones((5, 3)), phi)
         with pytest.raises(DimensionError):
-            projected_retrain_epoch(model, queries, np.zeros(5, int), 1.0)
+            projected_retrain_epoch(model, np.arange(5), queries, np.zeros(5, int), 1.0)
 
 
 class TestBinaryRetrain:
@@ -1031,7 +1045,7 @@ class TestDeterminism:
             labels = rng.integers(0, 3, size=30)
             hvs = encode_batch(phi, xs)
             protos = one_shot_train(hvs, labels, num_classes=3)
-            protos, _ = retrain_epoch(protos, hvs, labels, alpha=1.0)
+            protos, _ = retrain_epoch(protos, np.arange(30), hvs, labels, alpha=1.0)
             return protos.vectors, predict_batch(protos, hvs)
 
         v1, p1 = run()
@@ -1072,7 +1086,7 @@ class TestBinaryPrototypeCoupling:
             ys = np.where(labels == 0, 1.0, -1.0)
             w = protos.vectors[0] - protos.vectors[1]
             for _ in range(3):
-                protos, _ = retrain_epoch(protos, hvs, labels, alpha=1.0)
+                protos, _ = retrain_epoch(protos, np.arange(n), hvs, labels, alpha=1.0)
                 w = binary_retrain(w, hvs, ys, eta=2.0, passes=1)
                 assert np.array_equal(protos.vectors[0] - protos.vectors[1], w)
 

@@ -809,6 +809,36 @@ class TestParsersFailClosed:
         with pytest.raises(SparseFormatError):
             deserialize_subsample(bytes(blob), codec, seed=0, shape=(3, 30))
 
+    @pytest.mark.parametrize(
+        "codec",
+        [CodecConfig("float32"), CodecConfig("quantized_int", bitwidth=5)],
+        ids=["float32", "quantized5"],
+    )
+    @pytest.mark.parametrize("kind", ["model", "sign", "subsample", "sparse"])
+    def test_a_byte_past_the_frame_rejected(self, kind, codec):
+        model = ClassPrototypes(np.random.default_rng(3).standard_normal((3, 30)))
+        partial = functools.partial
+        blob, parse, error = {
+            "model": (write_model_bytes(model, codec), read_model_bytes, CodecError),
+            "sign": (
+                self.sign_frame(), partial(deserialize_sign_matrix, shape=(3, 20)),
+                SparseFormatError,
+            ),
+            "subsample": (
+                self.subsample_frame(codec),
+                partial(deserialize_subsample, codec=codec, seed=0, shape=(3, 30)),
+                SparseFormatError,
+            ),
+            "sparse": (
+                self.sparse_frame(codec), partial(deserialize_sparse, codec=codec, shape=(3, 30)),
+                SparseFormatError,
+            ),
+        }[kind]
+        parse(blob)
+        for extra in (b"\x00", b"\xff"):
+            with pytest.raises(error):
+                parse(blob + extra)
+
     def test_truncated_sign_frame_header(self):
         with pytest.raises(SparseFormatError):
             deserialize_sign_matrix(self.sign_frame()[:10], (3, 20))
@@ -1051,7 +1081,7 @@ class TestParserMutationFuzz:
     can back an inflated count): each parser raises its own error or parses
     finite values of the shape the input declares. It never surfaces another
     error, numpy's included, and never allocates more than the input's bytes
-    can describe."""
+    can describe. Appended bytes alone always raise."""
 
     @staticmethod
     def source(which, codec, rng):
@@ -1143,5 +1173,7 @@ class TestParserMutationFuzz:
             _, peak = tracemalloc.get_traced_memory()
             tracemalloc.stop()
         assert peak < (1 << 16) + 512 * len(blob)
+        if all(kind == "append" for kind, *_ in mutations):
+            assert parsed is None  # no parser reads past what the input declares
         if parsed is not None:
             self.check(which, blob, parsed)
